@@ -12,8 +12,9 @@ Subcommands:
   gleason      exact self-checks of the enumerator transform algebra
 
 Table output is deterministic: fixed column order, a `# schema=1` header,
-12 significant digits, "\n" line endings.  Files are written to a temp
-path and atomically renamed, so a failed run leaves nothing behind.
+12 significant digits, "\n" line endings, CSV cells holding commas (klm
+labels) double-quoted.  Files are written to a temp path and atomically
+renamed, so a failed run leaves nothing behind.
 PTML_PRECISION_DIGITS overrides the base working precision of the
 analytic models.
 """
@@ -21,8 +22,11 @@ analytic models.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -151,9 +155,12 @@ def _render(columns, rows, fmt: str) -> str:
         payload = {"schema": 1, "columns": list(columns),
                    "rows": [[_fmt_cell(r[c]) for c in columns] for r in rows]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = ["# schema=1", ",".join(columns)]
-    lines += [",".join(_fmt_cell(r[c]) for c in columns) for r in rows]
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write("# schema=1\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt_cell(r[c]) for c in columns] for r in rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out: str):
@@ -312,7 +319,9 @@ def cmd_sweep(args) -> int:
             raise ValueError("empty n list")
         crits = None
         if args.criteria is not None:
-            labels = [t for t in args.criteria.split(",") if t.strip()]
+            # a comma followed by a digit continues a klm:k,l,m triple
+            labels = [t for t in re.split(r",(?!\s*\d)", args.criteria)
+                      if t.strip()]
             if not labels:
                 raise ValueError("empty criteria list")
             crits = tuple(CriterionSpec.parse(t) for t in labels)

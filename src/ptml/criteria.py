@@ -5,7 +5,9 @@ NPT states.  Verdicts carry a signed margin (positive = detected) and fire
 when the margin exceeds a decision tolerance.
 
 Criteria accept float64 moments or extended-precision (mpmath) moments from
-module spectra; arithmetic runs at the input's precision.  The default
+module spectra, and each is written once over the scalar type: arithmetic
+runs at the input's precision, and Hankel eigenvalues come from
+np.linalg.eigvalsh for float input and mp.eigsy for mpf input.  The default
 decision tolerance is 1e-10 for float input.  For d-digit input it is
 10^-(d-10): near a threshold the decisive quantities (e.g. the smallest
 Hankel eigenvalue) can sit twelve or more orders below the moment scale, so
@@ -16,11 +18,12 @@ is needed.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .jacobi import jacobi_eigenvalues
 from .spectra import MomentVector, Spectrum, merge_spectrum
 
 FLOAT_TOL = 1e-10
@@ -49,14 +52,25 @@ class HankelMatrix:
         return (self.m + 1) // 2
 
 
-def _digits_of(p: MomentVector) -> int:
-    return p.digits  # None means float64
-
-
 def default_tol(digits):
     if digits is None:
         return FLOAT_TOL
     return mpf(10) ** (-(digits - 10))
+
+
+@contextmanager
+def _arithmetic(digits):
+    """Unit of the scalar type for `digits` (None = float64), with mpmath
+    working at that precision for the duration."""
+    if digits is None:
+        yield 1.0
+    else:
+        with workdps(digits):
+            yield mpf(1)
+
+
+def _log2(v):
+    return mp.log(v, 2) if isinstance(v, mpf) else math.log2(v)
 
 
 def build_hankel(p: MomentVector, m: int) -> HankelMatrix:
@@ -70,26 +84,12 @@ def build_hankel(p: MomentVector, m: int) -> HankelMatrix:
 
 
 def hankel_min_eigenvalue(h: HankelMatrix, digits=None):
-    """Smallest eigenvalue of the Hankel matrix, at the input's precision."""
+    """Smallest eigenvalue of the Hankel matrix, at the input's precision:
+    np.linalg.eigvalsh for float input, mp.eigsy at digits + 10 for mpf."""
     if digits is None:
-        return jacobi_eigenvalues([list(r) for r in h.entries],
-                                  sqrt=math.sqrt, tol=1e-15)[0]
+        return float(np.linalg.eigvalsh(np.array(h.entries, dtype=float))[0])
     with workdps(digits + 10):
-        eigs = jacobi_eigenvalues(
-            [[mpf(x) for x in r] for r in h.entries],
-            sqrt=lambda v: mp.sqrt(v),
-            tol=float(mpf(10) ** (-digits)))
-    return eigs[0]
-
-
-def quadratic_form(h: HankelMatrix, c) -> object:
-    size = h.size
-    assert len(c) == size
-    total = 0
-    for i in range(size):
-        for j in range(size):
-            total += c[i] * h.entries[i][j] * c[j]
-    return total
+        return mp.eigsy(mp.matrix(h.entries), eigvals_only=True)[0]
 
 
 def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
@@ -102,13 +102,9 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
         raise ValueError("fractional powers need positive p_k and p_m")
     if tol is None:
         tol = default_tol(p.digits)
-    if p.digits is None:
-        x = (m - l) / (m - k)
+    with _arithmetic(p.digits) as one:
+        x = one * (m - l) / (m - k)
         margin = pl - pk ** x * pm ** (1 - x)
-    else:
-        with workdps(p.digits):
-            x = mpf(m - l) / (m - k)
-            margin = pl - pk ** x * pm ** (1 - x)
     return Verdict(margin > tol, margin,
                    witness={"triple": (k, l, m), "x": x})
 
@@ -148,22 +144,14 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
 
 def newton_elementary(p: MomentVector, m: int) -> list:
     """e_0..e_m from power sums p_1..p_m, at the input's precision."""
-    if p.digits is None:
-        es = [1.0]
+    with _arithmetic(p.digits) as one:
+        es = [one]
         for j in range(1, m + 1):
-            acc = 0.0
+            acc = one - one
             for i in range(1, j + 1):
                 acc += (-1) ** (i - 1) * es[j - i] * p.p(i)
             es.append(acc / j)
-        return es
-    with workdps(p.digits):
-        es = [mpf(1)]
-        for j in range(1, m + 1):
-            acc = mpf(0)
-            for i in range(1, j + 1):
-                acc += (-1) ** (i - 1) * es[j - i] * p.p(i)
-            es.append(acc / j)
-        return es
+    return es
 
 
 def negativity_lower_bound(pt, l: int, m: int):
@@ -183,12 +171,9 @@ def negativity_lower_bound(pt, l: int, m: int):
         ptl, ptm = pt[l - 1], pt[m - 1]
     if ptl <= 0 or ptm <= 0:
         raise ValueError("Schatten moments must be positive")
-    if digits is None:
-        x = (m - l) / (m - 1)
-        return math.log2(ptl) / x - ((1 - x) / x) * math.log2(ptm)
-    with workdps(digits):
-        x = mpf(m - l) / (m - 1)
-        return mp.log(ptl, 2) / x - ((1 - x) / x) * mp.log(ptm, 2)
+    with _arithmetic(digits) as one:
+        x = one * (m - l) / (m - 1)
+        return _log2(ptl) / x - ((1 - x) / x) * _log2(ptm)
 
 
 def stieltjes_witness(s: Spectrum, m: int, merge_tol=1e-12) -> list:

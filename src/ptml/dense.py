@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .jacobi import eigh_jacobi
 from .pauli import Bipartition, PauliString, StabilizerGroup, enumerate_group, weight
 from .spectra import MomentVector
 
@@ -141,14 +140,13 @@ def hermitian_eigenvalues(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.n
     scale = np.max(np.abs(m)) or 1.0
     if np.max(np.abs(m - m.conj().T)) > rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    sym = (m + m.conj().T) / 2
-    w, _ = eigh_jacobi(sym)
-    return w
+    return np.linalg.eigvalsh(m)
 
 
 def pt_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> MomentVector:
     """PT moments p_k = Tr[(rho^G)^k], k = 1..m_max, via power sums."""
-    assert m_max >= 1
+    if m_max < 1:
+        raise ValueError("need m_max >= 1")
     lams = hermitian_eigenvalues(partial_transpose(rho, bip))
     by_mag = sorted(lams, key=abs)
     values = tuple(math.fsum(lam ** k for lam in by_mag)
@@ -160,10 +158,7 @@ def pt_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> MomentVector:
 
 def schatten_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> list:
     """Schatten power sums ptilde_k = sum |lambda_i|^k of rho^G."""
-    assert m_max >= 1
-    lams = hermitian_eigenvalues(partial_transpose(rho, bip))
-    return [math.fsum(abs(lam) ** k for lam in sorted(lams, key=abs))
-            for k in range(1, m_max + 1)]
+    return list(pt_moments(rho, bip, m_max).schatten)
 
 
 def log_negativity(rho: np.ndarray, bip: Bipartition) -> float:

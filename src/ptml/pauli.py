@@ -34,10 +34,13 @@ class PauliString:
     phase_exp: int = 0
 
     def __post_init__(self):
-        assert self.n >= 0
-        assert 0 <= self.x_mask < (1 << self.n)
-        assert 0 <= self.z_mask < (1 << self.n)
-        assert self.phase_exp in (0, 1, 2, 3)
+        if self.n < 0:
+            raise ValueError(f"negative qubit count {self.n}")
+        if not (0 <= self.x_mask < (1 << self.n)
+                and 0 <= self.z_mask < (1 << self.n)):
+            raise ValueError(f"masks out of range for n={self.n}")
+        if self.phase_exp not in (0, 1, 2, 3):
+            raise ValueError(f"phase exponent {self.phase_exp} not in 0..3")
 
     def __str__(self):
         chars = []
@@ -60,7 +63,8 @@ class Bipartition:
     a_set: frozenset[int]
 
     def __post_init__(self):
-        assert all(1 <= a <= self.n for a in self.a_set)
+        if not all(1 <= a <= self.n for a in self.a_set):
+            raise ValueError(f"cut qubits must lie in 1..{self.n}")
 
     @property
     def a_mask(self) -> int:
@@ -270,16 +274,10 @@ def bell_pair_rank(g: StabilizerGroup, bip: Bipartition) -> int:
     in the kernel of that restriction are exactly the elements trivial on B.
     """
     b_mask = ((1 << g.n) - 1) ^ bip.a_mask
-    rows = []
-    for gen in g.generators:
-        xb = _project_mask(gen.x_mask, b_mask)
-        zb = _project_mask(gen.z_mask, b_mask)
-        rows.append((xb << g.n) | zb)
+    rows = [((gen.x_mask & b_mask) << g.n) | (gen.z_mask & b_mask)
+            for gen in g.generators]
     rank_b = _gf2_rank(rows)
     n_a = bip.a_mask.bit_count()
     # kernel dimension n - rank_b = log2 of the A-supported subgroup order
     return n_a - (g.n - rank_b)
 
-
-def _project_mask(mask: int, keep: int) -> int:
-    return mask & keep

@@ -16,9 +16,9 @@ Three state models feed the verdicts:
                   to hundreds of qubits.
   StabilizerModel PT moments from character-transformed weight enumerators
                   (exact integer tables, evaluated per eps), purities and
-                  fidelity from support enumerators, PPT from the dense
-                  matrix.  Works for any stabilizer state and any cut that
-                  fits in memory.
+                  fidelity from support enumerators, PPT from a DenseModel
+                  built on first use.  Works for any stabilizer state and
+                  any cut that fits in memory.
   DenseModel      everything from the density matrix.  The slow reference.
 
 sweep_fig1 and sweep_fig2 drive epsilon_max over the standard criterion
@@ -162,15 +162,25 @@ class GHZModel:
     def describe(self) -> str:
         return f"ghz n={self.n} cut=balanced"
 
-    def _spectrum(self, eps, digits: int = None) -> Spectrum:
-        return ghz_local_spectrum(self.n, eps, digits=digits or self.digits)
-
     def moments(self, eps, m_max: int) -> MomentVector:
         digits = max(self.digits, _order_digits(m_max))
-        return moments_from_spectrum(self._spectrum(eps, digits), m_max)
+        return moments_from_spectrum(
+            ghz_local_spectrum(self.n, eps, digits=digits), m_max)
 
     def ppt(self, eps) -> criteria.Verdict:
-        return criteria.ppt_verdict(self._spectrum(eps))
+        # Every other PT eigenvalue is a sum of nonnegative terms, so the
+        # verdict rests on the isolated pair c +- g.  Near the threshold at
+        # large n, c - g sits far below any absolute tolerance (about
+        # 1e-63 at n = 200), so the decision is relative to c.
+        if not 0 <= float(eps) <= 1:
+            raise ValueError("eps must lie in [0, 1]")
+        with workdps(self.digits):
+            e = mpf(eps)
+            c = ((1 - e / 2) * e / 2) ** (self.n // 2)
+            g = (1 - e) ** self.n / 2
+            return criteria.Verdict(
+                g - c > criteria.default_tol(self.digits) * c, g - c,
+                witness={"min_eigenvalue": c - g})
 
     def fidelity(self, eps):
         return fidelity_from_enumerators(self.sl, eps)
@@ -186,8 +196,8 @@ class StabilizerModel:
 
     Moments come from the character-transformed weight enumerators and are
     exact polynomials in (1-eps); float eps gives float moments, mpf eps
-    gives extended precision.  The PPT verdict diagonalizes the dense
-    partial transpose, so it is limited to small n.
+    gives extended precision.  The PPT verdict is the dense model's, so it
+    is limited to small n; the dense state is built on the first PPT call.
     """
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None):
@@ -199,7 +209,7 @@ class StabilizerModel:
         self.sl = sl_enumerators(g)
         self._chars = character_polys(g, bip)
         self._tables = {}
-        self._rho = None
+        self._dense = None
 
     def describe(self) -> str:
         a = ",".join(str(q) for q in sorted(self.bip.a_set))
@@ -223,12 +233,10 @@ class StabilizerModel:
         return MomentVector(vals, digits=digits)
 
     def ppt(self, eps) -> criteria.Verdict:
-        if self._rho is None:
-            self._rho = state_from_group(self.g)
-        noisy = depolarize_local(self._rho, float(eps))
-        eigs = hermitian_eigenvalues(partial_transpose(noisy, self.bip))
-        spec = Spectrum(tuple((float(x), 1) for x in eigs), digits=None)
-        return criteria.ppt_verdict(spec)
+        if self._dense is None:
+            self._dense = DenseModel(state_from_group(self.g), self.bip,
+                                     group=self.g, name=self.name)
+        return self._dense.ppt(eps)
 
     def fidelity(self, eps):
         return fidelity_from_enumerators(self.sl, eps)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests, run in-process through main()."""
 
+import csv
 import json
 import math
 import os
@@ -19,8 +20,7 @@ def run(capsys, *argv):
 
 def parse_csv(text):
     lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    return list(csv.DictReader(lines))
 
 
 def test_moments_bell(capsys):
@@ -136,10 +136,11 @@ def test_sweep_fig2_values_and_determinism(capsys):
 
 def test_sweep_fig1_restricted_criteria(capsys):
     code, out, _ = run(capsys, "sweep", "--preset", "fig1", "--n-list", "2,4",
-                       "--criteria", "ppt,stieltjes:3")
+                       "--criteria", "ppt,stieltjes:3,klm:1,2,3")
     assert code == 0
     rows = parse_csv(out)
-    assert {r["criterion"] for r in rows} == {"ppt", "stieltjes:3"}
+    assert {r["criterion"] for r in rows} == {"ppt", "stieltjes:3",
+                                              "klm:1,2,3"}
     assert {r["n"] for r in rows} == {"2", "4"}
     for r in rows:
         if r["criterion"] == "ppt":

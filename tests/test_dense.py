@@ -1,8 +1,8 @@
-"""Tests for dense density-matrix helpers and the Jacobi eigensolver."""
+"""Tests for dense density-matrix helpers; eigenvalues come from
+np.linalg.eigvalsh behind a Hermiticity check."""
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
 
 from ptml.pauli import Bipartition, from_label, state_catalog
 from ptml.dense import (
@@ -22,7 +22,6 @@ from ptml.dense import (
     state_from_group,
     werner_state,
 )
-from ptml.jacobi import jacobi_eigenvalues
 
 
 RNG = np.random.default_rng(20240817)
@@ -138,6 +137,10 @@ def test_schatten_moments_match_moment_vector():
     mv = pt_moments(rho, bip, 5)
     sch = schatten_moments(rho, bip, 5)
     assert np.allclose(sch, [mv.ptilde(k) for k in range(1, 6)])
+    with pytest.raises(ValueError):
+        schatten_moments(rho, bip, 0)
+    with pytest.raises(ValueError):
+        pt_moments(rho, bip, 0)
 
 
 def test_log_negativity_bell_is_one():
@@ -207,26 +210,3 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         hermitian_eigenvalues(m)
-
-
-def test_jacobi_float_matches_numpy():
-    m = RNG.standard_normal((6, 6))
-    m = m + m.T
-    got = sorted(jacobi_eigenvalues([list(row) for row in m]))
-    want = np.sort(np.linalg.eigvalsh(m))
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_jacobi_mpf_hilbert_matrix():
-    # 4x4 Hilbert matrix, eigenvalues to ~30 digits via mpmath reference
-    with mp.workdps(40):
-        h = [[mpf(1) / (i + j + 1) for j in range(4)] for i in range(4)]
-        got = sorted(jacobi_eigenvalues(h, sqrt=mp.sqrt, tol=mpf(10) ** -38))
-        want = sorted(mp.eigsy(mp.matrix(h), eigvals_only=True))
-        for g, w in zip(got, want):
-            assert abs(g - w) < mpf(10) ** -30
-
-
-def test_jacobi_diagonal_passthrough():
-    got = sorted(jacobi_eigenvalues([[2.0, 0.0], [0.0, -1.0]]))
-    assert np.allclose(got, [-1.0, 2.0])

@@ -1,5 +1,10 @@
 """Tests for the symplectic Pauli algebra against dense matrices."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from ptml.pauli import (
     theta,
     weight,
 )
+from ptml import pauli
 from ptml.dense import pauli_matrix
 
 
@@ -225,3 +231,35 @@ def test_bipartition_complement():
     bip = Bipartition(4, frozenset({1, 3}))
     assert bip.complement().a_set == frozenset({2, 4})
     assert bip.a_mask == 0b0101
+
+
+def test_out_of_range_input_raises_value_error():
+    with pytest.raises(ValueError):
+        Bipartition(2, frozenset({5}))
+    with pytest.raises(ValueError):
+        Bipartition(2, frozenset({0, 1}))
+    with pytest.raises(ValueError):
+        PauliString(1, 0, 0, 9)
+    with pytest.raises(ValueError):
+        PauliString(1, 2, 0)
+    with pytest.raises(ValueError):
+        PauliString(2, 0, -1)
+
+
+def test_validation_survives_optimized_mode():
+    # python -O strips assert statements; the checks must not rely on them
+    script = textwrap.dedent("""
+        from ptml.pauli import Bipartition, PauliString
+        for cls, args in ((Bipartition, (2, frozenset({5}))),
+                          (PauliString, (1, 0, 0, 9))):
+            try:
+                cls(*args)
+            except ValueError:
+                continue
+            raise SystemExit(f"{cls.__name__}{args} accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(pauli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from ptml.criteria import Verdict
+from ptml.criteria import Verdict, ppt_verdict
 from ptml.pauli import Bipartition, state_catalog
-from ptml.spectra import ppt_threshold_ghz
+from ptml.spectra import ghz_local_spectrum, ppt_threshold_ghz
 from ptml.dense import state_from_group
 from ptml.thresholds import (
     CriterionSpec,
@@ -144,12 +144,27 @@ def test_dense_model_fidelity_needs_group():
 
 
 def test_ghz_ppt_threshold_matches_closed_form():
-    for n in (2, 4, 6, 8):
+    # n = 200 and 1000 put the PT eigenvalues near the threshold far below
+    # any absolute decision tolerance
+    for n in (2, 4, 6, 8, 200, 1000):
         res = epsilon_max(CriterionSpec("ppt"), GHZModel(n))
         assert abs(res.eps_max - ppt_threshold_ghz(n)) < 1e-8
         assert res.bracket <= 1e-9
         assert res.iterations > 0
         assert res.never_fired is False and res.non_monotone is False
+
+
+def test_ghz_closed_form_ppt_matches_spectrum_oracle():
+    for n in (2, 4, 6, 10):
+        model = GHZModel(n)
+        for i in range(41):
+            eps = i / 40
+            got = model.ppt(eps)
+            want = ppt_verdict(ghz_local_spectrum(n, eps))
+            assert got.entangled == want.entangled, (n, eps)
+            if want.entangled:
+                assert abs(got.witness["min_eigenvalue"]
+                           - want.witness["min_eigenvalue"]) < 1e-40
 
 
 def test_bracketing_invariant():
