@@ -58,7 +58,6 @@ from .gleason import (
 from .pauli import Bipartition, bell_pair_rank, state_catalog
 from .spectra import (
     DEFAULT_DIGITS,
-    ghz_local_spectrum,
     moments_from_spectrum,
     stab_global_spectrum,
 )
@@ -218,7 +217,6 @@ def cmd_moments(args) -> int:
     k_max = args.k_max
     if k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    balanced = cfg.n % 2 == 0 and len(cfg.bip.a_set) == cfg.n // 2
     if cfg.n <= DENSE_CLI_CAP:
         rho = state_from_group(state_catalog(cfg.name, cfg.n))
         noisy = (depolarize_local(rho, cfg.eps) if cfg.noise_kind == "local"
@@ -226,9 +224,6 @@ def cmd_moments(args) -> int:
         p = pt_moments(noisy, cfg.bip, k_max)
     elif cfg.noise_kind == "global":
         p = moments_from_spectrum(_global_spectrum(cfg), k_max)
-    elif cfg.name == "ghz" and balanced:
-        spec = ghz_local_spectrum(cfg.n, cfg.eps, digits=cfg.digits)
-        p = moments_from_spectrum(spec, k_max)
     else:
         model = make_model(cfg.name, cfg.n, cfg.bip)
         p = model.moments(cfg.eps, k_max)

@@ -95,8 +95,8 @@ def from_label(label: str) -> PauliString:
             z_mask |= 1 << a
         elif ch == "Z":
             z_mask |= 1 << a
-        else:
-            assert ch == "I", f"bad Pauli character {ch!r}"
+        elif ch != "I":
+            raise ValueError(f"bad Pauli character {ch!r}")
     return PauliString(len(label), x_mask, z_mask, phase)
 
 
@@ -168,16 +168,20 @@ class StabilizerGroup:
     generators: tuple[PauliString, ...]
 
     def __post_init__(self):
-        assert len(self.generators) == self.n
+        if len(self.generators) != self.n:
+            raise ValueError(f"need {self.n} generators, "
+                             f"got {len(self.generators)}")
         for g in self.generators:
-            assert g.n == self.n
-            assert g.phase_exp in (0, 2), "generators must be Hermitian"
+            if g.n != self.n:
+                raise ValueError(f"generator {g} is not on {self.n} qubits")
+            if g.phase_exp not in (0, 2):
+                raise ValueError(f"generator {g} is not Hermitian")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                assert _commute(self.generators[i], self.generators[j]), (
-                    f"generators {i} and {j} anticommute"
-                )
-        assert _independent(self.generators), "generators dependent over GF(2)"
+                if not _commute(self.generators[i], self.generators[j]):
+                    raise ValueError(f"generators {i} and {j} anticommute")
+        if not _independent(self.generators):
+            raise ValueError("generators dependent over GF(2)")
 
 
 def _commute(p: PauliString, q: PauliString) -> bool:

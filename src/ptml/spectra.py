@@ -7,6 +7,13 @@ arbitrary decimal precision (mpmath) so that moment power sums stay
 meaningful at large n, where binomial multiplicities around 10^88 multiply
 eigenvalue powers around 10^-100 and float64 would return noise.
 
+The GHZ moments themselves have a closed form with k + 1 binomial terms
+per moment (ghz_local_moments), so GHZModel never builds the n + 3 entry
+spectrum; ghz_local_spectrum with moments_from_spectrum is its oracle.
+moments_from_spectrum sums exactly: every entry is a binary number with an
+integer multiplicity, so each power sum is an exact dyadic rational, rounded
+once at the end.
+
 Conventions: multiplicities are exact Python ints; eigenvalues are mpmath
 mpf values computed at a requested number of significant decimal digits.
 Zero-multiplicity entries are dropped at construction (the closed-form
@@ -19,6 +26,8 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp,
+                          round_nearest)
 
 
 DEFAULT_DIGITS = 60
@@ -32,7 +41,8 @@ class Spectrum:
     digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
-        assert all(mu >= 0 for _, mu in self.entries)
+        if any(mu < 0 for _, mu in self.entries):
+            raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(
             self, "entries",
             tuple((lam, mu) for lam, mu in self.entries if mu > 0))
@@ -67,11 +77,16 @@ class MomentVector:
         return len(self.values)
 
     def p(self, k: int):
-        assert 1 <= k <= len(self.values)
+        if not 1 <= k <= len(self.values):
+            raise ValueError(f"moment order {k} outside 1..{len(self.values)}")
         return self.values[k - 1]
 
     def ptilde(self, k: int):
-        assert self.schatten is not None and 1 <= k <= len(self.schatten)
+        if self.schatten is None:
+            raise ValueError("no Schatten sums attached")
+        if not 1 <= k <= len(self.schatten):
+            raise ValueError(
+                f"moment order {k} outside 1..{len(self.schatten)}")
         return self.schatten[k - 1]
 
 
@@ -104,6 +119,50 @@ def ghz_local_spectrum(n: int, eps, digits: int = DEFAULT_DIGITS) -> Spectrum:
     return Spectrum(tuple(entries), digits=digits)
 
 
+def ghz_local_moments(n: int, eps, m_max: int,
+                      digits: int = DEFAULT_DIGITS) -> MomentVector:
+    """PT moments of the locally depolarized GHZ state, balanced cut, in
+    closed form: O(m_max^2) mpf operations, independent of n.
+
+    Expanding the spectrum of ghz_local_spectrum binomially, with
+    u = 1 - e/2, v = e/2, c = (uv)^(n/2) and g = (1-e)^n / 2,
+
+        p_k = 2^-k sum_{t=0..k} C(k,t) (u^t v^(k-t) + u^(k-t) v^t)^n
+              + 2 sum_{even i >= 2} C(k,i) c^(k-i) g^i.
+
+    Only the isolated eigenvalue c - g can be negative, so the Schatten sum
+    is ptilde_k = p_k + 2 (g - c)^k for odd k when g > c, else p_k.  Every
+    term is nonnegative, so nothing cancels; the sums are formed with guard
+    digits (the n-th powers amplify the base's rounding error n-fold) and
+    rounded once to digits.
+    """
+    if n % 2 or n < 2:
+        raise ValueError("closed-form GHZ moments require even n >= 2")
+    if not 0 <= float(eps) <= 1:
+        raise ValueError("eps must lie in [0, 1]")
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    with workdps(digits + 10 + len(str(n))):
+        e = mpf(eps)
+        u = 1 - e / 2
+        v = e / 2
+        c = (u * v) ** (n // 2)
+        g = (1 - e) ** n / 2
+        p, pt = [], []
+        for k in range(1, m_max + 1):
+            band = sum(math.comb(k, t) * (u ** t * v ** (k - t)
+                                          + u ** (k - t) * v ** t) ** n
+                       for t in range(k + 1)) / 2 ** k
+            pair = 2 * sum(math.comb(k, i) * c ** (k - i) * g ** i
+                           for i in range(2, k + 1, 2))
+            pk = band + pair
+            p.append(pk)
+            pt.append(pk + 2 * (g - c) ** k if k % 2 and g > c else pk)
+    with workdps(digits):
+        return MomentVector(tuple(+x for x in p), tuple(+x for x in pt),
+                            digits=digits)
+
+
 def stab_global_spectrum(n: int, r: int, eps,
                          digits: int = DEFAULT_DIGITS) -> Spectrum:
     """PT spectrum of a globally depolarized pure stabilizer state.
@@ -131,53 +190,62 @@ def stab_global_spectrum(n: int, r: int, eps,
 
 
 def moments_from_spectrum(s: Spectrum, m_max: int) -> MomentVector:
-    """Power sums p_k = sum_j mu_j lambda_j^k for k = 1..m_max.
+    """Power sums p_k = sum_j mu_j lambda_j^k and Schatten sums
+    ptilde_k = sum_j mu_j |lambda_j|^k for k = 1..m_max.
 
-    Terms are accumulated from smallest to largest magnitude.  Each sum is
-    evaluated at the spectrum's precision and again at twice that precision;
-    if they disagree beyond 10^-(digits/2) relative, the arithmetic
-    precision doubles until they agree (the entries themselves are exact
-    binary values, so this bounds pure summation round-off).
+    Each eigenvalue is an exact binary number man * 2^exp (floats and ints
+    convert exactly) with an integer multiplicity, so every sum is an exact
+    dyadic rational.  It is accumulated over Python ints and rounded once
+    to the spectrum's precision: no cancellation can lose digits.
     """
-    assert m_max >= 1
-    digits = s.digits
-    while True:
-        p_lo, pt_lo = _power_sums(s, m_max, digits)
-        p_hi, pt_hi = _power_sums(s, m_max, 2 * digits)
-        tol = mpf(10) ** (-(digits // 2))
-        ok = all(_close(a, b, tol) for a, b in zip(p_lo, p_hi))
-        ok = ok and all(_close(a, b, tol) for a, b in zip(pt_lo, pt_hi))
-        if ok or digits >= 16 * s.digits:
-            return MomentVector(tuple(p_hi), tuple(pt_hi), digits=digits)
-        digits *= 2
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    prec = dps_to_prec(s.digits)
+    entries = [(_binary(lam), mu) for lam, mu in s.entries]
+    scaled = [mu for _, mu in entries]          # mu_j * man_j^k
+    p, pt = [], []
+    for k in range(1, m_max + 1):
+        scaled = [a * b[1] for a, (b, _) in zip(scaled, entries)]
+        absolute = [(a, k * b[2]) for a, (b, _) in zip(scaled, entries)]
+        signed = [(-a if b[0] and k % 2 else a, e)
+                  for (a, e), (b, _) in zip(absolute, entries)]
+        p.append(_round_dyadic_sum(signed, prec))
+        pt.append(_round_dyadic_sum(absolute, prec))
+    return MomentVector(tuple(p), tuple(pt), digits=s.digits)
 
 
-def _power_sums(s: Spectrum, m_max: int, digits: int):
-    with workdps(digits):
-        p = []
-        pt = []
-        for k in range(1, m_max + 1):
-            terms = sorted((mu * lam ** k for lam, mu in s.entries), key=abs)
-            total = mpf(0)
-            for t in terms:
-                total += t
-            p.append(+total)
-            terms = sorted((mu * abs(lam) ** k for lam, mu in s.entries))
-            total = mpf(0)
-            for t in terms:
-                total += t
-            pt.append(+total)
-    return p, pt
+def _binary(x) -> tuple:
+    """x as an exact mpmath (sign, man, exp, bc) tuple."""
+    if isinstance(x, mpf):
+        v = x._mpf_
+    elif isinstance(x, int):
+        v = from_int(x)
+    else:
+        v = from_float(float(x))
+    if not v[1] and v[2]:
+        raise ValueError(f"non-finite eigenvalue {x}")
+    return v
 
 
-def _close(a, b, tol):
-    scale = max(abs(a), abs(b), mpf(1))
-    return abs(a - b) <= tol * scale
+def _round_dyadic_sum(terms: list, prec: int):
+    """sum(man * 2^exp) over (man, exp) int pairs, rounded once to prec bits.
+
+    Pairwise over terms sorted by exponent, so each level of the tree
+    shifts across the exponent range once rather than once per term.
+    """
+    terms = sorted(terms, key=lambda t: t[1]) or [(0, 0)]
+    while len(terms) > 1:
+        merged = [(m1 + (m2 << (e2 - e1)), e1)
+                  for (m1, e1), (m2, e2) in zip(terms[::2], terms[1::2])]
+        terms = merged + terms[len(merged) * 2:]
+    man, exp = terms[0]
+    return mp.make_mpf(from_man_exp(man, exp, prec, round_nearest))
 
 
 def distinct_count(s: Spectrum, tol=1e-12) -> int:
     """Number of distinct eigenvalues after merging within absolute tol."""
-    assert tol >= 0
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     lams = sorted(lam for lam, _ in s.entries)
     count = 0
     prev = None

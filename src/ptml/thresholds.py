@@ -10,10 +10,12 @@ caller can inspect the grid by hand.
 
 Three state models feed the verdicts:
 
-  GHZModel        closed-form PT spectrum of the locally depolarized GHZ
-                  state (balanced cut, even n) plus the closed-form support
-                  enumerator.  Extended precision throughout, so it scales
-                  to hundreds of qubits.
+  GHZModel        closed-form PT moments of the locally depolarized GHZ
+                  state (balanced cut, even n), whose cost does not grow
+                  with n, a closed-form PPT verdict on the isolated
+                  eigenvalue pair, and the closed-form support enumerator.
+                  Extended precision throughout, so it scales to thousands
+                  of qubits.
   StabilizerModel PT moments from character-transformed weight enumerators
                   (exact integer tables, evaluated per eps), purities and
                   fidelity from support enumerators, PPT from a DenseModel
@@ -61,8 +63,7 @@ from .spectra import (
     DEFAULT_DIGITS,
     MomentVector,
     Spectrum,
-    ghz_local_spectrum,
-    moments_from_spectrum,
+    ghz_local_moments,
 )
 
 BRACKET_TOL = 1e-9
@@ -163,9 +164,8 @@ class GHZModel:
         return f"ghz n={self.n} cut=balanced"
 
     def moments(self, eps, m_max: int) -> MomentVector:
-        digits = max(self.digits, _order_digits(m_max))
-        return moments_from_spectrum(
-            ghz_local_spectrum(self.n, eps, digits=digits), m_max)
+        return ghz_local_moments(self.n, eps, m_max,
+                                 max(self.digits, _order_digits(m_max)))
 
     def ppt(self, eps) -> criteria.Verdict:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
@@ -290,7 +290,7 @@ class DenseModel:
 def make_model(name: str, n: int, bip: Bipartition = None, model: str = None):
     """Build the preferred state model for a catalog state.
 
-    model None picks the fastest sound route: the closed-form spectrum for
+    model None picks the fastest sound route: the closed-form moments for
     GHZ across the balanced cut, enumerator tables for everything else.
     """
     name = name.lower()

@@ -57,6 +57,21 @@ def test_moments_enumerator_route_matches_dense(capsys):
         assert float(r["p_k"]) == pytest.approx(want.p(int(r["k"])), abs=1e-9)
 
 
+def test_moments_ghz_beyond_dense_cap_matches_spectrum_oracle(capsys):
+    # n = 12 is past the dense cap, so GHZ takes the closed-form model
+    from ptml.spectra import ghz_local_spectrum, moments_from_spectrum
+
+    code, out, _ = run(capsys, "moments", "--state", "ghz", "--n", "12",
+                       "--noise", "local:0.3", "--k-max", "6")
+    assert code == 0
+    want = moments_from_spectrum(ghz_local_spectrum(12, 0.3), 6)
+    rows = parse_csv(out)
+    assert [r["p_k"] for r in rows] == [
+        f"{float(want.p(k)):.12g}" for k in range(1, 7)]
+    assert [r["ptilde_k"] for r in rows] == [
+        f"{float(want.ptilde(k)):.12g}" for k in range(1, 7)]
+
+
 def test_moments_global_noise(capsys):
     code, out, _ = run(capsys, "moments", "--state", "ghz", "--n", "2",
                        "--noise", "global:1", "--k-max", "2")

@@ -89,7 +89,7 @@ def test_sl_enumerators_validation():
     with pytest.raises(ValueError):
         sl_enumerators(state_catalog("ghz", 2), mode="nope")
     # a state group must have exactly n independent generators
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StabilizerGroup(2, (from_label("XX"),))
 
 

@@ -56,7 +56,7 @@ def test_from_label_roundtrip():
 
 
 def test_from_label_rejects_garbage():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         from_label("XQ")
 
 
@@ -244,19 +244,29 @@ def test_out_of_range_input_raises_value_error():
         PauliString(1, 2, 0)
     with pytest.raises(ValueError):
         PauliString(2, 0, -1)
+    for gens in (("XX", "ZI"),      # anticommuting
+                 ("XX", "i*ZZ"),    # not Hermitian
+                 ("XX", "-XX"),     # dependent
+                 ("XX", "Z")):      # wrong qubit count
+        with pytest.raises(ValueError):
+            StabilizerGroup(2, tuple(from_label(g) for g in gens))
 
 
 def test_validation_survives_optimized_mode():
     # python -O strips assert statements; the checks must not rely on them
     script = textwrap.dedent("""
-        from ptml.pauli import Bipartition, PauliString
-        for cls, args in ((Bipartition, (2, frozenset({5}))),
-                          (PauliString, (1, 0, 0, 9))):
+        from ptml.pauli import (Bipartition, PauliString, StabilizerGroup,
+                                from_label)
+        xx, zi = from_label("XX"), from_label("ZI")
+        for fn, args in ((Bipartition, (2, frozenset({5}))),
+                         (PauliString, (1, 0, 0, 9)),
+                         (from_label, ("XQ",)),
+                         (StabilizerGroup, (2, (xx, zi)))):
             try:
-                cls(*args)
+                fn(*args)
             except ValueError:
                 continue
-            raise SystemExit(f"{cls.__name__}{args} accepted")
+            raise SystemExit(f"{fn.__name__}{args} accepted")
     """)
     src = os.path.dirname(os.path.dirname(pauli.__file__))
     env = dict(os.environ, PYTHONPATH=src)

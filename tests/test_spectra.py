@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf, workdps
 
 from ptml.pauli import Bipartition, bell_pair_rank, state_catalog
 from ptml.dense import (
@@ -19,6 +21,7 @@ from ptml.spectra import (
     MomentVector,
     Spectrum,
     distinct_count,
+    ghz_local_moments,
     ghz_local_spectrum,
     merge_spectrum,
     moments_from_spectrum,
@@ -111,11 +114,11 @@ def test_moments_from_spectrum_matches_dense():
 def test_moment_vector_validation():
     mv = MomentVector((1.0, 0.5, 0.25))
     assert mv.p(1) == 1.0 and mv.p(3) == 0.25
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mv.p(4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mv.p(0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mv.ptilde(2)  # no Schatten data attached
 
 
@@ -123,7 +126,7 @@ def test_spectrum_drops_zero_multiplicity_and_validates():
     s = Spectrum(((0.5, 2), (0.25, 0), (-0.25, 1)))
     assert all(m > 0 for _, m in s.entries)
     assert len(s.entries) == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Spectrum(((0.5, -1),))
 
 
@@ -135,6 +138,8 @@ def test_merge_spectrum_and_distinct_count():
     assert distinct_count(s, tol=1e-16) == 3
     # multiplicity is conserved
     assert sum(m for _, m in merged.entries) == 4
+    with pytest.raises(ValueError):
+        distinct_count(s, tol=-1e-12)
 
 
 def test_ghz_spectrum_distinct_count():
@@ -175,3 +180,49 @@ def test_moments_digits_track_request():
         mv = moments_from_spectrum(s, 12)
         # exact rational eps: p_1 must be 1 to full precision
         assert abs(mv.p(1) - 1) < mpf(10) ** -70
+
+
+def test_moments_from_spectrum_sums_exactly():
+    # p_1 = 10^400 * 2^-1000: the two terms cancel in all but the last of
+    # their 1001 bits, so summing them at a fixed lower precision gives 0
+    with mp.workprec(1100):
+        lam = 1 + mpf(2) ** -1000
+    mv = moments_from_spectrum(Spectrum(((lam, 10 ** 400), (-1, 10 ** 400)),
+                                        digits=10), 1)
+    with mp.workprec(1100):
+        want = mpf(10) ** 400 * mpf(2) ** -1000
+        assert abs(mv.p(1) / want - 1) < mpf(10) ** -9
+    assert mv.digits == 10
+    with pytest.raises(ValueError):
+        moments_from_spectrum(Spectrum(((0.5, 1),)), 0)
+    with pytest.raises(ValueError):
+        moments_from_spectrum(Spectrum(((float("inf"), 1),)), 2)
+
+
+_EVEN_N = st.one_of(st.integers(1, 32).map(lambda h: 2 * h),
+                    st.sampled_from([200, 1000]))
+
+
+@given(n=_EVEN_N,
+       eps=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+       m_max=st.integers(1, 15),
+       digits=st.sampled_from([20, 60, 102]))
+@settings(max_examples=120, deadline=None)
+def test_ghz_local_moments_match_spectrum_oracle(n, eps, m_max, digits):
+    got = ghz_local_moments(n, eps, m_max, digits=digits)
+    want = moments_from_spectrum(ghz_local_spectrum(n, eps, digits + 20),
+                                 m_max)
+    assert got.digits == digits
+    tol = mpf(10) ** -(digits - 1)
+    with workdps(digits + 20):
+        for k in range(1, m_max + 1):
+            for a, b in ((got.p(k), want.p(k)),
+                         (got.ptilde(k), want.ptilde(k))):
+                assert abs(a - b) <= tol * abs(b), (k, a, b)
+
+
+def test_ghz_local_moments_rejects_bad_input():
+    for args in ((3, 0.1, 2), (0, 0.1, 2), (4, 1.5, 2), (4, -0.1, 2),
+                 (4, 0.1, 0)):
+        with pytest.raises(ValueError):
+            ghz_local_moments(*args)

@@ -167,6 +167,18 @@ def test_ghz_closed_form_ppt_matches_spectrum_oracle():
                            - want.witness["min_eigenvalue"]) < 1e-40
 
 
+@pytest.mark.parametrize("label,want", [
+    ("descartes:7", 0.126052598159),
+    ("stieltjes:7", 0.318571564697),
+    ("klm:5,6,7", 0.212455540422),
+])
+def test_ghz12_moment_thresholds_pinned(label, want):
+    # pinned to the spectrum power-sum route (ghz_local_spectrum plus
+    # moments_from_spectrum), to which the closed form must agree
+    res = epsilon_max(CriterionSpec.parse(label), GHZModel(12))
+    assert abs(res.eps_max - want) < 1e-9
+
+
 def test_bracketing_invariant():
     res = epsilon_max(CriterionSpec("stieltjes", m=5), GHZModel(4))
     model = GHZModel(4)
