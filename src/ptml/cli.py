@@ -32,17 +32,6 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import criteria
-from .dense import (
-    _partial_trace_keep,
-    depolarize_global,
-    depolarize_local,
-    fidelity_pure,
-    pt_moments,
-    state_from_group,
-)
 from .enumerators import (
     ame_fixture_check,
     cw_bruteforce,
@@ -55,15 +44,10 @@ from .gleason import (
     ttilde,
     type2_kernel_basis,
 )
-from .pauli import Bipartition, bell_pair_rank, state_catalog
-from .spectra import (
-    DEFAULT_DIGITS,
-    moments_from_spectrum,
-    stab_global_spectrum,
-)
+from .pauli import Bipartition, state_catalog
+from .spectra import DEFAULT_DIGITS
 from .thresholds import (
     CriterionSpec,
-    GHZModel,
     epsilon_max,
     evaluate,
     make_model,
@@ -142,9 +126,7 @@ def _config(args) -> RunConfig:
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    if isinstance(v, Fraction):
+    if isinstance(v, (float, Fraction)):
         return f"{float(v):.12g}"
     return str(v)
 
@@ -177,8 +159,7 @@ def _emit(text: str, out: str):
         raise
 
 
-def _emit_table(columns, rows, cfg_fmt: str, out: str):
-    fmt = cfg_fmt
+def _emit_table(columns, rows, fmt: str, out: str):
     if out and out.endswith(".json"):
         fmt = "json"
     _emit(_render(columns, rows, fmt), out)
@@ -206,32 +187,19 @@ def _poly_str(coeffs) -> str:
 # ---------------------------------------------------------------- moments
 
 
-def _global_spectrum(cfg: RunConfig):
-    g = state_catalog(cfg.name, cfg.n)
-    r = bell_pair_rank(g, cfg.bip)
-    return stab_global_spectrum(cfg.n, r, cfg.eps, digits=cfg.digits)
-
-
 def cmd_moments(args) -> int:
     cfg = _config(args)
     k_max = args.k_max
     if k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    if cfg.n <= DENSE_CLI_CAP:
-        rho = state_from_group(state_catalog(cfg.name, cfg.n))
-        noisy = (depolarize_local(rho, cfg.eps) if cfg.noise_kind == "local"
-                 else depolarize_global(rho, cfg.eps))
-        p = pt_moments(noisy, cfg.bip, k_max)
-    elif cfg.noise_kind == "global":
-        p = moments_from_spectrum(_global_spectrum(cfg), k_max)
-    else:
-        model = make_model(cfg.name, cfg.n, cfg.bip)
-        p = model.moments(cfg.eps, k_max)
-    rows = []
-    for k in range(1, k_max + 1):
-        pt = p.ptilde(k) if p.schatten is not None else ""
-        rows.append({"k": k, "p_k": float(p.p(k)),
-                     "ptilde_k": float(pt) if pt != "" else ""})
+    # up to the cap the dense model supplies Schatten sums on every cut
+    model = make_model(cfg.name, cfg.n, cfg.bip,
+                       model="dense" if cfg.n <= DENSE_CLI_CAP else None,
+                       noise=cfg.noise_kind, digits=cfg.digits)
+    p = model.moments(cfg.eps, k_max)
+    rows = [{"k": k, "p_k": float(p.p(k)),
+             "ptilde_k": "" if p.schatten is None else float(p.ptilde(k))}
+            for k in range(1, k_max + 1)]
     _emit_table(("k", "p_k", "ptilde_k"), rows, cfg.fmt, cfg.out)
     return 0
 
@@ -239,36 +207,12 @@ def cmd_moments(args) -> int:
 # -------------------------------------------------------------- criterion
 
 
-def _verdict_for(cfg: RunConfig, spec: CriterionSpec) -> criteria.Verdict:
-    if cfg.noise_kind == "local":
-        model = make_model(cfg.name, cfg.n, cfg.bip)
-        return evaluate(spec, model, cfg.eps)
-    if spec.kind == "ppt":
-        return criteria.ppt_verdict(_global_spectrum(cfg))
-    if spec.kind in ("stieltjes", "descartes", "klm"):
-        p = moments_from_spectrum(_global_spectrum(cfg), spec.max_order)
-        if spec.kind == "stieltjes":
-            return criteria.stieltjes(p, spec.m)
-        if spec.kind == "descartes":
-            return criteria.descartes(p, spec.m)
-        return criteria.klm_ppt(p, *spec.triple)
-    if cfg.n > DENSE_CLI_CAP:
-        raise ValueError(
-            f"{spec.kind} under global noise needs the dense model "
-            f"(n <= {DENSE_CLI_CAP})")
-    g = state_catalog(cfg.name, cfg.n)
-    noisy = depolarize_global(state_from_group(g), cfg.eps)
-    if spec.kind == "fidelity":
-        return criteria.fidelity_criterion(fidelity_pure(noisy, g))
-    marg = _partial_trace_keep(noisy, cfg.bip.a_mask, cfg.n)
-    return criteria.purity_criterion(float(np.trace(noisy @ noisy).real),
-                                     float(np.trace(marg @ marg).real))
-
-
 def cmd_criterion(args) -> int:
     cfg = _config(args)
     spec = CriterionSpec.parse(args.name)
-    v = _verdict_for(cfg, spec)
+    v = evaluate(spec, make_model(cfg.name, cfg.n, cfg.bip,
+                                  noise=cfg.noise_kind, digits=cfg.digits),
+                 cfg.eps)
     print(f"{v.status} margin={_fmt_cell(float(v.margin))}")
     return EXIT_ENTANGLED if v.entangled else EXIT_INCONCLUSIVE
 
@@ -279,9 +223,8 @@ def cmd_criterion(args) -> int:
 def cmd_threshold(args) -> int:
     cfg = _config(args)
     spec = CriterionSpec.parse(args.criterion)
-    model = make_model(cfg.name, cfg.n, cfg.bip, model=args.model)
-    if isinstance(model, GHZModel) and cfg.digits != DEFAULT_DIGITS:
-        model = GHZModel(cfg.n, digits=cfg.digits)
+    model = make_model(cfg.name, cfg.n, cfg.bip, model=args.model,
+                       digits=cfg.digits)
     r = epsilon_max(spec, model, tol=args.tol, strict=args.strict)
     print(f"eps_max={r.eps_max:.12g} bracket={r.bracket:.3g} "
           f"iterations={r.iterations} flags={r.flags or '-'} "
@@ -416,8 +359,8 @@ def cmd_gleason(args) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _add_state_opts(sub, noise=True):
-    sub.add_argument("--state", required=True,
+def _add_state_opts(sub, noise=True, required=True):
+    sub.add_argument("--state", required=required,
                      choices=("ghz", "zero", "bell_pairs", "ame6"))
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--bip", default=None,
@@ -482,11 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="PT-moment weight enumerator tables")
     sub.add_argument("--fixtures", action="store_true",
                      help="run the built-in polynomial fixture checks")
-    sub.add_argument("--state",
-                     choices=("ghz", "zero", "bell_pairs", "ame6"))
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--bip", default=None)
-    sub.add_argument("--bip-size", type=int, default=None)
+    _add_state_opts(sub, noise=False, required=False)
     sub.add_argument("--k", type=int, default=2)
     sub.add_argument("--method", choices=("brute", "fourier", "both"),
                      default="fourier")
@@ -506,7 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, AssertionError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

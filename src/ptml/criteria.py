@@ -47,10 +47,6 @@ class HankelMatrix:
     m: int
     entries: tuple
 
-    @property
-    def size(self) -> int:
-        return (self.m + 1) // 2
-
 
 def default_tol(digits):
     if digits is None:
@@ -206,14 +202,16 @@ def stieltjes_witness(s: Spectrum, m: int, merge_tol=1e-12) -> list:
     return coeffs + [0] * (size - len(coeffs))
 
 
-def fidelity_criterion(f, tol=None) -> Verdict:
-    """Overlap above 1/2 with an entangled pure stabilizer state."""
+def fidelity_criterion(f, bell_pairs: int, tol=None) -> Verdict:
+    """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
+    Bell pairs across the cut; a separable state's overlap is at most
+    2^-bell_pairs, so with none the criterion certifies nothing."""
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
     if tol is None:
         tol = FLOAT_TOL if isinstance(f, float) else default_tol(mp.dps)
     margin = f - 0.5
-    return Verdict(margin > tol, margin)
+    return Verdict(bell_pairs >= 1 and margin > tol, margin)
 
 
 def purity_criterion(global_purity, subsystem_purity, tol=None) -> Verdict:

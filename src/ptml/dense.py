@@ -32,7 +32,8 @@ _SINGLE = {
 
 def nqubits(rho: np.ndarray) -> int:
     n = int(round(math.log2(rho.shape[0])))
-    assert rho.shape == (1 << n, 1 << n)
+    if rho.shape != (1 << n, 1 << n):
+        raise ValueError(f"not a square matrix of size 2^n: {rho.shape}")
     return n
 
 
@@ -124,7 +125,8 @@ def depolarize_global(rho: np.ndarray, eps: float) -> np.ndarray:
 def partial_transpose(rho: np.ndarray, bip: Bipartition) -> np.ndarray:
     """Transpose the A-side indices: <a,b|rho^G|a',b'> = <a',b|rho|a,b'>."""
     n = nqubits(rho)
-    assert bip.n == n
+    if bip.n != n:
+        raise ValueError(f"bipartition of {bip.n} qubits on a {n}-qubit state")
     a_mask = bip.a_mask
     dim = 1 << n
     idx = np.arange(dim)

@@ -40,7 +40,8 @@ class SLVector:
     values: tuple
 
     def __post_init__(self):
-        assert len(self.values) == self.n + 1
+        if len(self.values) != self.n + 1:
+            raise ValueError(f"need {self.n + 1} enumerator values")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,8 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     """
     d = rho.shape[0]
     n = d.bit_length() - 1
-    assert d == 1 << n and rho.shape == (d, d)
+    if d != 1 << n or rho.shape != (d, d):
+        raise ValueError(f"not a square matrix of size 2^n: {rho.shape}")
     r = np.arange(d)
     diag = rho[r[None, :], r[None, :] ^ r[:, None]]  # [x, s] = rho[s, s^x]
     hat = _wht(diag)  # [x, z]
@@ -198,8 +200,6 @@ def sl_enumerators(state, mode: str = None) -> SLVector:
         n = g.n
         if n > SL_STABILIZER_CAP:
             raise ValueError(f"stabilizer enumerators capped at {SL_STABILIZER_CAP} qubits")
-        if len(g.generators) != n:
-            raise ValueError("need a full stabilizer group (n generators) for a state")
         counts = _group_weight_counts(g)
         return SLVector(n, tuple(Fraction(c, 1 << n) for c in counts))
     raise ValueError(f"unknown mode {mode!r}")
@@ -230,11 +230,16 @@ def _sum_like(terms, one):
     return sum(terms, one - one)
 
 
+def _decayed(values, q, one):
+    """sum_i v_i q^i in the scalar type of one."""
+    return _sum_like((_num(v, one) * q**i for i, v in enumerate(values) if v),
+                     one)
+
+
 def noisy_purity(a: SLVector, eps):
     """Tr[rho_eps^2] = sum_i a_i (1-eps)^{2i}."""
     one = _one_like(eps)
-    q = (one - eps) ** 2
-    return _sum_like((_num(v, one) * q**i for i, v in enumerate(a.values)), one)
+    return _decayed(a.values, (one - eps) ** 2, one)
 
 
 def rains_subsystem_purity(a: SLVector, eps, s: int = None):
@@ -252,25 +257,17 @@ def rains_subsystem_purity(a: SLVector, eps, s: int = None):
     if not 0 <= s <= n:
         raise ValueError("subsystem size out of range")
     one = _one_like(eps)
-    q = (one - eps) ** 2
-    terms = []
-    for i, ai in enumerate(a.values[: s + 1]):
-        if ai == 0:
-            continue
-        coeff = Fraction((1 << (n - s)) * math.comb(n - i, s - i), math.comb(n, s))
-        if isinstance(ai, Fraction):
-            terms.append(_num(coeff * ai, one) * q**i)
-        else:
-            terms.append(_num(coeff, one) * ai * q**i)
-    return _sum_like(terms, one)
+    scale = Fraction(1 << (n - s), math.comb(n, s))
+    return _decayed([scale * math.comb(n - i, s - i) * ai
+                     for i, ai in enumerate(a.values[: s + 1])],
+                    (one - eps) ** 2, one)
 
 
 def fidelity_from_enumerators(a: SLVector, eps):
     """Overlap of the depolarized state with the clean pure state:
     F(eps) = sum_i a_i (1-eps)^i (single decay factor per weight)."""
     one = _one_like(eps)
-    q = one - eps
-    return _sum_like((_num(v, one) * q**i for i, v in enumerate(a.values)), one)
+    return _decayed(a.values, one - eps, one)
 
 
 def stab_subsystem_purity(g: StabilizerGroup, bip: Bipartition, eps):
@@ -278,9 +275,8 @@ def stab_subsystem_purity(g: StabilizerGroup, bip: Bipartition, eps):
     state: 2^-|A| times the decayed count of elements supported inside A."""
     counts = _group_weight_counts(g, bip.a_mask)
     one = _one_like(eps)
-    q = (one - eps) ** 2
-    tot = _sum_like((_num(c, one) * q**i for i, c in enumerate(counts) if c), one)
-    return tot / _num(1 << len(bip.a_set), one)
+    return (_decayed(counts, (one - eps) ** 2, one)
+            / _num(1 << len(bip.a_set), one))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,13 @@ class MacWilliamsMatrix:
     entries: tuple  # rows of Fractions
 
     def apply(self, values) -> tuple:
-        assert len(values) == self.n + 1
+        if len(values) != self.n + 1:
+            raise ValueError(f"need {self.n + 1} values")
         return tuple(sum(r * v for r, v in zip(row, values)) for row in self.entries)
 
     def mul(self, other: "MacWilliamsMatrix") -> "MacWilliamsMatrix":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("matrices of different sizes")
         cols = tuple(zip(*other.entries))
         rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                      for row in self.entries)

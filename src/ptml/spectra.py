@@ -47,19 +47,11 @@ class Spectrum:
             self, "entries",
             tuple((lam, mu) for lam, mu in self.entries if mu > 0))
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(mu for _, mu in self.entries)
-
     def min_eigenvalue(self):
         return min(lam for lam, _ in self.entries)
 
     def trace(self):
-        terms = sorted((lam * mu for lam, mu in self.entries), key=abs)
-        total = mpf(0)
-        for t in terms:
-            total += t
-        return total
+        return mp.fsum(lam * mu for lam, mu in self.entries)
 
 
 @dataclass(frozen=True)
@@ -196,11 +188,12 @@ def moments_from_spectrum(s: Spectrum, m_max: int) -> MomentVector:
     Each eigenvalue is an exact binary number man * 2^exp (floats and ints
     convert exactly) with an integer multiplicity, so every sum is an exact
     dyadic rational.  It is accumulated over Python ints and rounded once
-    to the spectrum's precision: no cancellation can lose digits.
+    to the spectrum's precision: no cancellation can lose digits.  A float
+    spectrum (digits None) gets its sums rounded once to 53 bits, as floats.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    prec = dps_to_prec(s.digits)
+    prec = 53 if s.digits is None else dps_to_prec(s.digits)
     entries = [(_binary(lam), mu) for lam, mu in s.entries]
     scaled = [mu for _, mu in entries]          # mu_j * man_j^k
     p, pt = [], []
@@ -211,6 +204,8 @@ def moments_from_spectrum(s: Spectrum, m_max: int) -> MomentVector:
                   for (a, e), (b, _) in zip(absolute, entries)]
         p.append(_round_dyadic_sum(signed, prec))
         pt.append(_round_dyadic_sum(absolute, prec))
+    if s.digits is None:
+        p, pt = map(float, p), map(float, pt)
     return MomentVector(tuple(p), tuple(pt), digits=s.digits)
 
 
@@ -244,24 +239,17 @@ def _round_dyadic_sum(terms: list, prec: int):
 
 def distinct_count(s: Spectrum, tol=1e-12) -> int:
     """Number of distinct eigenvalues after merging within absolute tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    lams = sorted(lam for lam, _ in s.entries)
-    count = 0
-    prev = None
-    for lam in lams:
-        if prev is None or lam - prev > tol:
-            count += 1
-        prev = lam
-    return count
+    return len(merge_spectrum(s, tol).entries)
 
 
 def merge_spectrum(s: Spectrum, tol=1e-12) -> Spectrum:
     """Merge eigenvalues within tol, summing multiplicities.
 
-    Clusters are chained exactly as in distinct_count: a new cluster starts
-    whenever the gap to the previous eigenvalue exceeds tol.
+    Clusters are chained: a new cluster starts whenever the gap to the
+    previous eigenvalue exceeds tol.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     lams = sorted(s.entries, key=lambda t: t[0])
     merged = []
     prev = None

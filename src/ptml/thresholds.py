@@ -1,4 +1,4 @@
-"""Noise thresholds: the largest local depolarizing rate a criterion detects.
+"""Noise thresholds: the largest depolarizing rate a criterion detects.
 
 epsilon_max scans a criterion's verdict over eps in [0, 1] and bisects the
 final Entangled -> Inconclusive crossing down to a requested bracket width.
@@ -8,20 +8,21 @@ is the largest eps at which the criterion still fires.  A pre-scan that
 flips more than once is flagged; strict mode refuses it instead so the
 caller can inspect the grid by hand.
 
-Three state models feed the verdicts:
+Four state models share one protocol (describe, moments, ppt, fidelity,
+purities, and bell_pairs, the Bell pairs the pure state holds across the
+cut), and make_model is the one dispatch from (state, noise, cut) to model:
 
-  GHZModel        closed-form PT moments of the locally depolarized GHZ
-                  state (balanced cut, even n), whose cost does not grow
-                  with n, a closed-form PPT verdict on the isolated
-                  eigenvalue pair, and the closed-form support enumerator.
-                  Extended precision throughout, so it scales to thousands
-                  of qubits.
-  StabilizerModel PT moments from character-transformed weight enumerators
-                  (exact integer tables, evaluated per eps), purities and
-                  fidelity from support enumerators, PPT from a DenseModel
-                  built on first use.  Works for any stabilizer state and
-                  any cut that fits in memory.
-  DenseModel      everything from the density matrix.  The slow reference.
+  GHZModel          local noise, GHZ on the balanced cut (even n): PT
+                    moments and the PPT verdict in closed form, at a cost
+                    independent of n, in extended precision.
+  StabilizerModel   local noise, any stabilizer state and cut: moments from
+                    exact character-transformed weight enumerators, PPT
+                    from a DenseModel built on first use.
+  GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
+                    and the Bell pair count, so everything is a closed form
+                    at any n.
+  DenseModel        either noise, everything from the density matrix
+                    (model "dense").  The slow reference.
 
 sweep_fig1 and sweep_fig2 drive epsilon_max over the standard criterion
 batteries (GHZ family vs n; AME(6,2) per cut vs moment order) and return
@@ -30,6 +31,7 @@ rows ready for CSV serialization.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +41,7 @@ from mpmath import mpf, workdps
 from . import criteria
 from .dense import (
     _partial_trace_keep,
+    depolarize_global,
     depolarize_local,
     fidelity_pure,
     hermitian_eigenvalues,
@@ -48,6 +51,7 @@ from .dense import (
     state_from_group,
 )
 from .enumerators import (
+    _one_like,
     cw_fourier,
     character_polys,
     fidelity_from_enumerators,
@@ -58,12 +62,14 @@ from .enumerators import (
     sl_enumerators,
     stab_subsystem_purity,
 )
-from .pauli import Bipartition, StabilizerGroup, state_catalog
+from .pauli import Bipartition, StabilizerGroup, bell_pair_rank, state_catalog
 from .spectra import (
     DEFAULT_DIGITS,
     MomentVector,
     Spectrum,
     ghz_local_moments,
+    moments_from_spectrum,
+    stab_global_spectrum,
 )
 
 BRACKET_TOL = 1e-9
@@ -153,12 +159,18 @@ class CriterionSpec:
 class GHZModel:
     """Locally depolarized GHZ state across the balanced cut, closed form."""
 
+    bell_pairs = 1
+
     def __init__(self, n: int, digits: int = None):
         if n % 2 or n < 2:
             raise ValueError("GHZ model needs even n >= 2")
         self.n = n
         self.digits = DEFAULT_DIGITS if digits is None else digits
-        self.sl = ghz_sl_vector(n)
+
+    @functools.cached_property
+    def sl(self):
+        # n + 1 exact binomial fractions: only fidelity and purities read it
+        return ghz_sl_vector(self.n)
 
     def describe(self) -> str:
         return f"ghz n={self.n} cut=balanced"
@@ -200,12 +212,13 @@ class StabilizerModel:
     is limited to small n; the dense state is built on the first PPT call.
     """
 
-    def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None):
-        if len(g.generators) != g.n:
-            raise ValueError("need a pure stabilizer state (n generators)")
+    def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
+                 digits: int = None):
         self.g = g
         self.bip = bip
         self.name = name or "stabilizer"
+        self.digits = DEFAULT_DIGITS if digits is None else digits
+        self.bell_pairs = bell_pair_rank(g, bip)
         self.sl = sl_enumerators(g)
         self._chars = character_polys(g, bip)
         self._tables = {}
@@ -225,7 +238,7 @@ class StabilizerModel:
         # Exact integer tables evaluated at extended precision: float
         # tolerances would blind the larger Hankel tests right below the
         # PPT threshold, where their margins sit many orders beneath 1e-10.
-        digits = _order_digits(m_max)
+        digits = max(self.digits, _order_digits(m_max))
         with workdps(digits):
             e = mpf(eps)
             vals = tuple(noisy_pt_moment(self._table(k), e)
@@ -247,23 +260,72 @@ class StabilizerModel:
                 stab_subsystem_purity(self.g, self.bip, eps))
 
 
+class GlobalNoiseModel:
+    """Globally depolarized stabilizer state (1-eps) psi + eps 1/2^n, one
+    fixed bipartition, in closed form at any n.
+
+    With r Bell pairs across the cut the PT spectrum has three levels
+    (spectra.stab_global_spectrum), and the marginal on A is (1-eps) times
+    a maximally mixed state of rank 2^r plus eps 1/2^|A|.
+    """
+
+    def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
+                 digits: int = None):
+        self.n = g.n
+        self.bip = bip
+        self.name = name or "stabilizer"
+        self.digits = DEFAULT_DIGITS if digits is None else digits
+        self.bell_pairs = bell_pair_rank(g, bip)
+
+    def describe(self) -> str:
+        a = ",".join(str(q) for q in sorted(self.bip.a_set))
+        return f"{self.name} n={self.n} cut={a} noise=global"
+
+    def moments(self, eps, m_max: int) -> MomentVector:
+        digits = max(self.digits, _order_digits(m_max))
+        return moments_from_spectrum(stab_global_spectrum(
+            self.n, self.bell_pairs, eps, digits), m_max)
+
+    def ppt(self, eps) -> criteria.Verdict:
+        return criteria.ppt_verdict(stab_global_spectrum(
+            self.n, self.bell_pairs, eps, self.digits))
+
+    def fidelity(self, eps):
+        one = _one_like(eps)
+        return (one - eps) + eps * (one / 2) ** self.n
+
+    def purities(self, eps):
+        one = _one_like(eps)
+        q = (one - eps) ** 2
+        mixed = eps * (2 * one - eps)
+        half = one / 2
+        return (q + mixed * half ** self.n,
+                q * half ** self.bell_pairs
+                + mixed * half ** len(self.bip.a_set))
+
+
 class DenseModel:
-    """Reference model: everything computed from the density matrix."""
+    """Reference model: everything computed from the density matrix, under
+    local or global depolarizing noise."""
 
     def __init__(self, rho: np.ndarray, bip: Bipartition,
-                 group: StabilizerGroup = None, name: str = None):
+                 group: StabilizerGroup = None, name: str = None,
+                 noise: str = "local"):
         self.rho = rho
         self.bip = bip
         self.group = group
         self.name = name or "dense"
         self.n = nqubits(rho)
+        self.bell_pairs = None if group is None else bell_pair_rank(group, bip)
+        self._channel = {"local": depolarize_local,
+                         "global": depolarize_global}[noise]
 
     def describe(self) -> str:
         a = ",".join(str(q) for q in sorted(self.bip.a_set))
         return f"{self.name} n={self.n} cut={a}"
 
     def _noisy(self, eps) -> np.ndarray:
-        return depolarize_local(self.rho, float(eps))
+        return self._channel(self.rho, float(eps))
 
     def moments(self, eps, m_max: int) -> MomentVector:
         return pt_moments(self._noisy(eps), self.bip, m_max)
@@ -287,26 +349,38 @@ class DenseModel:
         return glob, sub
 
 
-def make_model(name: str, n: int, bip: Bipartition = None, model: str = None):
-    """Build the preferred state model for a catalog state.
+def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
+               noise: str = "local", digits: int = None):
+    """Build the state model for a catalog state, cut and noise channel.
 
-    model None picks the fastest sound route: the closed-form moments for
-    GHZ across the balanced cut, enumerator tables for everything else.
+    model None picks the fastest sound route: under local noise the
+    closed-form moments for GHZ across the balanced cut and enumerator
+    tables for everything else, under global noise the closed forms of
+    GlobalNoiseModel.  model="dense" forces the density-matrix reference.
+    digits sets the base working precision of the analytic models.
     """
     name = name.lower()
+    if noise not in ("local", "global"):
+        raise ValueError(f"unknown noise {noise!r}; use local or global")
     if bip is None:
         if n % 2:
             raise ValueError("default bipartition needs even n")
         bip = Bipartition(n, frozenset(range(1, n // 2 + 1)))
-    balanced = len(bip.a_set) == n // 2 and n % 2 == 0
-    if model in (None, "analytic_spectrum") and name == "ghz" and balanced:
-        return GHZModel(n)
-    if model == "analytic_spectrum":
-        raise ValueError("the analytic spectrum covers ghz on balanced cuts")
+    if noise == "global" and model == "enumerator":
+        raise ValueError("the enumerator tables model local noise only")
+    if noise == "local" and model in (None, "analytic_spectrum"):
+        if name == "ghz" and 2 * len(bip.a_set) == n:
+            return GHZModel(n, digits=digits)
+        if model == "analytic_spectrum":
+            raise ValueError(
+                "the analytic spectrum covers ghz on balanced cuts")
     g = state_catalog(name, n)
     if model == "dense":
-        return DenseModel(state_from_group(g), bip, group=g, name=name)
-    return StabilizerModel(g, bip, name=name)
+        return DenseModel(state_from_group(g), bip, group=g, name=name,
+                          noise=noise)
+    if noise == "global":
+        return GlobalNoiseModel(g, bip, name=name, digits=digits)
+    return StabilizerModel(g, bip, name=name, digits=digits)
 
 
 def evaluate(spec: CriterionSpec, model, eps) -> criteria.Verdict:
@@ -314,7 +388,8 @@ def evaluate(spec: CriterionSpec, model, eps) -> criteria.Verdict:
     if spec.kind == "ppt":
         return model.ppt(eps)
     if spec.kind == "fidelity":
-        return criteria.fidelity_criterion(model.fidelity(eps))
+        return criteria.fidelity_criterion(model.fidelity(eps),
+                                           model.bell_pairs)
     if spec.kind == "purity":
         return criteria.purity_criterion(*model.purities(eps))
     p = model.moments(eps, spec.max_order)
@@ -414,8 +489,12 @@ def fig1_criteria(orders=FIG1_ORDERS, triples=FIG1_KLM_TRIPLES) -> tuple:
     return tuple(specs)
 
 
-def _rows_sorted(rows: list, lead: str) -> list:
-    return sorted(rows, key=lambda r: (r[lead], r["_key"]))
+def _finish_rows(rows: list, lead: str, tol: float) -> list:
+    """Dominance-checked rows in canonical order: the lead column, then
+    criterion kind and order."""
+    _check_dominance(rows, lead, tol)
+    rows = sorted(rows, key=lambda r: (r[lead], r["_key"]))
+    return [{k: v for k, v in r.items() if k != "_key"} for r in rows]
 
 
 def _check_dominance(rows: list, group: str, tol: float):
@@ -434,7 +513,7 @@ def _check_dominance(rows: list, group: str, tol: float):
         if st is None:
             continue
         if kind == "klm" and not st >= eps - slack:
-            raise AssertionError(
+            raise RuntimeError(
                 f"stieltjes:{m} threshold {st} fell below the klm threshold "
                 f"{eps} at {g}; the Hankel minor argument forbids this")
         if kind == "descartes" and eps > st + slack:
@@ -459,11 +538,7 @@ def sweep_fig1(n_list, criteria=None, tol: float = BRACKET_TOL) -> list:
             rows.append({"n": n, "criterion": r.criterion,
                          "eps_max": r.eps_max, "bracket": r.bracket,
                          "flags": r.flags, "_key": spec.sort_key()})
-    _check_dominance(rows, "n", tol)
-    rows = _rows_sorted(rows, "n")
-    for r in rows:
-        del r["_key"]
-    return rows
+    return _finish_rows(rows, "n", tol)
 
 
 def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3), name: str = "ame6",
@@ -502,8 +577,4 @@ def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3), name: str = "ame6",
                          "m": spec.max_order or "",
                          "eps_max": r.eps_max, "bracket": r.bracket,
                          "flags": r.flags, "_key": spec.sort_key()})
-    _check_dominance(rows, "cut", tol)
-    rows = _rows_sorted(rows, "cut")
-    for r in rows:
-        del r["_key"]
-    return rows
+    return _finish_rows(rows, "cut", tol)

@@ -300,3 +300,14 @@ def test_criterion_9_large_n_trend():
     ok = 0.5 <= alpha <= 1.0 and big > 1e-2
     report(9, ok, f"hankel7 threshold ~ n^-{alpha:.3f} over n=10..200, "
                   f"n=1000 threshold {big:.4f} stays above 1e-2, {dt:.1f}s")
+
+
+def test_criterion_10_ghz_setup_independent_of_n():
+    # the moments cost the same at any n, so building the model must too:
+    # the support enumerator (n + 1 big fractions) is only built for
+    # fidelity and purity
+    t0 = time.monotonic()
+    v = evaluate(CriterionSpec("stieltjes", m=7), GHZModel(20000), 0.01)
+    dt = time.monotonic() - t0
+    report(10, dt < 2, f"n=20000 stieltjes:7 verdict at eps=0.01 "
+                       f"({v.status}) in {dt:.2f}s")

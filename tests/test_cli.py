@@ -117,6 +117,39 @@ def test_criterion_global_noise_werner(capsys):
     assert code == 1
 
 
+def test_criterion_global_noise_beyond_dense_cap(capsys):
+    # global-noise fidelity and purity are closed forms at any n
+    code, out, err = run(capsys, "criterion", "--name", "purity",
+                         "--state", "ghz", "--n", "12", "--noise", "global:0.2")
+    assert code == 0, err
+    q = 0.8 ** 2
+    mixed = 1 - q
+    want = (q + mixed / 2 ** 12) - (q / 2 + mixed / 2 ** 6)
+    assert out.strip() == f"Entangled margin={want:.12g}"
+    code, out, _ = run(capsys, "criterion", "--name", "fidelity",
+                       "--state", "ghz", "--n", "40",
+                       "--noise", "global:0.3")
+    assert code == 0 and out.startswith("Entangled")
+
+
+def test_fidelity_on_product_cut_is_inconclusive(capsys):
+    # the all-zero state holds no Bell pair: F > 1/2 certifies nothing
+    code, out, _ = run(capsys, "criterion", "--name", "fidelity",
+                       "--state", "zero", "--n", "2", "--bip", "1",
+                       "--noise", "global:0.2")
+    assert code == 1 and out.startswith("Inconclusive")
+    code, out, _ = run(capsys, "criterion", "--name", "fidelity",
+                       "--state", "bell_pairs", "--n", "4", "--bip", "1,2",
+                       "--noise", "local:0.1")
+    assert code == 1 and out.startswith("Inconclusive")
+    code, out, _ = run(capsys, "threshold", "--criterion", "fidelity",
+                       "--state", "zero", "--n", "4")
+    assert code == 0
+    fields = dict(kv.split("=", 1) for kv in out.strip().split(" ") if "=" in kv)
+    assert float(fields["eps_max"]) == 0.0
+    assert fields["flags"] == "never_fired"
+
+
 def test_threshold_ppt_ghz4(capsys):
     code, out, _ = run(capsys, "threshold", "--criterion", "ppt",
                        "--state", "ghz", "--n", "4")

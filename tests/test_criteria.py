@@ -256,14 +256,18 @@ def test_stieltjes_witness_validation():
 
 
 def test_fidelity_criterion():
-    assert fidelity_criterion(0.7).entangled
-    assert not fidelity_criterion(0.5).entangled
-    assert not fidelity_criterion(0.2).entangled
-    assert fidelity_criterion(0.75).margin == pytest.approx(0.25)
+    assert fidelity_criterion(0.7, 1).entangled
+    assert fidelity_criterion(0.7, 3).entangled
+    assert not fidelity_criterion(0.5, 1).entangled
+    assert not fidelity_criterion(0.2, 1).entangled
+    assert fidelity_criterion(0.75, 1).margin == pytest.approx(0.25)
+    # a target with no Bell pair across the cut is a product state: any
+    # overlap with it is reachable without entanglement
+    assert not fidelity_criterion(0.9, 0).entangled
     with pytest.raises(ValueError):
-        fidelity_criterion(-0.1)
+        fidelity_criterion(-0.1, 1)
     with pytest.raises(ValueError):
-        fidelity_criterion(1.0001)
+        fidelity_criterion(1.0001, 1)
 
 
 def test_purity_criterion():

@@ -58,6 +58,10 @@ def test_state_from_group_cap():
 def test_nqubits_and_maximally_mixed():
     assert nqubits(maximally_mixed(3)) == 3
     assert np.allclose(maximally_mixed(2), np.eye(4) / 4)
+    with pytest.raises(ValueError):
+        nqubits(np.eye(3))
+    with pytest.raises(ValueError):
+        partial_transpose(maximally_mixed(2), Bipartition(3, frozenset({1})))
 
 
 def test_depolarize_routes_agree():

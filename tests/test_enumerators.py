@@ -18,6 +18,7 @@ from ptml.dense import (
 )
 from ptml.enumerators import (
     CWTable,
+    SLVector,
     ame_fixture_check,
     character_polys,
     cw_bruteforce,
@@ -91,6 +92,10 @@ def test_sl_enumerators_validation():
     # a state group must have exactly n independent generators
     with pytest.raises(ValueError):
         StabilizerGroup(2, (from_label("XX"),))
+    with pytest.raises(ValueError):
+        SLVector(2, (Fraction(1),))
+    with pytest.raises(ValueError):
+        pauli_coefficients(np.eye(3))
 
 
 def test_sl_decay():

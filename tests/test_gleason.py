@@ -36,8 +36,10 @@ def test_macwilliams_is_involution():
 
 def test_macwilliams_apply_shape():
     m = macwilliams(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         m.apply((1, 0))  # length must be n+1
+    with pytest.raises(ValueError):
+        m.mul(macwilliams(3))
 
 
 def test_pure_state_vectors_are_fixed_points():

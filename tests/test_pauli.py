@@ -255,13 +255,16 @@ def test_out_of_range_input_raises_value_error():
 def test_validation_survives_optimized_mode():
     # python -O strips assert statements; the checks must not rely on them
     script = textwrap.dedent("""
+        import numpy as np
+        from ptml.dense import nqubits
         from ptml.pauli import (Bipartition, PauliString, StabilizerGroup,
                                 from_label)
         xx, zi = from_label("XX"), from_label("ZI")
         for fn, args in ((Bipartition, (2, frozenset({5}))),
                          (PauliString, (1, 0, 0, 9)),
                          (from_label, ("XQ",)),
-                         (StabilizerGroup, (2, (xx, zi)))):
+                         (StabilizerGroup, (2, (xx, zi))),
+                         (nqubits, (np.eye(3),))):
             try:
                 fn(*args)
             except ValueError:

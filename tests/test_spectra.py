@@ -199,6 +199,17 @@ def test_moments_from_spectrum_sums_exactly():
         moments_from_spectrum(Spectrum(((float("inf"), 1),)), 2)
 
 
+def test_moments_from_spectrum_float_spectrum():
+    # the float spectra the dense PPT route builds: sums rounded once to
+    # 53 bits and returned as floats
+    mv = moments_from_spectrum(Spectrum(((0.5, 1), (-0.25, 2)), digits=None),
+                               3)
+    assert mv.values == (0.0, 0.375, 0.09375)
+    assert all(type(v) is float for v in mv.values + mv.schatten)
+    assert mv.ptilde(1) == 1.0
+    assert mv.digits is None
+
+
 _EVEN_N = st.one_of(st.integers(1, 32).map(lambda h: 2 * h),
                     st.sampled_from([200, 1000]))
 

@@ -12,8 +12,10 @@ from ptml.thresholds import (
     CriterionSpec,
     DenseModel,
     GHZModel,
+    GlobalNoiseModel,
     StabilizerModel,
     ThresholdResult,
+    _check_dominance,
     epsilon_max,
     evaluate,
     fig1_criteria,
@@ -85,6 +87,19 @@ def test_make_model_routing():
                       StabilizerModel)
 
 
+def test_make_model_global_noise_routing():
+    assert isinstance(make_model("ghz", 4, noise="global"), GlobalNoiseModel)
+    assert isinstance(make_model("ame6", 6, noise="global"), GlobalNoiseModel)
+    dense = make_model("ghz", 4, model="dense", noise="global")
+    assert isinstance(dense, DenseModel)
+    # the dense reference applies the global channel: at eps = 1 every
+    # cut sees the maximally mixed state
+    assert dense.moments(1.0, 2).p(2) == pytest.approx(1 / 16)
+    assert make_model("ghz", 4, noise="global", digits=90).digits == 90
+    assert make_model("ame6", 6, digits=90).digits == 90
+    assert make_model("ghz", 4, digits=90).digits == 90
+
+
 def test_make_model_errors():
     with pytest.raises(ValueError):
         make_model("ghz", 3)  # balanced cut needs even n
@@ -92,6 +107,33 @@ def test_make_model_errors():
         make_model("ame6", 6, model="analytic_spectrum")
     with pytest.raises(ValueError):
         make_model("nope", 2)
+    with pytest.raises(ValueError):
+        make_model("ghz", 4, model="enumerator", noise="global")
+    with pytest.raises(ValueError):
+        make_model("ghz", 4, noise="dephasing")
+
+
+def test_models_report_bell_pairs():
+    assert GHZModel(6).bell_pairs == 1
+    for name, n, cut, r in (("ghz", 4, {1}, 1), ("zero", 4, {1, 2}, 0),
+                            ("bell_pairs", 4, {1, 3}, 2),
+                            ("bell_pairs", 4, {1, 2}, 0), ("ame6", 6, {1, 2, 3}, 3)):
+        bip = Bipartition(n, frozenset(cut))
+        for noise in ("local", "global"):
+            for model in (None, "dense"):
+                got = make_model(name, n, bip, model=model, noise=noise)
+                assert got.bell_pairs == r, (name, cut, noise, model)
+
+
+def test_fidelity_never_fires_without_bell_pairs():
+    # a product target certifies nothing, however high the overlap
+    for noise in ("local", "global"):
+        for model in (None, "dense"):
+            m = make_model("zero", 4, model=model, noise=noise)
+            res = epsilon_max(CriterionSpec("fidelity"), m)
+            assert res.never_fired, (noise, model)
+    assert not evaluate(CriterionSpec("fidelity"),
+                        make_model("zero", 4), 0.0).entangled
 
 
 def test_ghz_model_describe():
@@ -131,6 +173,77 @@ def test_stabilizer_vs_dense_model_thresholds():
     b = epsilon_max(spec, slow, tol=1e-8)
     assert abs(a.eps_max - b.eps_max) < 2e-3
     assert a.eps_max >= b.eps_max - 1e-8
+
+
+# Catalog states and every prefix cut size up to n = 6.
+GLOBAL_CASES = [(name, n, s) for name, ns in (("ghz", (2, 3, 4, 5, 6)),
+                                              ("zero", (2, 3, 4)),
+                                              ("bell_pairs", (2, 4, 6)),
+                                              ("ame6", (6,)))
+                for n in ns for s in range(1, n)]
+GLOBAL_EPS = (0.0, 0.13, 0.5, 0.77, 1.0)
+
+
+def _global_pair(name, n, s):
+    bip = Bipartition(n, frozenset(range(1, s + 1)))
+    return (make_model(name, n, bip, noise="global"),
+            make_model(name, n, bip, model="dense", noise="global"))
+
+
+@pytest.mark.parametrize("name,n,s", GLOBAL_CASES)
+def test_global_noise_model_matches_dense(name, n, s):
+    fast, slow = _global_pair(name, n, s)
+    assert isinstance(fast, GlobalNoiseModel)
+    for eps in GLOBAL_EPS:
+        a, b = fast.moments(eps, 5), slow.moments(eps, 5)
+        for k in range(1, 6):
+            scale = float(b.ptilde(k))
+            assert abs(float(a.p(k)) - b.p(k)) < 1e-12 * scale, (eps, k)
+            assert abs(float(a.ptilde(k)) - scale) < 1e-12 * scale, (eps, k)
+        assert abs(fast.fidelity(eps) - slow.fidelity(eps)) < 1e-12
+        for x, y in zip(fast.purities(eps), slow.purities(eps)):
+            assert abs(x - y) < 1e-12
+        for kind in ("ppt", "fidelity", "purity"):
+            va = evaluate(CriterionSpec(kind), fast, eps)
+            vb = evaluate(CriterionSpec(kind), slow, eps)
+            assert abs(float(va.margin) - float(vb.margin)) < 1e-9, kind
+            if abs(float(vb.margin)) > 1e-9:
+                assert va.entangled == vb.entangled, (kind, eps)
+
+
+@pytest.mark.parametrize("name,n,s", [("ghz", 2, 1), ("ghz", 5, 2),
+                                      ("bell_pairs", 4, 1),
+                                      ("bell_pairs", 6, 3), ("ame6", 6, 3)])
+def test_global_noise_vs_dense_model_thresholds(name, n, s):
+    fast, slow = _global_pair(name, n, s)
+    for label, atol in [("ppt", 1e-6), ("fidelity", 1e-6), ("purity", 1e-6),
+                        ("stieltjes:3", 1e-5), ("klm:1,2,3", 1e-5)]:
+        spec = CriterionSpec.parse(label)
+        a = epsilon_max(spec, fast, tol=1e-8)
+        b = epsilon_max(spec, slow, tol=1e-8)
+        assert abs(a.eps_max - b.eps_max) < atol, label
+        assert a.never_fired == b.never_fired, label
+
+
+@pytest.mark.parametrize("name,n,s", GLOBAL_CASES)
+def test_global_noise_ppt_threshold_closed_form(name, n, s):
+    # lambda_- = eps/2^n - (1-eps)/2^r < 0 exactly when eps < 2^n/(2^n+2^r)
+    fast, _ = _global_pair(name, n, s)
+    r = fast.bell_pairs
+    res = epsilon_max(CriterionSpec("ppt"), fast)
+    if r == 0:
+        assert res.never_fired
+    else:
+        assert abs(res.eps_max - 2 ** n / (2 ** n + 2 ** r)) < 1e-8
+    if (name, n) == ("ghz", 2):
+        assert abs(res.eps_max - 2 / 3) < 1e-8
+
+
+def test_dominance_violation_raises_runtime_error():
+    rows = [{"n": 4, "criterion": "stieltjes:3", "eps_max": 0.1},
+            {"n": 4, "criterion": "klm:1,2,3", "eps_max": 0.2}]
+    with pytest.raises(RuntimeError, match="stieltjes:3"):
+        _check_dominance(rows, "n", 1e-9)
 
 
 def test_dense_model_fidelity_needs_group():
