@@ -48,13 +48,19 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 
 
 def state_from_group(g: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Projector onto the stabilizer state: sum of group elements / 2^n."""
+    """Projector onto the stabilizer state: sum of group elements / 2^n.
+
+    With Y = i X Z an element is i^(phase + |x&z|) X^x Z^z, whose column s
+    holds (-1)^|z&s| in row s^x; pauli_matrix is the Kronecker reference."""
     if g.n > cap:
         raise ValueError(f"dense cap exceeded: n={g.n} > {cap}")
     dim = 1 << g.n
+    s = np.arange(dim)
+    sign = 1 - 2 * (np.bitwise_count(s) & 1).astype(np.int64)  # (-1)^|s|
     rho = np.zeros((dim, dim), dtype=complex)
     for el in enumerate_group(g):
-        rho += pauli_matrix(el)
+        phase = 1j ** (el.phase_exp + (el.x_mask & el.z_mask).bit_count())
+        rho[s ^ el.x_mask, s] += phase * sign[s & el.z_mask]
     return rho / dim
 
 

@@ -10,20 +10,28 @@ coefficients are integer counts over (k-1)-tuples of group elements.
 Both tuple enumerations come in two routes that must agree exactly:
 a brute-force oracle (qwe_bruteforce, cw_bruteforce) and a character
 transform over the stabilizer group (character_polys + cw_fourier) that
-reduces the count to a sum of k-th powers of at most 2^n small polynomials.
+reduces the count to a sum of k-th powers of at most 2^n small polynomials,
+taken as packed big-int powers (each polynomial evaluated at z = 2^B).
+Stabilizer tables are evaluated exactly at a float or mpf eps, a binary
+number, and rounded once; the minus-set character polynomials evaluated the
+same way give the PT spectrum, P_i(1-eps) / 2^n with multiplicity mult_i.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .pauli import (Bipartition, StabilizerGroup, enumerate_group,
                     state_catalog, theta, weight)
+from .spectra import _binary
 
 BRUTEFORCE_BUDGET = 1 << 26
 CHARACTER_QUBIT_CAP = 14
@@ -73,12 +81,12 @@ class CWTable:
 
     def difference_poly(self) -> list:
         """Coefficients of sum_w (Cplus_w - Cminus_w) z^w, degree n*k."""
-        out = [0] * (self.n * self.k + 1)
-        for w, c in self.cplus.items():
-            out[w] += c
-        for w, c in self.cminus.items():
-            out[w] -= c
-        return out
+        return [self.cplus.get(w, 0) - self.cminus.get(w, 0)
+                for w in range(self.n * self.k + 1)]
+
+    @functools.cached_property
+    def _difference(self) -> tuple:
+        return tuple(self.difference_poly())  # built once, read per moment
 
 
 @dataclass(frozen=True)
@@ -454,27 +462,36 @@ def character_polys(g: StabilizerGroup, bip: Bipartition,
     return CharacterPolynomials(n, collect(plus_hat), collect(minus_hat))
 
 
-def _poly_mul(a, b, cap):
-    out = [0] * min(len(a) + len(b) - 1, cap + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(p, k, cap):
-    out = [1]
-    base = list(p)
-    while k:
-        if k & 1:
-            out = _poly_mul(out, base, cap)
-        k >>= 1
-        if k:
-            base = _poly_mul(base, base, cap)
+def _power_sum(polys, k: int, length: int) -> list:
+    """Coefficients z^0..z^(length-1) of sum_i mult_i P_i(z)^k for distinct
+    P_i, exactly: each P_i(2^B) is one int, powered and summed in C, and B
+    has a sign bit and a spare bit above sum_i mult_i ||P_i||_1^k, which
+    bounds every coefficient, so balanced base-2^B digits cannot carry.
+    P(z) and P(-z) of equal multiplicity (in a character set, all of them:
+    weight parity is a character) cost one power, as twice the even part.
+    """
+    bits = sum(m * sum(map(abs, p)) ** k for p, m in polys).bit_length() + 2
+    width = max(len(p) for p, _ in polys)
+    shifts = [w * bits for w in range(width)]
+    signs = [(-1) ** w for w in range(width)]
+    whole = paired = 0
+    left = dict(polys)
+    for p, m in polys:
+        if left.pop(p, None) is None:
+            continue  # the mirror of an earlier polynomial
+        term = m * sum(map(operator.lshift, p, shifts)) ** k
+        if left.get(mirror := tuple(map(operator.mul, p, signs))) == m:
+            del left[mirror]
+            paired += term
+        else:
+            whole += term
+    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
+    for w in range(length):
+        a, b = ((whole + half) & mask) - half, ((paired + half) & mask) - half
+        whole, paired = (whole - a) >> bits, (paired - b) >> bits
+        out.append(a if w % 2 else a + 2 * b)
+    if whole or paired:
+        raise ValueError("packed power sum does not fit its digit width")
     return out
 
 
@@ -496,17 +513,11 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     wmax = n * k
 
     def combine(charset):
-        tot = [0] * (wmax + 1)
-        for coeffs, mult in charset:
-            p = _poly_pow(list(coeffs), k, wmax)
-            for w, c in enumerate(p):
-                tot[w] += mult * c
-        for w, c in enumerate(tot):
-            if c % size:
-                raise ValueError("character inversion is not integral; "
-                                 "group tables are inconsistent")
-            tot[w] = c // size
-        return tot
+        tot = _power_sum(charset, k, wmax + 1)
+        if any(c % size for c in tot):
+            raise ValueError("character inversion is not integral; "
+                             "group tables are inconsistent")
+        return [c // size for c in tot]
 
     spoly = combine(chars.plus_set)
     dpoly = combine(chars.minus_set)
@@ -514,7 +525,7 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     cminus = {}
     for w in range(wmax + 1):
         s, dd = spoly[w], dpoly[w]
-        if (s + dd) % 2 or (s - dd) % 2:
+        if (s + dd) % 2:
             raise ValueError("sum/difference parity mismatch in inversion")
         cp, cm = (s + dd) // 2, (s - dd) // 2
         if cp < 0 or cm < 0:
@@ -526,24 +537,36 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     return CWTable(n, k, bip, cplus, cminus)
 
 
+def dyadic_poly_value(coeffs, eps, shift: int, prec: int) -> mpf:
+    """sum_w coeffs[w] (1-eps)^w / 2^shift rounded once to prec bits: 1 - eps
+    is exactly a / 2^f (from eps's mantissa and exponent), so Horner's rule
+    over ints gives the exact numerator."""
+    if not 0 <= eps <= 1:
+        raise ValueError("eps must lie in [0, 1]")
+    _, man, exp, _ = _binary(eps)
+    f = max(0, -exp)
+    a = (1 << f) - (man << (exp + f))
+    acc = 0
+    for j, c in enumerate(reversed(coeffs)):
+        acc = acc * a + (c << f * j)
+    exp = -(f * (len(coeffs) - 1) + shift)
+    return mp.make_mpf(from_man_exp(acc, exp, prec, round_nearest))
+
+
 def noisy_pt_moment(table, eps):
     """p_k of the depolarized partial transpose from an enumerator table.
 
     Stabilizer tables evaluate sum (Cplus - Cminus)(1-eps)^w / 2^{n(k-1)}
-    exactly in the precision of eps (float or mpf).  General tables sum
-    theta*phi*c*(1-eps)^w and must see their imaginary parts cancel.
+    exactly, rounded once to the precision of eps (float or mpf).  General
+    tables sum theta*phi*c*(1-eps)^w and must see imaginary parts cancel.
     """
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     if isinstance(table, CWTable):
-        one = _one_like(eps)
-        q = one - eps
-        tot = one - one
-        for w in sorted(set(table.cplus) | set(table.cminus)):
-            diff = table.cplus.get(w, 0) - table.cminus.get(w, 0)
-            if diff:
-                tot += _num(diff, one) * q**w
-        return tot / _num(1 << (table.n * (table.k - 1)), one)
+        wide = isinstance(eps, mpf)
+        v = dyadic_poly_value(table._difference, eps,
+                              table.n * (table.k - 1), mp.prec if wide else 53)
+        return v if wide else float(v)
     if isinstance(table, QWETable):
         q = 1.0 - float(eps)
         tot = 0j
@@ -617,17 +640,9 @@ def ame_fixture_check() -> dict:
         if s == 0 and set(chars.minus_set) != set(chars.plus_set):
             failures.append("0|6: trivial cut must have minus == plus")
         fast = cw_fourier(g, bip, 3, chars)
-        ssum = [0] * 19
-        for w, c in fast.cplus.items():
-            ssum[w] += c
-        for w, c in fast.cminus.items():
-            ssum[w] += c
-        ref = [0] * 19
-        for coeffs, mult in _AME6_PLUS:
-            p = _poly_pow(list(coeffs), 3, 18)
-            for w, c in enumerate(p):
-                ref[w] += mult * c
-        if [64 * v for v in ssum] != ref:
+        ssum = [64 * (fast.cplus.get(w, 0) + fast.cminus.get(w, 0))
+                for w in range(19)]
+        if ssum != _power_sum(_AME6_PLUS, 3, 19):
             failures.append(f"{s}|{6-s}: k=3 sum counts disagree with the "
                             "plus-set power formula")
         if s == 1:

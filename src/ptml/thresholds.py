@@ -15,9 +15,9 @@ cut), and make_model is the one dispatch from (state, noise, cut) to model:
   GHZModel          local noise, GHZ on the balanced cut (even n): PT
                     moments and the PPT verdict in closed form, at a cost
                     independent of n, in extended precision.
-  StabilizerModel   local noise, any stabilizer state and cut: moments from
-                    exact character-transformed weight enumerators, PPT
-                    from a DenseModel built on first use.
+  StabilizerModel   local noise, any stabilizer state and cut: moments and
+                    the PPT spectrum from exact character-transformed
+                    weight enumerators.
   GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
                     and the Bell pair count, so everything is a closed form
                     at any n.
@@ -31,12 +31,12 @@ rows ready for CSV serialization.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mpf, workdps
+from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec
 
 from . import criteria
 from .dense import (
@@ -54,11 +54,10 @@ from .enumerators import (
     _one_like,
     cw_fourier,
     character_polys,
+    dyadic_poly_value,
     fidelity_from_enumerators,
-    ghz_sl_vector,
     noisy_pt_moment,
     noisy_purity,
-    rains_subsystem_purity,
     sl_enumerators,
     stab_subsystem_purity,
 )
@@ -167,11 +166,6 @@ class GHZModel:
         self.n = n
         self.digits = DEFAULT_DIGITS if digits is None else digits
 
-    @functools.cached_property
-    def sl(self):
-        # n + 1 exact binomial fractions: only fidelity and purities read it
-        return ghz_sl_vector(self.n)
-
     def describe(self) -> str:
         return f"ghz n={self.n} cut=balanced"
 
@@ -195,21 +189,30 @@ class GHZModel:
                 witness={"min_eigenvalue": c - g})
 
     def fidelity(self, eps):
-        return fidelity_from_enumerators(self.sl, eps)
+        # sum_i a_i (1-eps)^i: even-weight Z-type binomials plus 2^(n-1)
+        # X-type elements of full weight, halved so no power overflows
+        q, n = 1 - eps, self.n
+        return (((1 + q) / 2) ** n + ((1 - q) / 2) ** n + q ** n) / 2
 
     def purities(self, eps):
-        # Purity comparison against the Rains-averaged marginal of the
-        # balanced cut, the size-resolved enumerator at s = n/2.
-        return noisy_purity(self.sl, eps), rains_subsystem_purity(self.sl, eps)
+        # Global and n/2-qubit marginal purity (the Rains average at s = n/2)
+        # in closed form, r = (1-eps)^2; mpf, as the former reaches 2^-n.
+        n, s = self.n, self.n // 2
+        with workdps(self.digits + 10 + len(str(n))):
+            r = (1 - mpf(eps)) ** 2
+            pair = (mp.ldexp((1 + r) ** n + (1 - r) ** n + (2 * r) ** n, -n - 1),
+                    mp.ldexp((1 + r) ** s + (1 - r) ** s, -s - 1))
+        with workdps(self.digits):
+            return tuple(+v for v in pair)
 
 
 class StabilizerModel:
     """Locally depolarized stabilizer state, one fixed bipartition.
 
     Moments come from the character-transformed weight enumerators and are
-    exact polynomials in (1-eps); float eps gives float moments, mpf eps
-    gives extended precision.  The PPT verdict is the dense model's, so it
-    is limited to small n; the dense state is built on the first PPT call.
+    exact polynomials in (1-eps), rounded once.  The PT spectrum is
+    P_i(1-eps) / 2^n with multiplicity mult_i over the minus-set character
+    polynomials, so the PPT boundary is a root of min_i P_i(1-eps).
     """
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
@@ -222,7 +225,6 @@ class StabilizerModel:
         self.sl = sl_enumerators(g)
         self._chars = character_polys(g, bip)
         self._tables = {}
-        self._dense = None
 
     def describe(self) -> str:
         a = ",".join(str(q) for q in sorted(self.bip.a_set))
@@ -246,10 +248,10 @@ class StabilizerModel:
         return MomentVector(vals, digits=digits)
 
     def ppt(self, eps) -> criteria.Verdict:
-        if self._dense is None:
-            self._dense = DenseModel(state_from_group(self.g), self.bip,
-                                     group=self.g, name=self.name)
-        return self._dense.ppt(eps)
+        prec = dps_to_prec(self.digits)
+        return criteria.ppt_verdict(Spectrum(tuple(
+            (dyadic_poly_value(p, eps, self.g.n, prec), mult)
+            for p, mult in self._chars.minus_set), digits=self.digits))
 
     def fidelity(self, eps):
         return fidelity_from_enumerators(self.sl, eps)
@@ -295,18 +297,21 @@ class GlobalNoiseModel:
         return (one - eps) + eps * (one / 2) ** self.n
 
     def purities(self, eps):
-        one = _one_like(eps)
-        q = (one - eps) ** 2
-        mixed = eps * (2 * one - eps)
-        half = one / 2
-        return (q + mixed * half ** self.n,
-                q * half ** self.bell_pairs
-                + mixed * half ** len(self.bip.a_set))
+        # in mpf: the global purity reaches 2^-n, past float64 range
+        with workdps(self.digits):
+            e = mpf(eps)
+            q = (1 - e) ** 2
+            mixed = e * (2 - e)
+            return (q + mp.ldexp(mixed, -self.n),
+                    mp.ldexp(q, -self.bell_pairs)
+                    + mp.ldexp(mixed, -len(self.bip.a_set)))
 
 
 class DenseModel:
     """Reference model: everything computed from the density matrix, under
     local or global depolarizing noise."""
+
+    digits = None  # float64 arithmetic
 
     def __init__(self, rho: np.ndarray, bip: Bipartition,
                  group: StabilizerGroup = None, name: str = None,
@@ -391,7 +396,9 @@ def evaluate(spec: CriterionSpec, model, eps) -> criteria.Verdict:
         return criteria.fidelity_criterion(model.fidelity(eps),
                                            model.bell_pairs)
     if spec.kind == "purity":
-        return criteria.purity_criterion(*model.purities(eps))
+        # mpf purities are compared at the model's precision and tolerance
+        with workdps(model.digits or mp.dps):
+            return criteria.purity_criterion(*model.purities(eps))
     p = model.moments(eps, spec.max_order)
     if spec.kind == "stieltjes":
         return criteria.stieltjes(p, spec.m)

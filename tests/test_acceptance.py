@@ -303,9 +303,7 @@ def test_criterion_9_large_n_trend():
 
 
 def test_criterion_10_ghz_setup_independent_of_n():
-    # the moments cost the same at any n, so building the model must too:
-    # the support enumerator (n + 1 big fractions) is only built for
-    # fidelity and purity
+    # the moments cost the same at any n, so building the model must too
     t0 = time.monotonic()
     v = evaluate(CriterionSpec("stieltjes", m=7), GHZModel(20000), 0.01)
     dt = time.monotonic() - t0

@@ -132,6 +132,18 @@ def test_criterion_global_noise_beyond_dense_cap(capsys):
     assert code == 0 and out.startswith("Entangled")
 
 
+
+def test_purity_past_float64_range(capsys):
+    # the global purity reaches 2^-1100 at eps = 1, below the smallest float
+    code, out, err = run(capsys, "threshold", "--criterion", "purity",
+                         "--state", "ghz", "--n", "1100")
+    assert code == 0, err
+    code, out, err = run(capsys, "criterion", "--name", "purity",
+                         "--state", "ghz", "--n", "1100", "--noise", "global:1")
+    assert code == 1, err
+    assert out.startswith("Inconclusive")
+
+
 def test_fidelity_on_product_cut_is_inconclusive(capsys):
     # the all-zero state holds no Bell pair: F > 1/2 certifies nothing
     code, out, _ = run(capsys, "criterion", "--name", "fidelity",

@@ -4,7 +4,7 @@ np.linalg.eigvalsh behind a Hermiticity check."""
 import numpy as np
 import pytest
 
-from ptml.pauli import Bipartition, from_label, state_catalog
+from ptml.pauli import Bipartition, enumerate_group, from_label, state_catalog
 from ptml.dense import (
     depolarize_global,
     depolarize_local,
@@ -48,6 +48,19 @@ def test_state_from_group_is_pure_projector():
         assert abs(np.trace(rho) - 1) < 1e-12
         assert np.allclose(rho, rho @ rho, atol=1e-12)
         assert np.allclose(rho, rho.conj().T)
+
+
+
+CATALOG_UP_TO_8 = ([("ghz", n) for n in range(2, 9)]
+                   + [("zero", n) for n in range(1, 9)]
+                   + [("bell_pairs", n) for n in (2, 4, 6, 8)] + [("ame6", 6)])
+
+
+@pytest.mark.parametrize("name,n", CATALOG_UP_TO_8)
+def test_state_from_group_matches_kron_sum(name, n):
+    g = state_catalog(name, n)
+    want = sum(pauli_matrix(el) for el in enumerate_group(g)) / 2 ** n
+    assert np.array_equal(state_from_group(g), want)
 
 
 def test_state_from_group_cap():

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from ptml.pauli import Bipartition, PauliString, StabilizerGroup, from_label, state_catalog
@@ -17,6 +19,7 @@ from ptml.dense import (
     state_from_group,
 )
 from ptml.enumerators import (
+    _power_sum,
     CWTable,
     SLVector,
     ame_fixture_check,
@@ -34,6 +37,12 @@ from ptml.enumerators import (
     sl_enumerators,
     stab_subsystem_purity,
 )
+from ptml.thresholds import (
+    CriterionSpec,
+    StabilizerModel,
+    epsilon_max,
+)
+from stabilizers import random_cut, random_group
 
 
 RNG = np.random.default_rng(20240819)
@@ -290,3 +299,109 @@ def test_ame_fixture_check_passes():
     assert out["ok"] is True
     assert out["failures"] == []
     assert set(out["cases"]) == {"0|6", "1|5", "2|4", "3|3"}
+
+
+# ------------------------------------------------- packed power sums
+
+
+def naive_power_sum(polys, k, length):
+    out = [0] * length
+    for p, mult in polys:
+        acc = [1]
+        for _ in range(k):
+            acc = [sum(acc[i] * p[j - i] for i in range(len(acc))
+                       if 0 <= j - i < len(p))
+                   for j in range(len(acc) + len(p) - 1)]
+        for w, c in enumerate(acc):
+            out[w] += mult * c
+    return out
+
+
+@st.composite
+def poly_sets(draw):
+    polys = draw(st.dictionaries(
+        st.lists(st.integers(-40, 40), min_size=1, max_size=6).map(tuple),
+        st.integers(1, 9), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # add every mirror P(-z) at the same multiplicity, as a character
+        # set has them
+        for p, m in list(polys.items()):
+            polys.setdefault(tuple(c if w % 2 == 0 else -c
+                                   for w, c in enumerate(p)), m)
+    return list(polys.items())
+
+
+@given(poly_sets(), st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_power_sum_matches_convolution(polys, k):
+    length = (max(len(p) for p, _ in polys) - 1) * k + 1
+    assert _power_sum(polys, k, length) == naive_power_sum(polys, k, length)
+
+
+def test_power_sum_rejects_short_length():
+    with pytest.raises(ValueError, match="digit width"):
+        _power_sum([((1, 2, 3), 1)], 2, 4)
+
+
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_cw_fourier_matches_bruteforce_on_random_groups(n, k, seed):
+    g, bip = random_group(n, seed), random_cut(n, seed)
+    a = cw_fourier(g, bip, k)
+    b = cw_bruteforce(g, bip, k)
+    assert (a.cplus, a.cminus) == (b.cplus, b.cminus)
+
+
+def _poly_at(coeffs, q):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return acc
+
+
+@pytest.mark.parametrize("name,k", [("ame6", 15), ("ame6", 29),
+                                    ("random11", 9)])
+def test_cw_fourier_high_order_matches_character_sums(name, k):
+    # Coefficients pass 2^63 here; at rational q the tables must satisfy
+    # the character identities 2^n sum_w (C+ -+ C-)_w q^w
+    # = sum_i mult_i P_i(q)^k over the minus and plus sets exactly.
+    if name == "ame6":
+        g, cuts = state_catalog("ame6", 6), list(all_bips(6))
+    else:
+        g, cuts = random_group(11, 11), [random_cut(11, 4)]
+    n = g.n
+    for bip in cuts:
+        chars = character_polys(g, bip)
+        tab = cw_fourier(g, bip, k, chars)
+        diff = tab.difference_poly()
+        total = [tab.cplus.get(w, 0) + tab.cminus.get(w, 0)
+                 for w in range(n * k + 1)]
+        assert max(map(abs, total)) > 2 ** 63
+        for q in (Fraction(1, 3), Fraction(5, 7), Fraction(-9, 10)):
+            for coeffs, charset in ((diff, chars.minus_set),
+                                    (total, chars.plus_set)):
+                want = sum(m * _poly_at(p, q) ** k for p, m in charset)
+                assert _poly_at(coeffs, q) * 2 ** n == want
+
+
+def _exact(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def test_stabilizer_moments_are_rounded_once():
+    # every moment within one rounding of the exact dyadic value, at a
+    # rate whose 1 - eps is not representable at the working precision,
+    # near eps = 1, and at a bisection midpoint
+    for g, bip in ((state_catalog("ame6", 6), Bipartition(6, frozenset({1, 2, 3}))),
+                   (random_group(7, 3), random_cut(7, 8))):
+        model = StabilizerModel(g, bip)
+        mid = epsilon_max(CriterionSpec.parse("klm:1,2,3"), model).eps_max
+        for eps in (1e-300, 0.5, 1 - 1e-16, mid):
+            mv = model.moments(eps, 7)
+            q = 1 - Fraction(eps)
+            for k in range(1, 8):
+                diff = cw_fourier(g, bip, k).difference_poly()
+                want = _poly_at(diff, q) / 2 ** (g.n * (k - 1))
+                err = abs(_exact(mv.p(k)) - want)
+                assert err <= abs(want) * Fraction(10) ** -(mv.digits - 1), (eps, k)

@@ -1,13 +1,17 @@
 """Noise-threshold bisection, model routing, and figure sweeps."""
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ptml.criteria import Verdict, ppt_verdict
 from ptml.pauli import Bipartition, state_catalog
 from ptml.spectra import ghz_local_spectrum, ppt_threshold_ghz
 from ptml.dense import state_from_group
+from ptml.enumerators import (fidelity_from_enumerators, ghz_sl_vector,
+                              noisy_purity, rains_subsystem_purity)
 from ptml.thresholds import (
     CriterionSpec,
     DenseModel,
@@ -23,6 +27,7 @@ from ptml.thresholds import (
     sweep_fig1,
     sweep_fig2,
 )
+from stabilizers import random_cut, random_group
 
 
 def balanced(n):
@@ -140,6 +145,17 @@ def test_ghz_model_describe():
     assert "ghz" in GHZModel(4).describe()
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 12, 40])
+def test_ghz_closed_forms_match_enumerator_sums(n):
+    a = ghz_sl_vector(n)
+    for eps in (0.0, 0.1, 0.37, 0.8, 1.0):
+        assert abs(GHZModel(n).fidelity(eps)
+                   - fidelity_from_enumerators(a, eps)) < 1e-15
+        glob, marg = GHZModel(n).purities(eps)
+        assert abs(glob - noisy_purity(a, eps)) < 1e-15
+        assert abs(marg - rains_subsystem_purity(a, eps)) < 1e-15
+
+
 def test_ghz_vs_dense_model_thresholds():
     fast = GHZModel(4)
     slow = DenseModel(state_from_group(state_catalog("ghz", 4)), balanced(4),
@@ -173,6 +189,49 @@ def test_stabilizer_vs_dense_model_thresholds():
     b = epsilon_max(spec, slow, tol=1e-8)
     assert abs(a.eps_max - b.eps_max) < 2e-3
     assert a.eps_max >= b.eps_max - 1e-8
+
+
+
+# ame6 on every cut, and two random states with random cuts per n <= 7.
+PPT_CASES = ([("ame6", Bipartition(6, frozenset(a)))
+              for s in range(1, 6) for a in combinations(range(1, 7), s)]
+             + [(f"random{n}/{seed}", random_cut(n, seed))
+                for n in range(2, 8) for seed in (n, 10 + n)])
+
+
+def _ppt_pair(name, bip):
+    if name == "ame6":
+        g = state_catalog("ame6", 6)
+    else:
+        n, seed = map(int, name[6:].split("/"))
+        g = random_group(n, seed)
+    return (StabilizerModel(g, bip),
+            DenseModel(state_from_group(g), bip, group=g))
+
+
+@pytest.mark.parametrize("name,bip", PPT_CASES)
+def test_stabilizer_ppt_matches_dense(name, bip):
+    fast, slow = _ppt_pair(name, bip)
+    for eps in np.linspace(0, 1, 11):
+        a, b = fast.ppt(eps), slow.ppt(eps)
+        assert abs(float(a.margin) - b.margin) < 1e-12, eps
+        assert a.entangled == b.entangled, eps
+
+
+@pytest.mark.parametrize("name,bip", PPT_CASES[::6])
+def test_stabilizer_ppt_threshold_matches_dense(name, bip):
+    fast, slow = _ppt_pair(name, bip)
+    a = epsilon_max(CriterionSpec("ppt"), fast)
+    b = epsilon_max(CriterionSpec("ppt"), slow)
+    assert abs(a.eps_max - b.eps_max) < 1e-8
+    assert a.never_fired == b.never_fired
+
+
+def test_stabilizer_ppt_past_the_dense_cap():
+    # 14 generators: the character spectrum needs no 2^14 x 2^14 matrix
+    g = state_catalog("ghz", 14)
+    v = StabilizerModel(g, Bipartition(14, frozenset({1, 2, 3}))).ppt(0.1)
+    assert v.entangled
 
 
 # Catalog states and every prefix cut size up to n = 6.
