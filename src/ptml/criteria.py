@@ -4,19 +4,20 @@ Every criterion here is a relaxation of the PPT test: it may only fire on
 NPT states.  Verdicts carry a signed margin (positive = detected) and fire
 when the margin exceeds a decision tolerance.
 
-Criteria accept float64 moments or extended-precision (mpmath) moments from
-module spectra, and each is written once over the scalar type: arithmetic
-runs at the input's precision, and Hankel eigenvalues come from
-np.linalg.eigvalsh for float input and mp.eigsy for mpf input.  The default
-decision tolerance is 1e-10 for float input.  For d-digit input it is
-10^-(d-10): near a threshold the decisive quantities (e.g. the smallest
-Hankel eigenvalue) can sit twelve or more orders below the moment scale, so
-a fixed 1e-10 cutoff would blind the high-precision path exactly where it
-is needed.
+Moments with exact dyadic numerators (the stabilizer model's) are decided
+exactly, with no tolerance.  On the GHZ, dense and global routes each
+criterion is written once over the scalar type: arithmetic runs at the
+input's precision, and Hankel eigenvalues come from np.linalg.eigvalsh for
+float input and mp.eigsy for mpf input.  The default decision tolerance
+there is 1e-10 for float input and 10^-(d-10) for d-digit input: near a
+threshold the decisive quantities (e.g. the smallest Hankel eigenvalue) can
+sit twelve or more orders below the moment scale, so a fixed 1e-10 cutoff
+would blind the high-precision path exactly where it is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,6 +39,18 @@ class Verdict:
     @property
     def status(self) -> str:
         return "Entangled" if self.entangled else "Inconclusive"
+
+
+class DeferredVerdict(Verdict):
+    """An exact verdict whose (margin, witness) = explain() are computed on
+    first read: a threshold search reads only `entangled`."""
+
+    def __init__(self, entangled: bool, explain):
+        object.__setattr__(self, "entangled", entangled)
+        object.__setattr__(self, "_explained", functools.cache(explain))
+
+    margin = property(lambda self: self._explained()[0])
+    witness = property(lambda self: self._explained()[1])
 
 
 @dataclass(frozen=True)
@@ -88,36 +101,75 @@ def hankel_min_eigenvalue(h: HankelMatrix, digits=None):
         return mp.eigsy(mp.matrix(h.entries), eigvals_only=True)[0]
 
 
+def is_psd_exact(rows) -> bool:
+    """Whether a symmetric integer matrix is positive semidefinite, exactly.
+
+    Fraction-free (Bareiss) symmetric elimination with diagonal pivoting:
+    the remaining block is the Schur complement times det M_K > 0 (K the
+    pivots so far), so divisions are exact and a negative diagonal entry
+    rules PSD out; with a zero diagonal, PSD means a zero block.
+    """
+    m = [list(row) for row in rows]
+    live, prev = list(range(len(m))), 1
+    while live:
+        if any(m[i][i] < 0 for i in live):
+            return False
+        k = next((i for i in live if m[i][i]), None)
+        if k is None:
+            return not any(m[i][j] for i in live for j in live)
+        live.remove(k)
+        piv, pivot_row = m[k][k], m[k]
+        for x, i in enumerate(live):
+            row, rik = m[i], m[i][k]
+            for j in live[x:]:
+                row[j] = m[j][i] = (piv * row[j] - rik * pivot_row[j]) // prev
+        prev = piv
+    return True
+
+
 def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
     """Three-moment test: p_l > p_k^x p_m^(1-x) with x = (m-l)/(m-k)
-    certifies a negative PT eigenvalue."""
+    certifies a negative PT eigenvalue.  On exact numerators this is
+    A_l > 0 and A_l^(m-k) > A_k^(m-l) A_m^(l-k): the powers of 2 cancel."""
     if not 1 <= k < l < m <= len(p):
         raise ValueError(f"need 1 <= k < l < m <= {len(p)}, got {(k, l, m)}")
     pk, pl, pm = p.p(k), p.p(l), p.p(m)
     if pk <= 0 or pm <= 0:
         raise ValueError("fractional powers need positive p_k and p_m")
-    if tol is None:
-        tol = default_tol(p.digits)
-    with _arithmetic(p.digits) as one:
-        x = one * (m - l) / (m - k)
-        margin = pl - pk ** x * pm ** (1 - x)
-    return Verdict(margin > tol, margin,
-                   witness={"triple": (k, l, m), "x": x})
+
+    def explain():
+        with _arithmetic(p.digits) as one:
+            x = one * (m - l) / (m - k)
+            return pl - pk ** x * pm ** (1 - x), {"triple": (k, l, m), "x": x}
+
+    if p.exact is not None:
+        ak, al, am = (p.exact[0][i - 1] for i in (k, l, m))
+        return DeferredVerdict(
+            al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k), explain)
+    tol = default_tol(p.digits) if tol is None else tol
+    margin, witness = explain()
+    return Verdict(margin > tol, margin, witness)
 
 
 def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     """Hankel positivity test: a PPT state's moment matrix H_m is PSD, so a
     negative eigenvalue certifies entanglement.  For m=3 this reduces to
-    the p_2^2 > p_3 test."""
+    the p_2^2 > p_3 test.  On exact numerators, congruence by
+    diag(2^(alpha i)) makes H_m a positive multiple of the A_k's Hankel."""
     h = build_hankel(p, m)
-    if tol is None:
-        tol = default_tol(p.digits)
-    min_eig = hankel_min_eigenvalue(h, digits=p.digits)
+
+    def explain():
+        min_eig = hankel_min_eigenvalue(h, digits=p.digits)
+        return -min_eig, {"m": m, "min_eigenvalue": min_eig}
+
+    if p.exact is not None:
+        a, size = p.exact[0], len(h.entries)
+        return DeferredVerdict(
+            not is_psd_exact([a[i:i + size] for i in range(size)]), explain)
+    tol = default_tol(p.digits) if tol is None else tol
     norm = max(max(abs(x) for x in row) for row in h.entries)
-    threshold = tol * max(1, norm)
-    margin = -min_eig
-    return Verdict(min_eig < -threshold, margin,
-                   witness={"m": m, "min_eigenvalue": min_eig})
+    margin, witness = explain()
+    return Verdict(margin > tol * max(1, norm), margin, witness)
 
 
 def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
@@ -125,17 +177,33 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
 
     e_1..e_m follow from the power sums by Newton's identities
         e_j = (1/j) sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i;
-    any e_j < 0 certifies a negative eigenvalue.
+    any e_j < 0 certifies a negative eigenvalue.  On exact numerators the
+    integers F_j = j! 2^(alpha j) e_j follow the same recurrence over ints.
     """
     if not 1 <= m <= len(p):
         raise ValueError(f"need 1 <= m <= {len(p)}")
-    if tol is None:
-        tol = default_tol(p.digits)
-    es = newton_elementary(p, m)
-    margin = max(-e for e in es[1:])
-    worst = min(range(1, m + 1), key=lambda j: es[j])
-    return Verdict(margin > tol, margin,
-                   witness={"elementary": tuple(es[1:]), "worst_j": worst})
+
+    def explain(es):
+        margin = max(-e for e in es[1:])
+        worst = min(range(1, m + 1), key=lambda j: es[j])
+        return margin, {"elementary": tuple(es[1:]), "worst_j": worst}
+
+    if p.exact is not None:
+        nums, alpha, beta = p.exact
+        fs = [1]
+        for j in range(1, m + 1):
+            fs.append(sum((-1) ** (i - 1) * math.perm(j - 1, i - 1) * fs[j - i]
+                          * (nums[i - 1] << -beta) for i in range(1, j + 1)))
+
+        def rounded():
+            with workdps(p.digits):
+                return explain([mp.ldexp(mpf(f) / math.factorial(j), -alpha * j)
+                                for j, f in enumerate(fs)])
+
+        return DeferredVerdict(min(fs) < 0, rounded)
+    tol = default_tol(p.digits) if tol is None else tol
+    margin, witness = explain(newton_elementary(p, m))
+    return Verdict(margin > tol, margin, witness)
 
 
 def newton_elementary(p: MomentVector, m: int) -> list:
@@ -143,10 +211,8 @@ def newton_elementary(p: MomentVector, m: int) -> list:
     with _arithmetic(p.digits) as one:
         es = [one]
         for j in range(1, m + 1):
-            acc = one - one
-            for i in range(1, j + 1):
-                acc += (-1) ** (i - 1) * es[j - i] * p.p(i)
-            es.append(acc / j)
+            es.append(sum(((-1) ** (i - 1) * es[j - i] * p.p(i)
+                           for i in range(1, j + 1)), one - one) / j)
     return es
 
 
@@ -202,25 +268,27 @@ def stieltjes_witness(s: Spectrum, m: int, merge_tol=1e-12) -> list:
     return coeffs + [0] * (size - len(coeffs))
 
 
-def fidelity_criterion(f, bell_pairs: int, tol=None) -> Verdict:
+def fidelity_criterion(f, bell_pairs: int, tol=None, digits=None) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
-    2^-bell_pairs, so with none the criterion certifies nothing."""
+    2^-bell_pairs, so with none the criterion certifies nothing.  digits
+    is the precision of mpf input; float input is judged as float64."""
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
     if tol is None:
-        tol = FLOAT_TOL if isinstance(f, float) else default_tol(mp.dps)
+        tol = default_tol(None if isinstance(f, float) else digits)
     margin = f - 0.5
     return Verdict(bell_pairs >= 1 and margin > tol, margin)
 
 
-def purity_criterion(global_purity, subsystem_purity, tol=None) -> Verdict:
-    """Global purity exceeding a marginal's purity rules out separability."""
+def purity_criterion(global_purity, subsystem_purity, tol=None,
+                     digits=None) -> Verdict:
+    """Global purity exceeding a marginal's purity rules out separability;
+    digits as for fidelity_criterion."""
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
     if tol is None:
-        tol = (FLOAT_TOL if isinstance(global_purity, float)
-               else default_tol(mp.dps))
+        tol = default_tol(None if isinstance(global_purity, float) else digits)
     margin = global_purity - subsystem_purity
     return Verdict(margin > tol, margin)
 

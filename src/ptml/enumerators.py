@@ -27,11 +27,10 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .pauli import (Bipartition, StabilizerGroup, enumerate_group,
                     state_catalog, theta, weight)
-from .spectra import _binary
+from .spectra import _binary, round_dyadic
 
 BRUTEFORCE_BUDGET = 1 << 26
 CHARACTER_QUBIT_CAP = 14
@@ -101,6 +100,10 @@ class CharacterPolynomials:
     n: int
     plus_set: tuple
     minus_set: tuple
+
+    @functools.cached_property
+    def pairings(self) -> tuple:  # built once, read for every k
+        return _mirror_pairs(self.plus_set), _mirror_pairs(self.minus_set)
 
 
 def _num(v, like):
@@ -462,29 +465,35 @@ def character_polys(g: StabilizerGroup, bip: Bipartition,
     return CharacterPolynomials(n, collect(plus_hat), collect(minus_hat))
 
 
-def _power_sum(polys, k: int, length: int) -> list:
+def _mirror_pairs(polys) -> tuple:
+    """(whole, paired): one of each P(z), P(-z) of equal mult is paired."""
+    whole, paired, left = [], [], dict(polys)
+    for p, m in polys:
+        if left.pop(p, None) is None:
+            continue  # the mirror of an earlier polynomial
+        mirror = tuple(c if w % 2 == 0 else -c for w, c in enumerate(p))
+        if left.get(mirror) == m:
+            paired.append((p, left.pop(mirror)))
+        else:
+            whole.append((p, m))
+    return tuple(whole), tuple(paired)
+
+
+def _power_sum(polys, k: int, length: int, pairs=None) -> list:
     """Coefficients z^0..z^(length-1) of sum_i mult_i P_i(z)^k for distinct
     P_i, exactly: each P_i(2^B) is one int, powered and summed in C, and B
     has a sign bit and a spare bit above sum_i mult_i ||P_i||_1^k, which
     bounds every coefficient, so balanced base-2^B digits cannot carry.
     P(z) and P(-z) of equal multiplicity (in a character set, all of them:
-    weight parity is a character) cost one power, as twice the even part.
+    weight parity is a character) cost one power, as twice the even part;
+    pairs is _mirror_pairs(polys), when the caller has it already.
     """
     bits = sum(m * sum(map(abs, p)) ** k for p, m in polys).bit_length() + 2
     width = max(len(p) for p, _ in polys)
     shifts = [w * bits for w in range(width)]
-    signs = [(-1) ** w for w in range(width)]
-    whole = paired = 0
-    left = dict(polys)
-    for p, m in polys:
-        if left.pop(p, None) is None:
-            continue  # the mirror of an earlier polynomial
-        term = m * sum(map(operator.lshift, p, shifts)) ** k
-        if left.get(mirror := tuple(map(operator.mul, p, signs))) == m:
-            del left[mirror]
-            paired += term
-        else:
-            whole += term
+    whole, paired = (sum(m * sum(map(operator.lshift, p, shifts)) ** k
+                         for p, m in part)
+                     for part in pairs or _mirror_pairs(polys))
     half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
     for w in range(length):
         a, b = ((whole + half) & mask) - half, ((paired + half) & mask) - half
@@ -512,15 +521,15 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     size = sum(m for _, m in chars.plus_set)
     wmax = n * k
 
-    def combine(charset):
-        tot = _power_sum(charset, k, wmax + 1)
+    def combine(charset, pairs):
+        tot = _power_sum(charset, k, wmax + 1, pairs)
         if any(c % size for c in tot):
             raise ValueError("character inversion is not integral; "
                              "group tables are inconsistent")
         return [c // size for c in tot]
 
-    spoly = combine(chars.plus_set)
-    dpoly = combine(chars.minus_set)
+    spoly = combine(chars.plus_set, chars.pairings[0])
+    dpoly = combine(chars.minus_set, chars.pairings[1])
     cplus = {}
     cminus = {}
     for w in range(wmax + 1):
@@ -537,10 +546,10 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     return CWTable(n, k, bip, cplus, cminus)
 
 
-def dyadic_poly_value(coeffs, eps, shift: int, prec: int) -> mpf:
-    """sum_w coeffs[w] (1-eps)^w / 2^shift rounded once to prec bits: 1 - eps
+def dyadic_numerator(coeffs, eps) -> tuple:
+    """(A, f) with sum_w coeffs[w] (1-eps)^w = A / 2^(f deg) exactly: 1 - eps
     is exactly a / 2^f (from eps's mantissa and exponent), so Horner's rule
-    over ints gives the exact numerator."""
+    over ints gives the numerator A."""
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     _, man, exp, _ = _binary(eps)
@@ -549,8 +558,13 @@ def dyadic_poly_value(coeffs, eps, shift: int, prec: int) -> mpf:
     acc = 0
     for j, c in enumerate(reversed(coeffs)):
         acc = acc * a + (c << f * j)
-    exp = -(f * (len(coeffs) - 1) + shift)
-    return mp.make_mpf(from_man_exp(acc, exp, prec, round_nearest))
+    return acc, f
+
+
+def dyadic_poly_value(coeffs, eps, shift: int, prec: int) -> mpf:
+    """sum_w coeffs[w] (1-eps)^w / 2^shift rounded once to prec bits."""
+    acc, f = dyadic_numerator(coeffs, eps)
+    return round_dyadic(acc, -(f * (len(coeffs) - 1) + shift), prec)
 
 
 def noisy_pt_moment(table, eps):

@@ -59,11 +59,13 @@ class MomentVector:
     """PT moments p_1..p_m, optionally with Schatten variants ptilde_k.
 
     digits records the working precision (None means float64 arithmetic).
+    exact holds (A, alpha, beta) for dyadic p_k = A_k / 2^(alpha k + beta).
     """
 
     values: tuple
     schatten: tuple = None
     digits: int = None
+    exact: tuple = None
 
     def __len__(self):
         return len(self.values)
@@ -233,7 +235,11 @@ def _round_dyadic_sum(terms: list, prec: int):
         merged = [(m1 + (m2 << (e2 - e1)), e1)
                   for (m1, e1), (m2, e2) in zip(terms[::2], terms[1::2])]
         terms = merged + terms[len(merged) * 2:]
-    man, exp = terms[0]
+    return round_dyadic(*terms[0], prec)
+
+
+def round_dyadic(man: int, exp: int, prec: int):
+    """man * 2^exp rounded once to prec bits."""
     return mp.make_mpf(from_man_exp(man, exp, prec, round_nearest))
 
 

@@ -15,9 +15,9 @@ cut), and make_model is the one dispatch from (state, noise, cut) to model:
   GHZModel          local noise, GHZ on the balanced cut (even n): PT
                     moments and the PPT verdict in closed form, at a cost
                     independent of n, in extended precision.
-  StabilizerModel   local noise, any stabilizer state and cut: moments and
-                    the PPT spectrum from exact character-transformed
-                    weight enumerators.
+  StabilizerModel   local noise, any stabilizer state and cut: exact
+                    moments, moment verdicts and PPT spectrum from the
+                    character-transformed weight enumerators.
   GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
                     and the Bell pair count, so everything is a closed form
                     at any n.
@@ -54,9 +54,9 @@ from .enumerators import (
     _one_like,
     cw_fourier,
     character_polys,
+    dyadic_numerator,
     dyadic_poly_value,
     fidelity_from_enumerators,
-    noisy_pt_moment,
     noisy_purity,
     sl_enumerators,
     stab_subsystem_purity,
@@ -68,6 +68,7 @@ from .spectra import (
     Spectrum,
     ghz_local_moments,
     moments_from_spectrum,
+    round_dyadic,
     stab_global_spectrum,
 )
 
@@ -209,10 +210,11 @@ class GHZModel:
 class StabilizerModel:
     """Locally depolarized stabilizer state, one fixed bipartition.
 
-    Moments come from the character-transformed weight enumerators and are
-    exact polynomials in (1-eps), rounded once.  The PT spectrum is
-    P_i(1-eps) / 2^n with multiplicity mult_i over the minus-set character
-    polynomials, so the PPT boundary is a root of min_i P_i(1-eps).
+    Moments are exact polynomials in (1-eps) from the character-transformed
+    weight enumerators, returned with their integer numerators at a binary
+    eps, so moment criteria decide exactly.  The PT spectrum is P_i(1-eps) /
+    2^n with multiplicity mult_i over the minus-set character polynomials,
+    so the PPT boundary is a root of min_i P_i(1-eps).
     """
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
@@ -237,15 +239,14 @@ class StabilizerModel:
         return self._tables[k]
 
     def moments(self, eps, m_max: int) -> MomentVector:
-        # Exact integer tables evaluated at extended precision: float
-        # tolerances would blind the larger Hankel tests right below the
-        # PPT threshold, where their margins sit many orders beneath 1e-10.
         digits = max(self.digits, _order_digits(m_max))
-        with workdps(digits):
-            e = mpf(eps)
-            vals = tuple(noisy_pt_moment(self._table(k), e)
-                         for k in range(1, m_max + 1))
-        return MomentVector(vals, digits=digits)
+        nums, fs = zip(*(dyadic_numerator(self._table(k)._difference, eps)
+                         for k in range(1, m_max + 1)))
+        n, prec = self.g.n, dps_to_prec(digits)
+        alpha = (fs[0] + 1) * n
+        vals = tuple(round_dyadic(a, n - alpha * k, prec)
+                     for k, a in enumerate(nums, 1))
+        return MomentVector(vals, digits=digits, exact=(nums, alpha, -n))
 
     def ppt(self, eps) -> criteria.Verdict:
         prec = dps_to_prec(self.digits)
@@ -393,12 +394,11 @@ def evaluate(spec: CriterionSpec, model, eps) -> criteria.Verdict:
     if spec.kind == "ppt":
         return model.ppt(eps)
     if spec.kind == "fidelity":
-        return criteria.fidelity_criterion(model.fidelity(eps),
-                                           model.bell_pairs)
+        return criteria.fidelity_criterion(
+            model.fidelity(eps), model.bell_pairs, digits=model.digits)
     if spec.kind == "purity":
-        # mpf purities are compared at the model's precision and tolerance
-        with workdps(model.digits or mp.dps):
-            return criteria.purity_criterion(*model.purities(eps))
+        return criteria.purity_criterion(*model.purities(eps),
+                                         digits=model.digits)
     p = model.moments(eps, spec.max_order)
     if spec.kind == "stieltjes":
         return criteria.stieltjes(p, spec.m)

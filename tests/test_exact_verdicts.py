@@ -1,0 +1,255 @@
+"""Exact verdicts on dyadic moment numerators (the stabilizer model's route),
+checked against brute-force minors, the mpf route and the PPT verdict."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mpf
+
+from ptml import criteria
+from ptml.cli import main
+from ptml.criteria import (default_tol, descartes, fidelity_criterion,
+                           is_psd_exact, klm_ppt, purity_criterion,
+                           stieltjes)
+from ptml.pauli import Bipartition, state_catalog
+from ptml.spectra import MomentVector
+from ptml.thresholds import CriterionSpec, StabilizerModel, epsilon_max
+from stabilizers import random_cut, random_group
+
+
+def _det(rows):
+    """Determinant over Fractions by Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _psd_by_minors(rows):
+    """PSD exactly when every principal minor is nonnegative."""
+    size = len(rows)
+    return all(_det([[rows[i][j] for j in idx] for i in idx]) >= 0
+               for r in range(1, size + 1)
+               for idx in itertools.combinations(range(size), r))
+
+
+def _gram(terms, size):
+    """sum_t c_t v_t v_t^T over integer vectors v_t and integer weights c_t."""
+    m = [[0] * size for _ in range(size)]
+    for c, v in terms:
+        for i in range(size):
+            for j in range(size):
+                m[i][j] += c * v[i] * v[j]
+    return m
+
+
+def _hankel(moments, size):
+    return [list(moments[i:i + size]) for i in range(size)]
+
+
+# ------------------------------------------------------- integer PSD test
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([], True),
+    ([[0]], True),
+    ([[-1]], False),
+    ([[3]], True),
+    ([[0, 0], [0, 0]], True),
+    ([[0, 1], [1, 0]], False),              # zero diagonal, nonzero block
+    ([[1, 2], [2, 4]], True),               # rank 1
+    ([[1, 2], [2, 3]], False),
+    ([[4, 0, 2], [0, 0, 0], [2, 0, 1]], True),   # singular, zero row inside
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 0]], True),   # rank 1 with zero block
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 0]], False),  # zero diagonal after a pivot
+    ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], True),
+])
+def test_is_psd_exact_cases(rows, want):
+    assert is_psd_exact(rows) is want
+    assert _psd_by_minors(rows) is want
+
+
+vectors = st.lists(st.integers(-3, 3), min_size=5, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 5),
+       terms=st.lists(st.tuples(st.sampled_from([-1, 1, 1, 2]), vectors),
+                      max_size=4))
+def test_is_psd_exact_matches_minors_on_gram_matrices(size, terms):
+    # sums of few rank-one terms: singular PSD, rank 1 and zero blocks are
+    # common, and a negative weight makes an indefinite matrix
+    m = _gram([(c, v[:size]) for c, v in terms], size)
+    assert is_psd_exact(m) == _psd_by_minors(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 5),
+       entries=st.lists(st.integers(-4, 4), min_size=15, max_size=15))
+def test_is_psd_exact_matches_minors_on_symmetric_matrices(size, entries):
+    it = iter(entries)
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = next(it)
+    assert is_psd_exact(m) == _psd_by_minors(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 4),
+       spectrum=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+                         min_size=1, max_size=5))
+def test_is_psd_exact_matches_minors_on_hankel_matrices(size, spectrum):
+    # H_ij = sum_s mu_s lambda_s^(i+j+1): rank at most the number of
+    # distinct lambda, PSD exactly when none of them is negative
+    moments = [sum(mu * lam ** k for lam, mu in spectrum)
+               for k in range(1, 2 * size)]
+    h = _hankel(moments, size)
+    assert is_psd_exact(h) == _psd_by_minors(h)
+    if len({lam for lam, _ in spectrum if lam}) <= size:
+        assert is_psd_exact(h) == all(lam >= 0 for lam, _ in spectrum)
+
+
+def test_is_psd_exact_random_large_entries():
+    rng = random.Random(7)
+    for _ in range(40):
+        size = rng.randrange(1, 6)
+        terms = [(rng.choice((-1, 1, 1)),
+                  [rng.randrange(-2 ** 40, 2 ** 40) for _ in range(size)])
+                 for _ in range(rng.randrange(0, size + 1))]
+        m = _gram(terms, size)
+        assert is_psd_exact(m) == _psd_by_minors(m)
+
+
+# ---------------------------------------- exact route against the mpf route
+
+
+def _rounded(p: MomentVector) -> MomentVector:
+    """The same moments without their numerators: the mpf route."""
+    return MomentVector(p.values, digits=p.digits)
+
+
+def _clears(margin, tol):
+    return abs(margin) > 10 * tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
+       eps=st.floats(0, 1))
+def test_exact_verdicts_match_mpf_where_decisive(n, seed, eps):
+    model = StabilizerModel(random_group(n, seed), random_cut(n, seed))
+    p = model.moments(eps, 9)
+    q = _rounded(p)
+    assert p.exact is not None and q.exact is None
+    tol = default_tol(p.digits)
+    for m in (3, 5, 7, 9):
+        exact, approx = stieltjes(p, m), stieltjes(q, m)
+        norm = max(abs(x) for x in p.values[:m])
+        if _clears(approx.margin, tol * max(1, norm)):
+            assert exact.entangled == approx.entangled, ("stieltjes", m, eps)
+        assert exact.margin == approx.margin
+    for m in range(1, 10):
+        exact, approx = descartes(p, m), descartes(q, m)
+        if _clears(approx.margin, tol):
+            assert exact.entangled == approx.entangled, ("descartes", m, eps)
+        # the mpf route rounds its margin to the ambient 53 bits
+        assert (abs(exact.margin - approx.margin)
+                <= 1e-15 * max(1, abs(approx.margin)))
+    if all(v > 0 for v in p.values):
+        for k, l, m in ((1, 2, 3), (3, 4, 5), (7, 8, 9), (3, 6, 7)):
+            exact, approx = klm_ppt(p, k, l, m), klm_ppt(q, k, l, m)
+            if _clears(approx.margin, tol):
+                assert exact.entangled == approx.entangled, ("klm", k, l, m)
+            assert exact.margin == approx.margin
+
+
+@pytest.mark.parametrize("name,n,eps", [("ame6", 6, 1.0), ("ghz", 5, 1.0),
+                                        ("zero", 4, 0.0), ("zero", 4, 0.5)])
+def test_equality_cases_are_not_detected(name, n, eps):
+    # a flat PT spectrum (eps = 1) or a product state makes klm hold with
+    # equality and H_m rank one; an exact decision must not fire on either
+    p = StabilizerModel(state_catalog(name, n),
+                        Bipartition(n, frozenset({1, 2}))).moments(eps, 9)
+    for k, l, m in itertools.combinations(range(1, 10), 3):
+        assert not klm_ppt(p, k, l, m).entangled, (k, l, m)
+    assert not any(stieltjes(p, m).entangled for m in (3, 5, 7, 9))
+    assert not any(descartes(p, m).entangled for m in range(1, 10))
+
+
+# ------------------------------------------- ame6 3|3 at high Hankel order
+
+
+AME6_33 = StabilizerModel(state_catalog("ame6", 6),
+                          Bipartition(6, frozenset({1, 2, 3})))
+
+
+@pytest.mark.parametrize("m", [15, 29])
+def test_ame6_high_order_stieltjes_is_ppt(m):
+    # at most four distinct PT eigenvalues: H_m is singular for every eps
+    # and PSD exactly when the PT spectrum is, with no tolerance deciding
+    grid = [i / 63 for i in range(64)] + [0.4000733, 0.4000734, 0.45, 0.7]
+    for eps in grid:
+        v = stieltjes(AME6_33.moments(eps, m), m)
+        assert v.entangled == AME6_33.ppt(eps).entangled, eps
+    assert stieltjes(AME6_33.moments(0.0, m), m).entangled
+    assert not stieltjes(AME6_33.moments(1.0, m), m).entangled
+
+
+def test_exact_threshold_needs_no_eigenvalues(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mp.eigsy on the exact route")
+
+    monkeypatch.setattr(criteria, "hankel_min_eigenvalue", forbidden)
+    res = epsilon_max(CriterionSpec.parse("stieltjes:15"), AME6_33)
+    assert abs(res.eps_max - 0.400073355152) <= res.bracket
+    with pytest.raises(AssertionError):
+        stieltjes(AME6_33.moments(0.3, 15), 15).margin
+
+
+def test_deferred_margin_is_computed_once(monkeypatch):
+    calls = []
+    real = criteria.hankel_min_eigenvalue
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "hankel_min_eigenvalue", counted)
+    v = stieltjes(AME6_33.moments(0.3, 15), 15)
+    assert calls == []
+    assert v.margin == -v.witness["min_eigenvalue"] > 0
+    assert len(calls) == 1
+
+
+def test_criterion_cli_prints_the_mpf_margin(capsys):
+    code = main(["criterion", "--name", "stieltjes:15", "--state", "ame6",
+                 "--bip-size", "3", "--noise", "local:0.3"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.strip() == "Entangled margin=0.00145117560836"
+
+
+# ------------------------------------------------ scalar criteria digits
+
+
+def test_scalar_criteria_take_their_precision_as_an_argument():
+    g, s = mpf("0.5") + mpf("1e-7"), mpf("0.5")
+    assert purity_criterion(float(g), float(s)).entangled
+    assert purity_criterion(g, s, digits=60).entangled
+    assert fidelity_criterion(g, 1, digits=60).entangled
+    # float input keeps the float64 tolerance whatever the digits say
+    assert not purity_criterion(0.5 + 1e-12, 0.5, digits=60).entangled
