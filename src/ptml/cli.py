@@ -94,9 +94,7 @@ def _parse_bip(n: int, bip: str, bip_size: int) -> Bipartition:
         if not 1 <= bip_size <= n - 1:
             raise ValueError("--bip-size must lie in 1..n-1")
         return Bipartition(n, frozenset(range(1, bip_size + 1)))
-    if n % 2:
-        raise ValueError("no default bipartition for odd n; pass --bip")
-    return Bipartition(n, frozenset(range(1, n // 2 + 1)))
+    return Bipartition.balanced(n)
 
 
 def _parse_noise(text: str) -> tuple:
@@ -401,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--criterion", required=True)
     _add_state_opts(sub, noise=False)
     sub.add_argument("--model", default=None,
-                     choices=("dense", "analytic_spectrum", "enumerator"))
+                     choices=("dense", "enumerator"),
+                     help="force a reference route (default: by state, noise)")
     sub.add_argument("--tol", type=float, default=1e-9)
     sub.add_argument("--strict", action="store_true",
                      help="refuse non-monotone pre-scans")

@@ -43,13 +43,19 @@ class Verdict:
 
 class DeferredVerdict(Verdict):
     """An exact verdict whose (margin, witness) = explain() are computed on
-    first read: a threshold search reads only `entangled`."""
+    first read: a threshold search reads only `entangled`.  A rounded margin
+    whose sign contradicts the exact verdict reads 0; the witness keeps the
+    raw value."""
 
     def __init__(self, entangled: bool, explain):
         object.__setattr__(self, "entangled", entangled)
         object.__setattr__(self, "_explained", functools.cache(explain))
 
-    margin = property(lambda self: self._explained()[0])
+    @property
+    def margin(self):
+        m = self._explained()[0]
+        return m if (m > 0) == self.entangled else type(m)(0)
+
     witness = property(lambda self: self._explained()[1])
 
 
@@ -268,27 +274,24 @@ def stieltjes_witness(s: Spectrum, m: int, merge_tol=1e-12) -> list:
     return coeffs + [0] * (size - len(coeffs))
 
 
-def fidelity_criterion(f, bell_pairs: int, tol=None, digits=None) -> Verdict:
+def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
     2^-bell_pairs, so with none the criterion certifies nothing.  digits
     is the precision of mpf input; float input is judged as float64."""
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
-    if tol is None:
-        tol = default_tol(None if isinstance(f, float) else digits)
+    tol = default_tol(None if isinstance(f, float) else digits)
     margin = f - 0.5
     return Verdict(bell_pairs >= 1 and margin > tol, margin)
 
 
-def purity_criterion(global_purity, subsystem_purity, tol=None,
-                     digits=None) -> Verdict:
+def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
     digits as for fidelity_criterion."""
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
-    if tol is None:
-        tol = default_tol(None if isinstance(global_purity, float) else digits)
+    tol = default_tol(None if isinstance(global_purity, float) else digits)
     margin = global_purity - subsystem_purity
     return Verdict(margin > tol, margin)
 

@@ -253,18 +253,13 @@ def noisy_purity(a: SLVector, eps):
     return _decayed(a.values, (one - eps) ** 2, one)
 
 
-def rains_subsystem_purity(a: SLVector, eps, s: int = None):
+def rains_subsystem_purity(a: SLVector, eps, s: int):
     """Average purity over all size-s marginals of the depolarized state.
 
-    Defaults to the balanced cut s = n/2 (even n required there).  A
-    weight-i Pauli fits inside C(n-i, s-i) of the C(n,s) subsystems, hence
+    A weight-i Pauli fits inside C(n-i, s-i) of the C(n,s) subsystems, hence
     the reweighting of a_i; the 2^{n-s} restores the marginal trace scale.
     """
     n = a.n
-    if s is None:
-        if n % 2:
-            raise ValueError("balanced cut needs even n; pass s explicitly")
-        s = n // 2
     if not 0 <= s <= n:
         raise ValueError("subsystem size out of range")
     one = _one_like(eps)
@@ -561,12 +556,6 @@ def dyadic_numerator(coeffs, eps) -> tuple:
     return acc, f
 
 
-def dyadic_poly_value(coeffs, eps, shift: int, prec: int) -> mpf:
-    """sum_w coeffs[w] (1-eps)^w / 2^shift rounded once to prec bits."""
-    acc, f = dyadic_numerator(coeffs, eps)
-    return round_dyadic(acc, -(f * (len(coeffs) - 1) + shift), prec)
-
-
 def noisy_pt_moment(table, eps):
     """p_k of the depolarized partial transpose from an enumerator table.
 
@@ -578,8 +567,10 @@ def noisy_pt_moment(table, eps):
         raise ValueError("eps must lie in [0, 1]")
     if isinstance(table, CWTable):
         wide = isinstance(eps, mpf)
-        v = dyadic_poly_value(table._difference, eps,
-                              table.n * (table.k - 1), mp.prec if wide else 53)
+        acc, f = dyadic_numerator(table._difference, eps)
+        v = round_dyadic(acc, -(f * (len(table._difference) - 1)
+                                + table.n * (table.k - 1)),
+                         mp.prec if wide else 53)
         return v if wide else float(v)
     if isinstance(table, QWETable):
         q = 1.0 - float(eps)

@@ -73,6 +73,12 @@ class Bipartition:
             m |= 1 << (a - 1)
         return m
 
+    @classmethod
+    def balanced(cls, n: int) -> "Bipartition":
+        if n % 2:
+            raise ValueError("no default bipartition for odd n; pass a cut")
+        return cls(n, frozenset(range(1, n // 2 + 1)))
+
     def complement(self) -> "Bipartition":
         return Bipartition(self.n, frozenset(range(1, self.n + 1)) - self.a_set)
 

@@ -1,7 +1,7 @@
 """Closed-form partial-transpose spectra and high-precision moments.
 
-For locally depolarized GHZ states on a balanced cut and globally
-depolarized stabilizer states the PT spectrum is known in closed form, with
+For locally depolarized GHZ states on any cut and globally depolarized
+stabilizer states the PT spectrum is known in closed form, with
 exact integer multiplicities.  This module evaluates those spectra at
 arbitrary decimal precision (mpmath) so that moment power sums stay
 meaningful at large n, where binomial multiplicities around 10^88 multiply
@@ -84,74 +84,84 @@ class MomentVector:
         return self.schatten[k - 1]
 
 
-def ghz_local_spectrum(n: int, eps, digits: int = DEFAULT_DIGITS) -> Spectrum:
-    """PT spectrum of the locally depolarized n-qubit GHZ state, balanced cut.
+def ghz_pair(n: int, a: int, e) -> tuple:
+    """(d, g) of the isolated PT eigenvalue pair d +- g of the locally
+    depolarized GHZ state, a = |A| qubits on side A, at mpf noise rate e.
 
-    Eigenvalues: for j = 0..n,
-        lambda_j = ((1-e/2)^(n-j) (e/2)^j + (1-e/2)^j (e/2)^(n-j)) / 2
-    with multiplicity C(n,j) - 2*delta_{j,n/2}, plus the isolated pair
-        lambda_pm = ((1-e/2)(e/2))^(n/2) +- (1-e)^n / 2
-    with multiplicity 1 each.  Valid for even n only.
+    The PT moves the coherence g = (1-e)^n / 2 onto 1_A 0_B and 0_A 1_B,
+    whose population is d = (u^(n-a) v^a + u^a v^(n-a)) / 2, u = 1 - e/2,
+    v = e/2, formed as (uv)^s (u^(n-2s) + v^(n-2s)) / 2, s = min(a, n - a):
+    at s = n/2 the bracket is exactly 2, so d is exactly (uv)^(n/2).
     """
-    if n % 2 or n < 2:
-        raise ValueError("closed-form GHZ spectrum requires even n >= 2")
-    if not 0 <= float(eps) <= 1:
+    if n < 2 or not 0 <= a <= n:
+        raise ValueError(f"GHZ needs n >= 2 and a cut size in 0..{n}")
+    if not 0 <= e <= 1:
         raise ValueError("eps must lie in [0, 1]")
+    u, v, s = 1 - e / 2, e / 2, min(a, n - a)
+    return ((u * v) ** s * (u ** (n - 2 * s) + v ** (n - 2 * s)) / 2,
+            (1 - e) ** n / 2)
+
+
+def ghz_local_spectrum(n: int, eps, digits: int = DEFAULT_DIGITS,
+                       a: int = None) -> Spectrum:
+    """PT spectrum of the locally depolarized n-qubit GHZ state across a cut
+    with a = |A| qubits on side A (default n // 2).
+
+    With u = 1-e/2 and v = e/2 the eigenvalues are, for j = 0..n,
+        lambda_j = (u^(n-j) v^j + u^j v^(n-j)) / 2
+    with multiplicity C(n,j) - delta_{j,a} - delta_{j,n-a}, plus the
+    isolated pair d +- g of ghz_pair (d = lambda_a), multiplicity 1 each.
+    """
+    a = n // 2 if a is None else a
     with workdps(digits):
         e = mpf(eps)
-        u = 1 - e / 2
-        v = e / 2
+        cross, gap = ghz_pair(n, a, e)
+        u, v = 1 - e / 2, e / 2
         entries = []
         for j in range(n + 1):
             lam = (u ** (n - j) * v ** j + u ** j * v ** (n - j)) / 2
-            mu = math.comb(n, j) - (2 if j == n // 2 else 0)
+            mu = math.comb(n, j) - (j == a) - (j == n - a)
             entries.append((lam, mu))
-        cross = (u * v) ** (n // 2)
-        gap = (1 - e) ** n / 2
-        entries.append((cross + gap, 1))
-        entries.append((cross - gap, 1))
+        entries += [(cross + gap, 1), (cross - gap, 1)]
     return Spectrum(tuple(entries), digits=digits)
 
 
 def ghz_local_moments(n: int, eps, m_max: int,
-                      digits: int = DEFAULT_DIGITS) -> MomentVector:
-    """PT moments of the locally depolarized GHZ state, balanced cut, in
-    closed form: O(m_max^2) mpf operations, independent of n.
+                      digits: int = DEFAULT_DIGITS,
+                      a: int = None) -> MomentVector:
+    """PT moments of the locally depolarized GHZ state across a cut with
+    a = |A| qubits on side A (default n // 2), in closed form: O(m_max^2)
+    mpf operations, independent of n.
 
     Expanding the spectrum of ghz_local_spectrum binomially, with
-    u = 1 - e/2, v = e/2, c = (uv)^(n/2) and g = (1-e)^n / 2,
+    u = 1 - e/2, v = e/2 and the isolated pair d +- g of ghz_pair,
 
         p_k = 2^-k sum_{t=0..k} C(k,t) (u^t v^(k-t) + u^(k-t) v^t)^n
-              + 2 sum_{even i >= 2} C(k,i) c^(k-i) g^i.
+              + 2 sum_{even i >= 2} C(k,i) d^(k-i) g^i.
 
-    Only the isolated eigenvalue c - g can be negative, so the Schatten sum
-    is ptilde_k = p_k + 2 (g - c)^k for odd k when g > c, else p_k.  Every
+    The cut moves only d; the band sum is the same on every cut.  Only the
+    isolated eigenvalue d - g can be negative, so the Schatten sum is
+    ptilde_k = p_k + 2 (g - d)^k for odd k when g > d, else p_k.  Every
     term is nonnegative, so nothing cancels; the sums are formed with guard
     digits (the n-th powers amplify the base's rounding error n-fold) and
     rounded once to digits.
     """
-    if n % 2 or n < 2:
-        raise ValueError("closed-form GHZ moments require even n >= 2")
-    if not 0 <= float(eps) <= 1:
-        raise ValueError("eps must lie in [0, 1]")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     with workdps(digits + 10 + len(str(n))):
         e = mpf(eps)
-        u = 1 - e / 2
-        v = e / 2
-        c = (u * v) ** (n // 2)
-        g = (1 - e) ** n / 2
+        d, g = ghz_pair(n, n // 2 if a is None else a, e)
+        u, v = 1 - e / 2, e / 2
         p, pt = [], []
         for k in range(1, m_max + 1):
             band = sum(math.comb(k, t) * (u ** t * v ** (k - t)
                                           + u ** (k - t) * v ** t) ** n
                        for t in range(k + 1)) / 2 ** k
-            pair = 2 * sum(math.comb(k, i) * c ** (k - i) * g ** i
+            pair = 2 * sum(math.comb(k, i) * d ** (k - i) * g ** i
                            for i in range(2, k + 1, 2))
             pk = band + pair
             p.append(pk)
-            pt.append(pk + 2 * (g - c) ** k if k % 2 and g > c else pk)
+            pt.append(pk + 2 * (g - d) ** k if k % 2 and g > d else pk)
     with workdps(digits):
         return MomentVector(tuple(+x for x in p), tuple(+x for x in pt),
                             digits=digits)

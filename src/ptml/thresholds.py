@@ -12,11 +12,12 @@ Four state models share one protocol (describe, moments, ppt, fidelity,
 purities, and bell_pairs, the Bell pairs the pure state holds across the
 cut), and make_model is the one dispatch from (state, noise, cut) to model:
 
-  GHZModel          local noise, GHZ on the balanced cut (even n): PT
-                    moments and the PPT verdict in closed form, at a cost
+  GHZModel          local noise, GHZ on any cut and any n: PT moments
+                    and the PPT verdict in closed form, at a cost
                     independent of n, in extended precision.
-  StabilizerModel   local noise, any stabilizer state and cut: exact
-                    moments, moment verdicts and PPT spectrum from the
+  StabilizerModel   local noise, any stabilizer state and cut (model
+                    "enumerator" for GHZ, as its oracle): exact moments
+                    and exact moment and PPT verdicts from the
                     character-transformed weight enumerators.
   GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
                     and the Bell pair count, so everything is a closed form
@@ -31,6 +32,7 @@ rows ready for CSV serialization.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +57,6 @@ from .enumerators import (
     cw_fourier,
     character_polys,
     dyadic_numerator,
-    dyadic_poly_value,
     fidelity_from_enumerators,
     noisy_purity,
     sl_enumerators,
@@ -67,6 +68,7 @@ from .spectra import (
     MomentVector,
     Spectrum,
     ghz_local_moments,
+    ghz_pair,
     moments_from_spectrum,
     round_dyadic,
     stab_global_spectrum,
@@ -156,38 +158,43 @@ class CriterionSpec:
         raise ValueError(f"unknown criterion {text!r}")
 
 
+def _cut_label(bip: Bipartition) -> str:
+    return ",".join(str(q) for q in sorted(bip.a_set))
+
+
 class GHZModel:
-    """Locally depolarized GHZ state across the balanced cut, closed form."""
+    """Locally depolarized GHZ state across any cut (default balanced),
+    closed form."""
 
     bell_pairs = 1
 
-    def __init__(self, n: int, digits: int = None):
-        if n % 2 or n < 2:
-            raise ValueError("GHZ model needs even n >= 2")
+    def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
+        self.bip = Bipartition.balanced(n) if bip is None else bip
+        self.a = len(self.bip.a_set)
+        if not 1 <= self.a <= n - 1:
+            raise ValueError("GHZ model needs a cut with 1 <= |A| <= n-1")
         self.n = n
         self.digits = DEFAULT_DIGITS if digits is None else digits
 
     def describe(self) -> str:
-        return f"ghz n={self.n} cut=balanced"
+        cut = "balanced" if 2 * self.a == self.n else _cut_label(self.bip)
+        return f"ghz n={self.n} cut={cut}"
 
     def moments(self, eps, m_max: int) -> MomentVector:
         return ghz_local_moments(self.n, eps, m_max,
-                                 max(self.digits, _order_digits(m_max)))
+                                 max(self.digits, _order_digits(m_max)),
+                                 a=self.a)
 
     def ppt(self, eps) -> criteria.Verdict:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
-        # verdict rests on the isolated pair c +- g.  Near the threshold at
-        # large n, c - g sits far below any absolute tolerance (about
-        # 1e-63 at n = 200), so the decision is relative to c.
-        if not 0 <= float(eps) <= 1:
-            raise ValueError("eps must lie in [0, 1]")
+        # verdict rests on the isolated pair d +- g.  Near the threshold at
+        # large n, d - g sits far below any absolute tolerance (about
+        # 1e-63 at n = 200), so the decision is relative to d.
         with workdps(self.digits):
-            e = mpf(eps)
-            c = ((1 - e / 2) * e / 2) ** (self.n // 2)
-            g = (1 - e) ** self.n / 2
+            d, g = ghz_pair(self.n, self.a, mpf(eps))
             return criteria.Verdict(
-                g - c > criteria.default_tol(self.digits) * c, g - c,
-                witness={"min_eigenvalue": c - g})
+                g - d > criteria.default_tol(self.digits) * d, g - d,
+                witness={"min_eigenvalue": d - g})
 
     def fidelity(self, eps):
         # sum_i a_i (1-eps)^i: even-weight Z-type binomials plus 2^(n-1)
@@ -196,9 +203,10 @@ class GHZModel:
         return (((1 + q) / 2) ** n + ((1 - q) / 2) ** n + q ** n) / 2
 
     def purities(self, eps):
-        # Global and n/2-qubit marginal purity (the Rains average at s = n/2)
-        # in closed form, r = (1-eps)^2; mpf, as the former reaches 2^-n.
-        n, s = self.n, self.n // 2
+        # Global and |A|-qubit marginal purity in closed form, r = (1-eps)^2;
+        # mpf, as the former reaches 2^-n.  For 1 <= |A| <= n-1 the marginal
+        # is the dephased mixture of 0..0 and 1..1.
+        n, s = self.n, self.a
         with workdps(self.digits + 10 + len(str(n))):
             r = (1 - mpf(eps)) ** 2
             pair = (mp.ldexp((1 + r) ** n + (1 - r) ** n + (2 * r) ** n, -n - 1),
@@ -225,18 +233,12 @@ class StabilizerModel:
         self.digits = DEFAULT_DIGITS if digits is None else digits
         self.bell_pairs = bell_pair_rank(g, bip)
         self.sl = sl_enumerators(g)
-        self._chars = character_polys(g, bip)
-        self._tables = {}
+        self._chars = chars = character_polys(g, bip)
+        self._table = functools.cache(
+            lambda k: cw_fourier(g, bip, k, chars=chars))
 
     def describe(self) -> str:
-        a = ",".join(str(q) for q in sorted(self.bip.a_set))
-        return f"{self.name} n={self.g.n} cut={a}"
-
-    def _table(self, k: int):
-        if k not in self._tables:
-            self._tables[k] = cw_fourier(self.g, self.bip, k,
-                                         chars=self._chars)
-        return self._tables[k]
+        return f"{self.name} n={self.g.n} cut={_cut_label(self.bip)}"
 
     def moments(self, eps, m_max: int) -> MomentVector:
         digits = max(self.digits, _order_digits(m_max))
@@ -249,10 +251,17 @@ class StabilizerModel:
         return MomentVector(vals, digits=digits, exact=(nums, alpha, -n))
 
     def ppt(self, eps) -> criteria.Verdict:
-        prec = dps_to_prec(self.digits)
-        return criteria.ppt_verdict(Spectrum(tuple(
-            (dyadic_poly_value(p, eps, self.g.n, prec), mult)
-            for p, mult in self._chars.minus_set), digits=self.digits))
+        # Each eigenvalue P_i(1-eps) / 2^n is A_i / 2^((f+1) n), deg P_i = n:
+        # the numerators' signs decide exactly, the least gives lambda_min.
+        low, f = min(dyadic_numerator(p, eps)
+                     for p, _ in self._chars.minus_set)
+
+        def explain():
+            min_eig = round_dyadic(low, -(f + 1) * self.g.n,
+                                   dps_to_prec(self.digits))
+            return -min_eig, {"min_eigenvalue": min_eig}
+
+        return criteria.DeferredVerdict(low < 0, explain)
 
     def fidelity(self, eps):
         return fidelity_from_enumerators(self.sl, eps)
@@ -281,8 +290,7 @@ class GlobalNoiseModel:
         self.bell_pairs = bell_pair_rank(g, bip)
 
     def describe(self) -> str:
-        a = ",".join(str(q) for q in sorted(self.bip.a_set))
-        return f"{self.name} n={self.n} cut={a} noise=global"
+        return f"{self.name} n={self.n} cut={_cut_label(self.bip)} noise=global"
 
     def moments(self, eps, m_max: int) -> MomentVector:
         digits = max(self.digits, _order_digits(m_max))
@@ -327,8 +335,7 @@ class DenseModel:
                          "global": depolarize_global}[noise]
 
     def describe(self) -> str:
-        a = ",".join(str(q) for q in sorted(self.bip.a_set))
-        return f"{self.name} n={self.n} cut={a}"
+        return f"{self.name} n={self.n} cut={_cut_label(self.bip)}"
 
     def _noisy(self, eps) -> np.ndarray:
         return self._channel(self.rho, float(eps))
@@ -359,27 +366,24 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
                noise: str = "local", digits: int = None):
     """Build the state model for a catalog state, cut and noise channel.
 
-    model None picks the fastest sound route: under local noise the
-    closed-form moments for GHZ across the balanced cut and enumerator
-    tables for everything else, under global noise the closed forms of
-    GlobalNoiseModel.  model="dense" forces the density-matrix reference.
-    digits sets the base working precision of the analytic models.
+    model None picks by state and noise: under local noise the closed form
+    GHZModel for GHZ on any cut and enumerator tables for everything else,
+    under global noise the closed forms of GlobalNoiseModel.
+    model="enumerator" forces the tables (GHZ's oracle), model="dense" the
+    density-matrix reference.  digits sets the base working precision of
+    the analytic models.
     """
     name = name.lower()
     if noise not in ("local", "global"):
         raise ValueError(f"unknown noise {noise!r}; use local or global")
+    if model not in (None, "dense", "enumerator"):
+        raise ValueError(f"unknown model {model!r}; use dense or enumerator")
     if bip is None:
-        if n % 2:
-            raise ValueError("default bipartition needs even n")
-        bip = Bipartition(n, frozenset(range(1, n // 2 + 1)))
+        bip = Bipartition.balanced(n)
     if noise == "global" and model == "enumerator":
         raise ValueError("the enumerator tables model local noise only")
-    if noise == "local" and model in (None, "analytic_spectrum"):
-        if name == "ghz" and 2 * len(bip.a_set) == n:
-            return GHZModel(n, digits=digits)
-        if model == "analytic_spectrum":
-            raise ValueError(
-                "the analytic spectrum covers ghz on balanced cuts")
+    if name == "ghz" and noise == "local" and model is None:
+        return GHZModel(n, bip, digits=digits)
     g = state_catalog(name, n)
     if model == "dense":
         return DenseModel(state_from_group(g), bip, group=g, name=name,

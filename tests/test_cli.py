@@ -173,6 +173,34 @@ def test_threshold_ppt_ghz4(capsys):
     assert fields["criterion"] == "ppt"
 
 
+def test_threshold_ghz_off_balanced_past_the_enumerator_cap(capsys):
+    # 15 qubits: one generator past the character-transform cap, so only
+    # the closed form reaches this cut
+    code, out, err = run(capsys, "threshold", "--criterion", "ppt",
+                         "--state", "ghz", "--n", "15", "--bip", "1,2,3,4,5")
+    assert code == 0, err
+    fields = dict(kv.split("=", 1) for kv in out.strip().split(" ") if "=" in kv)
+    assert fields["cut"] == "1,2,3,4,5"
+    # the bracket holds the root of 2 (g - d(5)) = (1-e)^15 - (uv)^5 (u^5 + v^5)
+    def gap(e):
+        u, v = 1 - e / 2, e / 2
+        return (1 - e) ** 15 - (u * v) ** 5 * (u ** 5 + v ** 5)
+
+    e = float(fields["eps_max"])
+    assert gap(e - 2e-9) > 0 > gap(e + 2e-9)
+
+
+def test_threshold_model_choices(capsys):
+    with pytest.raises(SystemExit):
+        main(["threshold", "--criterion", "ppt", "--state", "ghz", "--n", "4",
+              "--model", "analytic_spectrum"])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "threshold", "--criterion", "ppt", "--state",
+                       "ghz", "--n", "4", "--model", "enumerator")
+    assert code == 0
+    assert out.strip().endswith("state=ghz n=4 cut=1,2")
+
+
 def test_threshold_dense_model(capsys):
     code, out, _ = run(capsys, "threshold", "--criterion", "fidelity",
                        "--state", "ghz", "--n", "2", "--model", "dense")
@@ -295,7 +323,12 @@ def test_error_exit_codes(capsys):
     assert code == 2
     assert err.strip() == "error: stieltjes needs odd m"
     code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "3", "--k-max", "2")
-    assert code == 2  # balanced cut needs even n
+    assert code == 2  # no default bipartition for odd n
+    # the GHZ marginal purity needs both sides of the cut nonempty
+    code, _, err = run(capsys, "criterion", "--name", "purity", "--state",
+                       "ghz", "--n", "4", "--bip", "1,2,3,4")
+    assert code == 2
+    assert "cut" in err
     code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "2",
                        "--noise", "local:1.5", "--k-max", "2")
     assert code == 2

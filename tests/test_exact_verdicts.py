@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf, workdps
 
 from ptml import criteria
 from ptml.cli import main
@@ -147,6 +147,12 @@ def _clears(margin, tol):
     return abs(margin) > 10 * tol
 
 
+def _agreeing(margin, entangled):
+    """The margin a deferred verdict reports for a raw rounded margin: the
+    raw one, or 0 where its sign contradicts the exact verdict."""
+    return margin if (margin > 0) == entangled else 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
        eps=st.floats(0, 1))
@@ -161,7 +167,8 @@ def test_exact_verdicts_match_mpf_where_decisive(n, seed, eps):
         norm = max(abs(x) for x in p.values[:m])
         if _clears(approx.margin, tol * max(1, norm)):
             assert exact.entangled == approx.entangled, ("stieltjes", m, eps)
-        assert exact.margin == approx.margin
+        assert exact.margin == _agreeing(approx.margin, exact.entangled)
+        assert exact.witness == approx.witness
     for m in range(1, 10):
         exact, approx = descartes(p, m), descartes(q, m)
         if _clears(approx.margin, tol):
@@ -174,7 +181,7 @@ def test_exact_verdicts_match_mpf_where_decisive(n, seed, eps):
             exact, approx = klm_ppt(p, k, l, m), klm_ppt(q, k, l, m)
             if _clears(approx.margin, tol):
                 assert exact.entangled == approx.entangled, ("klm", k, l, m)
-            assert exact.margin == approx.margin
+            assert exact.margin == _agreeing(approx.margin, exact.entangled)
 
 
 @pytest.mark.parametrize("name,n,eps", [("ame6", 6, 1.0), ("ghz", 5, 1.0),
@@ -241,6 +248,40 @@ def test_criterion_cli_prints_the_mpf_margin(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out.strip() == "Entangled margin=0.00145117560836"
+
+
+def test_deferred_margin_never_contradicts_its_verdict(capsys):
+    # H_15 is singular and PSD here; the mp.eigsy margin's sign is rounding
+    # noise, so the margin reads 0 and the witness keeps the raw value
+    code = main(["criterion", "--name", "stieltjes:15", "--state", "ame6",
+                 "--bip-size", "3", "--noise", "local:0.45"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert out.strip() == "Inconclusive margin=0"
+    v = stieltjes(AME6_33.moments(0.45, 15), 15)
+    assert v.margin == 0 and v.witness["min_eigenvalue"] != 0
+
+
+def test_ppt_verdict_is_exact_below_any_tolerance():
+    # eps* is the root of the minus-set polynomial that decides the PPT
+    # threshold.  Just below it lambda_min is about -1e-71, under the 1e-50
+    # tolerance a rounded spectrum is judged with; the numerators decide.
+    thr = epsilon_max(CriterionSpec("ppt"), AME6_33).eps_max
+    polys = [p for p, _ in AME6_33._chars.minus_set]
+    with workdps(150):
+        def value(c, q):
+            return mp.polyval(list(reversed(c)), q)
+
+        q0 = 1 - mpf(thr)
+        decisive = min(polys, key=lambda c: value(c, q0 + mpf("1e-6")))
+        star = 1 - mp.findroot(lambda q: value(decisive, q), q0)
+        below, above = star - mpf("1e-70"), star + mpf("1e-70")
+    v = AME6_33.ppt(below)
+    assert v.entangled
+    assert 0 < -v.witness["min_eigenvalue"] < default_tol(AME6_33.digits)
+    assert v.margin == -v.witness["min_eigenvalue"]
+    assert not AME6_33.ppt(above).entangled
+    assert abs(star - thr) <= 1e-9
 
 
 # ------------------------------------------------ scalar criteria digits

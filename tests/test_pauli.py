@@ -1,6 +1,8 @@
 """Tests for the symplectic Pauli algebra against dense matrices."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -276,3 +278,14 @@ def test_validation_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert: bad input raises ValueError and a broken
+    # invariant RuntimeError, so no check may rest on an assert
+    root = pathlib.Path(pauli.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -49,13 +49,16 @@ def dense_pt_eigs(name, n, bip, eps, channel):
     return sorted(hermitian_eigenvalues(partial_transpose(rho, bip)))
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 3, 5, 7])
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_ghz_local_spectrum_matches_dense(n, eps):
-    got = expand(ghz_local_spectrum(n, eps))
-    want = dense_pt_eigs("ghz", n, balanced(n), eps, depolarize_local)
-    assert len(got) == 1 << n
-    assert np.allclose(got, want, atol=1e-10)
+    for a in range(n + 1):
+        # the cut enters only through its size |A|
+        bip = Bipartition(n, frozenset(range(n - a + 1, n + 1)))
+        got = expand(ghz_local_spectrum(n, eps, a=a))
+        want = dense_pt_eigs("ghz", n, bip, eps, depolarize_local)
+        assert len(got) == 1 << n
+        assert np.allclose(got, want, atol=1e-10), a
 
 
 def test_ghz_local_spectrum_traces_to_one():
@@ -167,11 +170,11 @@ def test_ppt_threshold_ghz_limits():
     assert 1 - 1 / math.sqrt(5) - vals[-1] < 0.021
 
 
-def test_ghz_local_spectrum_rejects_odd_or_small():
-    with pytest.raises(ValueError):
-        ghz_local_spectrum(3, 0.1)
-    with pytest.raises(ValueError):
-        ghz_local_spectrum(0, 0.1)
+def test_ghz_local_spectrum_rejects_bad_cut_or_small():
+    for args, kw in (((0, 0.1), {}), ((1, 0.1), {}), ((3, 0.1), {"a": 4}),
+                     ((3, 0.1), {"a": -1}), ((3, 1.5), {})):
+        with pytest.raises(ValueError):
+            ghz_local_spectrum(*args, **kw)
 
 
 def test_moments_digits_track_request():
@@ -210,18 +213,16 @@ def test_moments_from_spectrum_float_spectrum():
     assert mv.digits is None
 
 
-_EVEN_N = st.one_of(st.integers(1, 32).map(lambda h: 2 * h),
-                    st.sampled_from([200, 1000]))
-
-
-@given(n=_EVEN_N,
+@given(n=st.one_of(st.integers(2, 64), st.sampled_from([200, 1000, 1001])),
+       cut=st.one_of(st.just(0.5), st.floats(0, 1)),
        eps=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
        m_max=st.integers(1, 15),
        digits=st.sampled_from([20, 60, 102]))
 @settings(max_examples=120, deadline=None)
-def test_ghz_local_moments_match_spectrum_oracle(n, eps, m_max, digits):
-    got = ghz_local_moments(n, eps, m_max, digits=digits)
-    want = moments_from_spectrum(ghz_local_spectrum(n, eps, digits + 20),
+def test_ghz_local_moments_match_spectrum_oracle(n, cut, eps, m_max, digits):
+    a = int(cut * n)
+    got = ghz_local_moments(n, eps, m_max, digits=digits, a=a)
+    want = moments_from_spectrum(ghz_local_spectrum(n, eps, digits + 20, a=a),
                                  m_max)
     assert got.digits == digits
     tol = mpf(10) ** -(digits - 1)
@@ -233,7 +234,10 @@ def test_ghz_local_moments_match_spectrum_oracle(n, eps, m_max, digits):
 
 
 def test_ghz_local_moments_rejects_bad_input():
-    for args in ((3, 0.1, 2), (0, 0.1, 2), (4, 1.5, 2), (4, -0.1, 2),
+    for args in ((1, 0.1, 2), (0, 0.1, 2), (4, 1.5, 2), (4, -0.1, 2),
                  (4, 0.1, 0)):
         with pytest.raises(ValueError):
             ghz_local_moments(*args)
+    for a in (-1, 6):
+        with pytest.raises(ValueError):
+            ghz_local_moments(5, 0.1, 2, a=a)

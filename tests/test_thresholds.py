@@ -85,11 +85,16 @@ def test_p3ppt_equals_stieltjes3_threshold():
 
 def test_make_model_routing():
     assert isinstance(make_model("ghz", 4), GHZModel)
-    assert isinstance(make_model("ghz", 4, model="analytic_spectrum"), GHZModel)
     assert isinstance(make_model("ame6", 6), StabilizerModel)
     assert isinstance(make_model("ghz", 4, model="dense"), DenseModel)
-    assert isinstance(make_model("ghz", 4, bip=Bipartition(4, frozenset({1}))),
+    assert isinstance(make_model("ghz", 4, model="enumerator"),
                       StabilizerModel)
+    # local-noise GHZ takes the closed form on every cut of every n
+    for n in (2, 3, 5, 8, 15, 40):
+        for cut in ({1}, set(range(1, n)), set(range(2, n + 1, 2))):
+            model = make_model("ghz", n, bip=Bipartition(n, frozenset(cut)))
+            assert isinstance(model, GHZModel), (n, cut)
+            assert model.a == len(cut)
 
 
 def test_make_model_global_noise_routing():
@@ -116,6 +121,15 @@ def test_make_model_errors():
         make_model("ghz", 4, model="enumerator", noise="global")
     with pytest.raises(ValueError):
         make_model("ghz", 4, noise="dephasing")
+    # an unknown model name is refused, never routed somewhere else
+    for name, n, model in (("ghz", 4, "analytic_spectrum"), ("ghz", 4, "Dense"),
+                           ("ame6", 6, "analytic")):
+        with pytest.raises(ValueError, match="unknown model"):
+            make_model(name, n, model=model)
+    # the GHZ marginal purity needs both sides of the cut nonempty
+    for cut in (set(), {1, 2, 3, 4}):
+        with pytest.raises(ValueError):
+            make_model("ghz", 4, bip=Bipartition(4, frozenset(cut)))
 
 
 def test_models_report_bell_pairs():
@@ -142,18 +156,24 @@ def test_fidelity_never_fires_without_bell_pairs():
 
 
 def test_ghz_model_describe():
-    assert "ghz" in GHZModel(4).describe()
+    assert GHZModel(4).describe() == "ghz n=4 cut=balanced"
+    assert GHZModel(6, balanced(6)).describe() == "ghz n=6 cut=balanced"
+    # off the balanced cut, the label StabilizerModel prints
+    assert (GHZModel(5, Bipartition(5, frozenset({4, 2}))).describe()
+            == "ghz n=5 cut=2,4")
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 12, 40])
+@pytest.mark.parametrize("n", [2, 4, 6, 12, 40, 5, 9])
 def test_ghz_closed_forms_match_enumerator_sums(n):
     a = ghz_sl_vector(n)
     for eps in (0.0, 0.1, 0.37, 0.8, 1.0):
-        assert abs(GHZModel(n).fidelity(eps)
-                   - fidelity_from_enumerators(a, eps)) < 1e-15
-        glob, marg = GHZModel(n).purities(eps)
-        assert abs(glob - noisy_purity(a, eps)) < 1e-15
-        assert abs(marg - rains_subsystem_purity(a, eps)) < 1e-15
+        for s in range(1, n):
+            model = GHZModel(n, Bipartition(n, frozenset(range(1, s + 1))))
+            assert abs(model.fidelity(eps)
+                       - fidelity_from_enumerators(a, eps)) < 1e-15
+            glob, marg = model.purities(eps)
+            assert abs(glob - noisy_purity(a, eps)) < 1e-15
+            assert abs(marg - rains_subsystem_purity(a, eps, s)) < 1e-15
 
 
 def test_ghz_vs_dense_model_thresholds():
