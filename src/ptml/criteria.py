@@ -5,14 +5,18 @@ NPT states.  Verdicts carry a signed margin (positive = detected) and fire
 when the margin exceeds a decision tolerance.
 
 Moments with exact dyadic numerators (the stabilizer model's) are decided
-exactly, with no tolerance.  On the GHZ, dense and global routes each
-criterion is written once over the scalar type: arithmetic runs at the
-input's precision, and Hankel eigenvalues come from np.linalg.eigvalsh for
-float input and mp.eigsy for mpf input.  The default decision tolerance
-there is 1e-10 for float input and 10^-(d-10) for d-digit input: near a
-threshold the decisive quantities (e.g. the smallest Hankel eigenvalue) can
-sit twelve or more orders below the moment scale, so a fixed 1e-10 cutoff
-would blind the high-precision path exactly where it is needed.
+exactly, with no tolerance, and so are fidelities and purities given as
+ExactScalar.  On the GHZ, dense and global routes each criterion is written
+once over the scalar type: arithmetic runs at the input's precision.  The
+Hankel test there computes no eigenvalue: it asks whether H + tau I admits
+a Cholesky factorisation (np.linalg.cholesky for float input, mp.cholesky
+at digits + 10 for mpf input), and the smallest eigenvalue behind the
+margin is computed only when the margin is read.  The default decision
+tolerance there is 1e-10 for float input and 10^-(d-10) for d-digit input:
+near a threshold the decisive quantities (e.g. the smallest Hankel
+eigenvalue) can sit twelve or more orders below the moment scale, so a
+fixed 1e-10 cutoff would blind the high-precision path exactly where it is
+needed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -42,21 +47,34 @@ class Verdict:
 
 
 class DeferredVerdict(Verdict):
-    """An exact verdict whose (margin, witness) = explain() are computed on
-    first read: a threshold search reads only `entangled`.  A rounded margin
-    whose sign contradicts the exact verdict reads 0; the witness keeps the
-    raw value."""
+    """A verdict whose (margin, witness) = explain() are computed on first
+    read: a threshold search reads only `entangled`.  With exact=True the
+    verdict is the exact sign of the margin, so a rounded margin whose sign
+    contradicts it reads 0; the witness keeps the raw value.  exact=False
+    reads the margin raw."""
 
-    def __init__(self, entangled: bool, explain):
+    def __init__(self, entangled: bool, explain, exact: bool = True):
         object.__setattr__(self, "entangled", entangled)
         object.__setattr__(self, "_explained", functools.cache(explain))
+        object.__setattr__(self, "_exact", exact)
 
     @property
     def margin(self):
         m = self._explained()[0]
-        return m if (m > 0) == self.entangled else type(m)(0)
+        if self._exact and (m > 0) != self.entangled:
+            return type(m)(0)
+        return m
 
     witness = property(lambda self: self._explained()[1])
+
+
+@dataclass(frozen=True)
+class ExactScalar:
+    """A quantity known exactly (value, a Fraction) whose rounded form, the
+    one a margin reads, is computed by rounded() only when it is read."""
+
+    value: Fraction
+    rounded: object
 
 
 @dataclass(frozen=True)
@@ -105,6 +123,26 @@ def hankel_min_eigenvalue(h: HankelMatrix, digits=None):
         return float(np.linalg.eigvalsh(np.array(h.entries, dtype=float))[0])
     with workdps(digits + 10):
         return mp.eigsy(mp.matrix(h.entries), eigvals_only=True)[0]
+
+
+def is_shifted_pd(h: HankelMatrix, shift, digits=None) -> bool:
+    """Whether H + shift I is positive definite, i.e. lambda_min(H) > -shift,
+    by the library Cholesky at the precision of hankel_min_eigenvalue:
+    np.linalg.cholesky for float input, mp.cholesky at digits + 10 for mpf
+    (with no tolerance of its own, so a zero pivot fails too)."""
+    def shifted():
+        return [[x + shift if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(h.entries)]
+
+    try:
+        if digits is None:
+            np.linalg.cholesky(np.array(shifted(), dtype=float))
+        else:
+            with workdps(digits + 10):
+                mp.cholesky(mp.matrix(shifted()), tol=0)
+    except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
+        return False
+    return True
 
 
 def is_psd_exact(rows) -> bool:
@@ -161,7 +199,10 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     """Hankel positivity test: a PPT state's moment matrix H_m is PSD, so a
     negative eigenvalue certifies entanglement.  For m=3 this reduces to
     the p_2^2 > p_3 test.  On exact numerators, congruence by
-    diag(2^(alpha i)) makes H_m a positive multiple of the A_k's Hankel."""
+    diag(2^(alpha i)) makes H_m a positive multiple of the A_k's Hankel.
+    Otherwise it fires when -lambda_min > tau = tol max(1, max|H|), that is
+    when H + tau I is not positive definite; the margin -lambda_min is
+    computed only when read."""
     h = build_hankel(p, m)
 
     def explain():
@@ -174,8 +215,9 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
             not is_psd_exact([a[i:i + size] for i in range(size)]), explain)
     tol = default_tol(p.digits) if tol is None else tol
     norm = max(max(abs(x) for x in row) for row in h.entries)
-    margin, witness = explain()
-    return Verdict(margin > tol * max(1, norm), margin, witness)
+    return DeferredVerdict(
+        not is_shifted_pd(h, tol * max(1, norm), p.digits), explain,
+        exact=False)
 
 
 def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
@@ -278,7 +320,13 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
     2^-bell_pairs, so with none the criterion certifies nothing.  digits
-    is the precision of mpf input; float input is judged as float64."""
+    is the precision of mpf input; float input is judged as float64, and
+    an ExactScalar exactly."""
+    if isinstance(f, ExactScalar):
+        above_half = 2 * f.value.numerator > f.value.denominator
+        return DeferredVerdict(bell_pairs >= 1 and above_half,
+                               lambda: (f.rounded() - 0.5, None),
+                               exact=bell_pairs >= 1)
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
     tol = default_tol(None if isinstance(f, float) else digits)
@@ -288,7 +336,12 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
 
 def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
-    digits as for fidelity_criterion."""
+    digits as for fidelity_criterion.  Two ExactScalar purities are
+    compared exactly."""
+    if isinstance(global_purity, ExactScalar):
+        return DeferredVerdict(
+            global_purity.value > subsystem_purity.value, lambda: (
+                global_purity.rounded() - subsystem_purity.rounded(), None))
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
     tol = default_tol(None if isinstance(global_purity, float) else digits)

@@ -276,13 +276,24 @@ def fidelity_from_enumerators(a: SLVector, eps):
     return _decayed(a.values, one - eps, one)
 
 
-def stab_subsystem_purity(g: StabilizerGroup, bip: Bipartition, eps):
-    """Purity of the reduced state on block A of a depolarized stabilizer
-    state: 2^-|A| times the decayed count of elements supported inside A."""
-    counts = _group_weight_counts(g, bip.a_mask)
-    one = _one_like(eps)
-    return (_decayed(counts, (one - eps) ** 2, one)
-            / _num(1 << len(bip.a_set), one))
+def marginal_enumerators(g: StabilizerGroup, bip: Bipartition) -> SLVector:
+    """Shor-Laflamme enumerators of the reduced state on block A of a pure
+    stabilizer state: 2^-|A| times the count of elements supported inside
+    A, by weight.  noisy_purity of them is the depolarized marginal's
+    purity."""
+    s = len(bip.a_set)
+    counts = _group_weight_counts(g, bip.a_mask)[:s + 1]
+    return SLVector(s, tuple(Fraction(c, 1 << s) for c in counts))
+
+
+def exact_decayed(a: SLVector, eps, power: int = 1) -> Fraction:
+    """sum_i a_i (1-eps)^(power i) exactly, for stabilizer enumerators
+    (integers over 2^n) at a binary eps: Horner's rule over ints."""
+    coeffs, scale = [0] * (power * a.n + 1), 1 << a.n
+    for i, v in enumerate(a.values):
+        coeffs[power * i] = v.numerator * (scale // v.denominator)
+    num, f = dyadic_numerator(coeffs, eps)
+    return Fraction(num, 1 << (f * power * a.n + a.n))
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,9 @@ def ghz_local_moments(n: int, eps, m_max: int,
                       digits: int = DEFAULT_DIGITS,
                       a: int = None) -> MomentVector:
     """PT moments of the locally depolarized GHZ state across a cut with
-    a = |A| qubits on side A (default n // 2), in closed form: O(m_max^2)
-    mpf operations, independent of n.
+    a = |A| qubits on side A (default n // 2), in closed form: m_max + 1
+    n-th powers, O(m_max) further mpf operations and O(m_max^2) integer
+    products, independent of n.
 
     Expanding the spectrum of ghz_local_spectrum binomially, with
     u = 1 - e/2, v = e/2 and the isolated pair d +- g of ghz_pair,
@@ -139,32 +140,53 @@ def ghz_local_moments(n: int, eps, m_max: int,
         p_k = 2^-k sum_{t=0..k} C(k,t) (u^t v^(k-t) + u^(k-t) v^t)^n
               + 2 sum_{even i >= 2} C(k,i) d^(k-i) g^i.
 
-    The cut moves only d; the band sum is the same on every cut.  Only the
-    isolated eigenvalue d - g can be negative, so the Schatten sum is
+    With s = min(t, k-t) and j = k - 2s the band bracket is (uv)^s (u^j +
+    v^j), so its n-th power is P^s W_j with P = (uv)^n and W_j = (u^j +
+    v^j)^n: the band sums take the n-th powers W_0..W_m_max once.  The cut
+    moves only d; the band sum is the same on every cut.  Only the isolated
+    eigenvalue d - g can be negative, so the Schatten sum is
     ptilde_k = p_k + 2 (g - d)^k for odd k when g > d, else p_k.  Every
-    term is nonnegative, so nothing cancels; the sums are formed with guard
-    digits (the n-th powers amplify the base's rounding error n-fold) and
-    rounded once to digits.
+    term is nonnegative, so nothing cancels.  The powers are formed with
+    guard digits (the n-th powers amplify the base's rounding error n-fold,
+    and P^s another s-fold); each term is their exact product, and each
+    sum is accumulated over ints (_round_positive_sum) and rounded once to
+    digits.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    with workdps(digits + 10 + len(str(n))):
+    prec = dps_to_prec(digits)
+    with workdps(digits + 12 + len(str(n))):
         e = mpf(eps)
         d, g = ghz_pair(n, n // 2 if a is None else a, e)
         u, v = 1 - e / 2, e / 2
+        w = [_binary((u ** j + v ** j) ** n) for j in range(m_max + 1)]
+        pw = _binary_powers((u * v) ** n, m_max // 2)
+        dp, gp = _binary_powers(d, m_max), _binary_powers(g, m_max)
         p, pt = [], []
         for k in range(1, m_max + 1):
-            band = sum(math.comb(k, t) * (u ** t * v ** (k - t)
-                                          + u ** (k - t) * v ** t) ** n
-                       for t in range(k + 1)) / 2 ** k
-            pair = 2 * sum(math.comb(k, i) * d ** (k - i) * g ** i
-                           for i in range(2, k + 1, 2))
-            pk = band + pair
-            p.append(pk)
-            pt.append(pk + 2 * (g - d) ** k if k % 2 and g > d else pk)
-    with workdps(digits):
-        return MomentVector(tuple(+x for x in p), tuple(+x for x in pt),
-                            digits=digits)
+            terms = []  # (man, exp) pairs
+            for t in range(k + 1):
+                s, j = min(t, k - t), abs(k - 2 * t)
+                terms.append((math.comb(k, t) * pw[s][1] * w[j][1],
+                              pw[s][2] + w[j][2] - k))
+            for i in range(2, k + 1, 2):
+                terms.append((2 * math.comb(k, i) * dp[k - i][1] * gp[i][1],
+                              dp[k - i][2] + gp[i][2]))
+            p.append(_round_positive_sum(terms, prec))
+            if k % 2 and g > d:
+                _, man, exp, _ = _binary(2 * (g - d) ** k)
+                pt.append(_round_positive_sum(terms + [(man, exp)], prec))
+            else:
+                pt.append(p[-1])
+    return MomentVector(tuple(p), tuple(pt), digits=digits)
+
+
+def _binary_powers(x, top: int) -> list:
+    """x^0..x^top by running products, as exact mpmath tuples."""
+    out = [mpf(1)]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return [_binary(y) for y in out]
 
 
 def stab_global_spectrum(n: int, r: int, eps,
@@ -246,6 +268,18 @@ def _round_dyadic_sum(terms: list, prec: int):
                   for (m1, e1), (m2, e2) in zip(terms[::2], terms[1::2])]
         terms = merged + terms[len(merged) * 2:]
     return round_dyadic(*terms[0], prec)
+
+
+def _round_positive_sum(terms: list, prec: int):
+    """_round_dyadic_sum of nonnegative terms, without those below the
+    largest by more than prec + 64 bits plus the bits of the term count:
+    together they are worth under 2^-64 of a unit in the last place, and
+    shifting them into place would build integers as long as the exponent
+    range (millions of bits for GHZ moments at n = 10^5)."""
+    top = max(e + m.bit_length() for m, e in terms if m)
+    cut = top - prec - 64 - len(terms).bit_length()
+    return _round_dyadic_sum([(m, e) for m, e in terms
+                              if e + m.bit_length() > cut], prec)
 
 
 def round_dyadic(man: int, exp: int, prec: int):

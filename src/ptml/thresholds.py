@@ -17,7 +17,7 @@ cut), and make_model is the one dispatch from (state, noise, cut) to model:
                     independent of n, in extended precision.
   StabilizerModel   local noise, any stabilizer state and cut (model
                     "enumerator" for GHZ, as its oracle): exact moments
-                    and exact moment and PPT verdicts from the
+                    and exact verdicts for every criterion, from the
                     character-transformed weight enumerators.
   GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
                     and the Bell pair count, so everything is a closed form
@@ -57,10 +57,11 @@ from .enumerators import (
     cw_fourier,
     character_polys,
     dyadic_numerator,
+    exact_decayed,
     fidelity_from_enumerators,
+    marginal_enumerators,
     noisy_purity,
     sl_enumerators,
-    stab_subsystem_purity,
 )
 from .pauli import Bipartition, StabilizerGroup, bell_pair_rank, state_catalog
 from .spectra import (
@@ -222,7 +223,9 @@ class StabilizerModel:
     weight enumerators, returned with their integer numerators at a binary
     eps, so moment criteria decide exactly.  The PT spectrum is P_i(1-eps) /
     2^n with multiplicity mult_i over the minus-set character polynomials,
-    so the PPT boundary is a root of min_i P_i(1-eps).
+    so the PPT boundary is a root of min_i P_i(1-eps).  Fidelity and the
+    purities are polynomials in (1-eps) with dyadic coefficients, returned
+    as exact values.
     """
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
@@ -263,13 +266,23 @@ class StabilizerModel:
 
         return criteria.DeferredVerdict(low < 0, explain)
 
+    @functools.cached_property
+    def _marginal(self):
+        # a walk of the whole group, taken once and only if purity is asked
+        return marginal_enumerators(self.g, self.bip)
+
     def fidelity(self, eps):
-        return fidelity_from_enumerators(self.sl, eps)
+        # exact at a binary eps; a margin reads the float (or mpf) sum
+        return criteria.ExactScalar(
+            exact_decayed(self.sl, eps),
+            functools.partial(fidelity_from_enumerators, self.sl, eps))
 
     def purities(self, eps):
         # Size-resolved comparison: the purity of this very marginal.
-        return (noisy_purity(self.sl, eps),
-                stab_subsystem_purity(self.g, self.bip, eps))
+        return tuple(
+            criteria.ExactScalar(exact_decayed(a, eps, power=2),
+                                 functools.partial(noisy_purity, a, eps))
+            for a in (self.sl, self._marginal))
 
 
 class GlobalNoiseModel:
@@ -371,7 +384,7 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     under global noise the closed forms of GlobalNoiseModel.
     model="enumerator" forces the tables (GHZ's oracle), model="dense" the
     density-matrix reference.  digits sets the base working precision of
-    the analytic models.
+    the analytic models.  The cut must be on n qubits, with 1 <= |A| <= n-1.
     """
     name = name.lower()
     if noise not in ("local", "global"):
@@ -380,6 +393,10 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
         raise ValueError(f"unknown model {model!r}; use dense or enumerator")
     if bip is None:
         bip = Bipartition.balanced(n)
+    if bip.n != n:
+        raise ValueError(f"the cut is on {bip.n} qubits, the state on {n}")
+    if not 1 <= len(bip.a_set) <= n - 1:
+        raise ValueError("the cut needs 1 <= |A| <= n-1 qubits on side A")
     if noise == "global" and model == "enumerator":
         raise ValueError("the enumerator tables model local noise only")
     if name == "ghz" and noise == "local" and model is None:

@@ -334,6 +334,13 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+def test_full_cut_is_refused(capsys):
+    code, out, err = run(capsys, "threshold", "--criterion", "ppt", "--state",
+                         "ame6", "--bip", "1,2,3,4,5,6")
+    assert code == 2 and out == ""
+    assert "cut" in err
+
+
 def test_precision_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("PTML_PRECISION_DIGITS", "5")
     code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "2", "--k-max", "2")

@@ -28,6 +28,7 @@ from ptml.enumerators import (
     cw_fourier,
     fidelity_from_enumerators,
     ghz_sl_vector,
+    marginal_enumerators,
     noisy_pt_moment,
     noisy_purity,
     pauli_coefficients,
@@ -35,7 +36,6 @@ from ptml.enumerators import (
     rains_subsystem_purity,
     sl_decay,
     sl_enumerators,
-    stab_subsystem_purity,
 )
 from ptml.thresholds import (
     CriterionSpec,
@@ -166,7 +166,8 @@ def test_stab_subsystem_purity_vs_dense_per_cut():
             noisy = depolarize_local(rho, eps)
             red = _partial_trace_keep(noisy, bip.a_mask, 4)
             want = np.trace(red @ red).real
-            assert abs(float(stab_subsystem_purity(g, bip, eps)) - want) < 1e-12
+            got = noisy_purity(marginal_enumerators(g, bip), eps)
+            assert abs(float(got) - want) < 1e-12
 
 
 def test_character_polys_bell():

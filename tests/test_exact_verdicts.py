@@ -15,9 +15,11 @@ from ptml.cli import main
 from ptml.criteria import (default_tol, descartes, fidelity_criterion,
                            is_psd_exact, klm_ppt, purity_criterion,
                            stieltjes)
-from ptml.pauli import Bipartition, state_catalog
+from ptml.enumerators import fidelity_from_enumerators
+from ptml.pauli import Bipartition, enumerate_group, state_catalog
 from ptml.spectra import MomentVector
-from ptml.thresholds import CriterionSpec, StabilizerModel, epsilon_max
+from ptml.thresholds import (CriterionSpec, GHZModel, StabilizerModel,
+                             epsilon_max, evaluate)
 from stabilizers import random_cut, random_group
 
 
@@ -294,3 +296,74 @@ def test_scalar_criteria_take_their_precision_as_an_argument():
     assert fidelity_criterion(g, 1, digits=60).entangled
     # float input keeps the float64 tolerance whatever the digits say
     assert not purity_criterion(0.5 + 1e-12, 0.5, digits=60).entangled
+
+
+# ------------------------------------------------ exact fidelity and purity
+
+
+GHZ8_FULL_MINUS_ONE = StabilizerModel(state_catalog("ghz", 8),
+                                      Bipartition(8, frozenset(range(1, 8))))
+
+
+def _root(f, guess):
+    with workdps(50):
+        return mp.findroot(f, guess)
+
+
+def test_enumerator_purity_threshold_brackets_the_true_root():
+    # the root of the closed-form purity gap; a 1e-10 tolerance on the
+    # float gap put the threshold 1.08e-9 from it, outside its bracket
+    bip = GHZ8_FULL_MINUS_ONE.bip
+    star = _root(lambda e: mp.fsub(*GHZModel(8, bip, digits=50).purities(e)),
+                 0.17)
+    assert abs(star - mpf("0.17355381131")) < 1e-10
+    res = epsilon_max(CriterionSpec("purity"), GHZ8_FULL_MINUS_ONE)
+    assert abs(res.eps_max - star) <= res.bracket
+    # decided exactly, far below any tolerance
+    purity = CriterionSpec("purity")
+    assert evaluate(purity, GHZ8_FULL_MINUS_ONE, float(star - 1e-13)).entangled
+    assert not evaluate(purity, GHZ8_FULL_MINUS_ONE,
+                        float(star + 1e-13)).entangled
+
+
+def test_enumerator_fidelity_is_decided_exactly():
+    model = StabilizerModel(state_catalog("ame6", 6),
+                            Bipartition(6, frozenset({1, 2, 3})))
+    star = _root(lambda e: fidelity_from_enumerators(model.sl, e) - 0.5, 0.3)
+    res = epsilon_max(CriterionSpec("fidelity"), model)
+    assert abs(res.eps_max - star) <= res.bracket
+    fidelity = CriterionSpec("fidelity")
+    assert evaluate(fidelity, model, float(star - 1e-13)).entangled
+    assert not evaluate(fidelity, model, float(star + 1e-13)).entangled
+
+
+def _decayed_exactly(a, eps, power):
+    q = 1 - Fraction(eps)
+    return sum(v * q ** (power * i) for i, v in enumerate(a.values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 10 ** 6),
+       eps=st.floats(0, 1))
+def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
+    model = StabilizerModel(random_group(n, seed), random_cut(n, seed))
+    f = _decayed_exactly(model.sl, eps, 1)
+    v = evaluate(CriterionSpec("fidelity"), model, eps)
+    assert v.entangled == (model.bell_pairs >= 1 and f > Fraction(1, 2))
+    # the margin is the float sum it always was, or 0 where its sign
+    # contradicts the exact verdict; with no Bell pair it is never zeroed
+    raw = fidelity_from_enumerators(model.sl, eps) - 0.5
+    assert v.margin == (_agreeing(raw, v.entangled) if model.bell_pairs
+                        else raw)
+    # the marginal's enumerators count the group elements inside side A
+    a_mask, size = model.bip.a_mask, len(model.bip.a_set)
+    inside = [0] * (size + 1)
+    for element in enumerate_group(model.g):
+        if not (element.x_mask | element.z_mask) & ~a_mask:
+            inside[(element.x_mask | element.z_mask).bit_count()] += 1
+    sub = sum(Fraction(c, 2 ** size) * (1 - Fraction(eps)) ** (2 * i)
+              for i, c in enumerate(inside))
+    glob = _decayed_exactly(model.sl, eps, 2)
+    v = evaluate(CriterionSpec("purity"), model, eps)
+    assert v.entangled == (glob > sub)
+    assert abs(v.margin - float(glob - sub)) <= 1e-15

@@ -132,6 +132,21 @@ def test_make_model_errors():
             make_model("ghz", 4, bip=Bipartition(4, frozenset(cut)))
 
 
+def test_make_model_validates_the_cut():
+    # a cut on another qubit count is refused, never read on n qubits
+    for name in ("ame6", "ghz"):
+        with pytest.raises(ValueError, match="on 8 qubits"):
+            make_model(name, 6, Bipartition(8, frozenset({7})))
+    # so is an empty or full side A, on every route
+    for model, noise in ((None, "local"), ("enumerator", "local"),
+                         ("dense", "local"), (None, "global"),
+                         ("dense", "global")):
+        for cut in (set(), set(range(1, 7))):
+            with pytest.raises(ValueError, match=r"\|A\|"):
+                make_model("ame6", 6, Bipartition(6, frozenset(cut)),
+                           model=model, noise=noise)
+
+
 def test_models_report_bell_pairs():
     assert GHZModel(6).bell_pairs == 1
     for name, n, cut, r in (("ghz", 4, {1}, 1), ("zero", 4, {1, 2}, 0),
