@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -440,8 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args leaves a parser as it was, so one tree serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -106,12 +106,16 @@ def _log2(v):
     return mp.log(v, 2) if isinstance(v, mpf) else math.log2(v)
 
 
-def build_hankel(p: MomentVector, m: int) -> HankelMatrix:
+def _hankel_size(p: MomentVector, m: int) -> int:
     if m % 2 == 0:
         raise ValueError("Hankel moment matrix requires odd m")
     if m > len(p):
         raise ValueError(f"need moments up to p_{m}, got {len(p)}")
-    size = (m + 1) // 2
+    return (m + 1) // 2
+
+
+def build_hankel(p: MomentVector, m: int) -> HankelMatrix:
+    size = _hankel_size(p, m)
     rows = tuple(tuple(p.p(i + j + 1) for j in range(size)) for i in range(size))
     return HankelMatrix(m, rows)
 
@@ -177,17 +181,19 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
     A_l > 0 and A_l^(m-k) > A_k^(m-l) A_m^(l-k): the powers of 2 cancel."""
     if not 1 <= k < l < m <= len(p):
         raise ValueError(f"need 1 <= k < l < m <= {len(p)}, got {(k, l, m)}")
-    pk, pl, pm = p.p(k), p.p(l), p.p(m)
-    if pk <= 0 or pm <= 0:
+    # A_k > 0 exactly when p_k > 0
+    ak, al, am = (p.p(i) if p.exact is None else p.exact[0][i - 1]
+                  for i in (k, l, m))
+    if ak <= 0 or am <= 0:
         raise ValueError("fractional powers need positive p_k and p_m")
 
     def explain():
+        pk, pl, pm = p.p(k), p.p(l), p.p(m)
         with _arithmetic(p.digits) as one:
             x = one * (m - l) / (m - k)
             return pl - pk ** x * pm ** (1 - x), {"triple": (k, l, m), "x": x}
 
     if p.exact is not None:
-        ak, al, am = (p.exact[0][i - 1] for i in (k, l, m))
         return DeferredVerdict(
             al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k), explain)
     tol = default_tol(p.digits) if tol is None else tol
@@ -203,16 +209,17 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     Otherwise it fires when -lambda_min > tau = tol max(1, max|H|), that is
     when H + tau I is not positive definite; the margin -lambda_min is
     computed only when read."""
-    h = build_hankel(p, m)
+    size = _hankel_size(p, m)
 
     def explain():
-        min_eig = hankel_min_eigenvalue(h, digits=p.digits)
+        min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
         return -min_eig, {"m": m, "min_eigenvalue": min_eig}
 
     if p.exact is not None:
-        a, size = p.exact[0], len(h.entries)
+        a = p.exact[0]
         return DeferredVerdict(
             not is_psd_exact([a[i:i + size] for i in range(size)]), explain)
+    h = build_hankel(p, m)
     tol = default_tol(p.digits) if tol is None else tol
     norm = max(max(abs(x) for x in row) for row in h.entries)
     return DeferredVerdict(
@@ -238,10 +245,7 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
 
     if p.exact is not None:
         nums, alpha, beta = p.exact
-        fs = [1]
-        for j in range(1, m + 1):
-            fs.append(sum((-1) ** (i - 1) * math.perm(j - 1, i - 1) * fs[j - i]
-                          * (nums[i - 1] << -beta) for i in range(1, j + 1)))
+        fs = _newton_numerators(tuple(nums), -beta)[:m + 1]
 
         def rounded():
             with workdps(p.digits):
@@ -252,6 +256,21 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
     tol = default_tol(p.digits) if tol is None else tol
     margin, witness = explain(newton_elementary(p, m))
     return Verdict(margin > tol, margin, witness)
+
+
+# One entry: a battery judges descartes at every order on one moment
+# vector in turn, and F_j reads only A_1..A_j, so each reuses the first
+# call's sequence.
+@functools.lru_cache(maxsize=1)
+def _newton_numerators(nums: tuple, shift: int) -> tuple:
+    """F_0..F_len(nums) with F_j = j! 2^(alpha j) e_j, by Newton's
+    identities over ints from p_i = A_i / 2^(alpha i - shift)."""
+    a = [x << shift for x in nums]
+    fs = [1]
+    for j in range(1, len(a) + 1):
+        fs.append(sum((-1) ** (i - 1) * math.perm(j - 1, i - 1) * fs[j - i]
+                      * a[i - 1] for i in range(1, j + 1)))
+    return tuple(fs)
 
 
 def newton_elementary(p: MomentVector, m: int) -> list:

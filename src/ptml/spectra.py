@@ -22,6 +22,7 @@ GHZ formulas produce mu = 0 entries for n = 2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,25 +55,38 @@ class Spectrum:
         return mp.fsum(lam * mu for lam, mu in self.entries)
 
 
-@dataclass(frozen=True)
 class MomentVector:
     """PT moments p_1..p_m, optionally with Schatten variants ptilde_k.
 
     digits records the working precision (None means float64 arithmetic).
     exact holds (A, alpha, beta) for dyadic p_k = A_k / 2^(alpha k + beta).
+    Given exact and no values, the values are the A_k rounded to digits,
+    computed on first read: exact verdicts never read them.
     """
 
-    values: tuple
-    schatten: tuple = None
-    digits: int = None
-    exact: tuple = None
+    def __init__(self, values: tuple = None, schatten: tuple = None,
+                 digits: int = None, exact: tuple = None):
+        if values is None and exact is None:
+            raise ValueError("a moment vector needs values or numerators")
+        if values is not None:
+            self.values = values  # shadows the rounding below
+        self.schatten = schatten
+        self.digits = digits
+        self.exact = exact
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        nums, alpha, beta = self.exact
+        prec = dps_to_prec(self.digits)
+        return tuple(round_dyadic(a, -(alpha * k + beta), prec)
+                     for k, a in enumerate(nums, 1))
 
     def __len__(self):
-        return len(self.values)
+        return len(self.values if self.exact is None else self.exact[0])
 
     def p(self, k: int):
-        if not 1 <= k <= len(self.values):
-            raise ValueError(f"moment order {k} outside 1..{len(self.values)}")
+        if not 1 <= k <= len(self):
+            raise ValueError(f"moment order {k} outside 1..{len(self)}")
         return self.values[k - 1]
 
     def ptilde(self, k: int):

@@ -1,7 +1,11 @@
 """Noise thresholds: the largest depolarizing rate a criterion detects.
 
-epsilon_max scans a criterion's verdict over eps in [0, 1] and bisects the
-final Entangled -> Inconclusive crossing down to a requested bracket width.
+epsilon_max_battery scans a battery of criteria on one model over a grid of
+eps in [0, 1], and bisects each criterion's final Entangled -> Inconclusive
+crossing down to a requested bracket width.  At each grid point the model's
+moments are computed once, up to the highest order in the battery, and
+every criterion is judged on that one vector; bisection evaluates each
+criterion on its own.  epsilon_max is the battery of one criterion.
 "Final" matters: some moment criteria (notably (m-2, m-1, m)-PPT on uneven
 cuts) switch off and back on before dying out, and the quantity of interest
 is the largest eps at which the criterion still fires.  A pre-scan that
@@ -25,9 +29,10 @@ cut), and make_model is the one dispatch from (state, noise, cut) to model:
   DenseModel        either noise, everything from the density matrix
                     (model "dense").  The slow reference.
 
-sweep_fig1 and sweep_fig2 drive epsilon_max over the standard criterion
-batteries (GHZ family vs n; AME(6,2) per cut vs moment order) and return
-rows ready for CSV serialization.
+sweep_fig1 and sweep_fig2 run the standard criterion batteries
+(fig1_criteria on the GHZ family vs n; fig2_criteria on AME(6,2) per cut
+vs moment order), one epsilon_max_battery per model, and return rows ready
+for CSV serialization.
 """
 
 from __future__ import annotations
@@ -163,6 +168,15 @@ def _cut_label(bip: Bipartition) -> str:
     return ",".join(str(q) for q in sorted(bip.a_set))
 
 
+def _check_cut(bip: Bipartition, n: int) -> Bipartition:
+    """bip, once it is a cut of the n qubits with 1 <= |A| <= n-1."""
+    if bip.n != n:
+        raise ValueError(f"the cut is on {bip.n} qubits, the state on {n}")
+    if not 1 <= len(bip.a_set) <= n - 1:
+        raise ValueError("the cut needs 1 <= |A| <= n-1 qubits on side A")
+    return bip
+
+
 class GHZModel:
     """Locally depolarized GHZ state across any cut (default balanced),
     closed form."""
@@ -170,10 +184,9 @@ class GHZModel:
     bell_pairs = 1
 
     def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
-        self.bip = Bipartition.balanced(n) if bip is None else bip
+        self.bip = _check_cut(Bipartition.balanced(n) if bip is None else bip,
+                              n)
         self.a = len(self.bip.a_set)
-        if not 1 <= self.a <= n - 1:
-            raise ValueError("GHZ model needs a cut with 1 <= |A| <= n-1")
         self.n = n
         self.digits = DEFAULT_DIGITS if digits is None else digits
 
@@ -199,9 +212,14 @@ class GHZModel:
 
     def fidelity(self, eps):
         # sum_i a_i (1-eps)^i: even-weight Z-type binomials plus 2^(n-1)
-        # X-type elements of full weight, halved so no power overflows
-        q, n = 1 - eps, self.n
-        return (((1 + q) / 2) ** n + ((1 - q) / 2) ** n + q ** n) / 2
+        # X-type elements of full weight, halved so no power overflows; in
+        # mpf with guard digits for the n-th powers, as purities
+        n = self.n
+        with workdps(self.digits + 10 + len(str(n))):
+            q = 1 - mpf(eps)
+            f = (((1 + q) / 2) ** n + ((1 - q) / 2) ** n + q ** n) / 2
+        with workdps(self.digits):
+            return +f
 
     def purities(self, eps):
         # Global and |A|-qubit marginal purity in closed form, r = (1-eps)^2;
@@ -231,7 +249,7 @@ class StabilizerModel:
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
                  digits: int = None):
         self.g = g
-        self.bip = bip
+        self.bip = _check_cut(bip, g.n)
         self.name = name or "stabilizer"
         self.digits = DEFAULT_DIGITS if digits is None else digits
         self.bell_pairs = bell_pair_rank(g, bip)
@@ -247,11 +265,8 @@ class StabilizerModel:
         digits = max(self.digits, _order_digits(m_max))
         nums, fs = zip(*(dyadic_numerator(self._table(k)._difference, eps)
                          for k in range(1, m_max + 1)))
-        n, prec = self.g.n, dps_to_prec(digits)
-        alpha = (fs[0] + 1) * n
-        vals = tuple(round_dyadic(a, n - alpha * k, prec)
-                     for k, a in enumerate(nums, 1))
-        return MomentVector(vals, digits=digits, exact=(nums, alpha, -n))
+        n = self.g.n
+        return MomentVector(digits=digits, exact=(nums, (fs[0] + 1) * n, -n))
 
     def ppt(self, eps) -> criteria.Verdict:
         # Each eigenvalue P_i(1-eps) / 2^n is A_i / 2^((f+1) n), deg P_i = n:
@@ -297,7 +312,7 @@ class GlobalNoiseModel:
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
                  digits: int = None):
         self.n = g.n
-        self.bip = bip
+        self.bip = _check_cut(bip, g.n)
         self.name = name or "stabilizer"
         self.digits = DEFAULT_DIGITS if digits is None else digits
         self.bell_pairs = bell_pair_rank(g, bip)
@@ -339,10 +354,10 @@ class DenseModel:
                  group: StabilizerGroup = None, name: str = None,
                  noise: str = "local"):
         self.rho = rho
-        self.bip = bip
+        self.n = nqubits(rho)
+        self.bip = _check_cut(bip, self.n)
         self.group = group
         self.name = name or "dense"
-        self.n = nqubits(rho)
         self.bell_pairs = None if group is None else bell_pair_rank(group, bip)
         self._channel = {"local": depolarize_local,
                          "global": depolarize_global}[noise]
@@ -384,7 +399,8 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     under global noise the closed forms of GlobalNoiseModel.
     model="enumerator" forces the tables (GHZ's oracle), model="dense" the
     density-matrix reference.  digits sets the base working precision of
-    the analytic models.  The cut must be on n qubits, with 1 <= |A| <= n-1.
+    the analytic models.  Every model refuses a cut that is not on n
+    qubits with 1 <= |A| <= n-1.
     """
     name = name.lower()
     if noise not in ("local", "global"):
@@ -393,10 +409,6 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
         raise ValueError(f"unknown model {model!r}; use dense or enumerator")
     if bip is None:
         bip = Bipartition.balanced(n)
-    if bip.n != n:
-        raise ValueError(f"the cut is on {bip.n} qubits, the state on {n}")
-    if not 1 <= len(bip.a_set) <= n - 1:
-        raise ValueError("the cut needs 1 <= |A| <= n-1 qubits on side A")
     if noise == "global" and model == "enumerator":
         raise ValueError("the enumerator tables model local noise only")
     if name == "ghz" and noise == "local" and model is None:
@@ -410,8 +422,11 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     return StabilizerModel(g, bip, name=name, digits=digits)
 
 
-def evaluate(spec: CriterionSpec, model, eps) -> criteria.Verdict:
-    """One criterion verdict at one noise rate."""
+def evaluate(spec: CriterionSpec, model, eps,
+             p: MomentVector = None) -> criteria.Verdict:
+    """One criterion verdict at one noise rate.  p, the model's moments at
+    eps up to order spec.max_order or beyond, spares a moment criterion its
+    own model.moments call; the other criteria ignore it."""
     if spec.kind == "ppt":
         return model.ppt(eps)
     if spec.kind == "fidelity":
@@ -420,7 +435,8 @@ def evaluate(spec: CriterionSpec, model, eps) -> criteria.Verdict:
     if spec.kind == "purity":
         return criteria.purity_criterion(*model.purities(eps),
                                          digits=model.digits)
-    p = model.moments(eps, spec.max_order)
+    if p is None:
+        p = model.moments(eps, spec.max_order)
     if spec.kind == "stieltjes":
         return criteria.stieltjes(p, spec.m)
     if spec.kind == "descartes":
@@ -458,26 +474,48 @@ class ThresholdResult:
 def epsilon_max(spec: CriterionSpec, model, tol: float = BRACKET_TOL,
                 grid_points: int = GRID_POINTS,
                 strict: bool = False) -> ThresholdResult:
-    """Bisect the last eps where the criterion still fires.
+    """Bisect the last eps where the criterion still fires: the battery of
+    one criterion, see epsilon_max_battery."""
+    return epsilon_max_battery((spec,), model, tol, grid_points, strict)[0]
 
-    A coarse grid over [0, 1] locates every verdict flip; bisection then
-    tightens the final True -> False crossing until its bracket is below
-    tol.  With strict=True a grid whose verdict flips more than once is an
-    error (the grid is embedded in the message for inspection) instead of
-    being resolved by the final-crossing rule.
+
+def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
+                        grid_points: int = GRID_POINTS,
+                        strict: bool = False) -> list:
+    """Thresholds of a battery of criteria on one model, one
+    ThresholdResult per spec.
+
+    A coarse grid over [0, 1] locates every verdict flip.  At each grid
+    point the model's moments are computed once, up to the highest order
+    the battery reads, and every spec is judged on that one vector; rounded
+    moments are then at the top order's precision, so a lower-order
+    criterion's grid verdict is judged at that precision and its smaller
+    tolerance.  Bisection then tightens each spec's final True -> False
+    crossing on its own, at its own order, until its bracket is below tol.
+    With strict=True a grid whose verdict flips more than once is an error
+    (the grid is embedded in the message for inspection) instead of being
+    resolved by the final-crossing rule.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     if grid_points < 4:
         raise ValueError("need at least 4 grid points")
-
-    def fires(eps: float) -> bool:
-        return evaluate(spec, model, eps).entangled
-
+    specs = tuple(specs)
     grid = [i / (grid_points - 1) for i in range(grid_points)]
-    hits = [fires(e) for e in grid]
-    label, state = spec.label, model.describe()
+    top = max((spec.max_order for spec in specs), default=0)
+    hits = [[] for _ in specs]
+    for eps in grid:
+        p = model.moments(eps, top) if top else None
+        for spec, row in zip(specs, hits):
+            row.append(evaluate(spec, model, eps, p).entangled)
+    return [_final_crossing(spec, model, grid, row, tol, strict)
+            for spec, row in zip(specs, hits)]
 
+
+def _final_crossing(spec: CriterionSpec, model, grid: list, hits: list,
+                    tol: float, strict: bool) -> ThresholdResult:
+    """Bisect the spec's last True -> False flip on the pre-scan grid."""
+    label, state = spec.label, model.describe()
     if not any(hits):
         return ThresholdResult(0.0, 0.0, 0, label, state, never_fired=True)
 
@@ -499,7 +537,7 @@ def epsilon_max(spec: CriterionSpec, model, tol: float = BRACKET_TOL,
     iterations = 0
     while hi - lo > 2 * tol:
         mid = (lo + hi) / 2
-        if fires(mid):
+        if evaluate(spec, model, mid).entangled:
             lo = mid
         else:
             hi = mid
@@ -514,6 +552,23 @@ def fig1_criteria(orders=FIG1_ORDERS, triples=FIG1_KLM_TRIPLES) -> tuple:
     specs += [CriterionSpec("descartes", m=m) for m in orders]
     specs += [CriterionSpec("stieltjes", m=m) for m in orders]
     specs += [CriterionSpec("klm", triple=t) for t in triples]
+    return tuple(specs)
+
+
+def fig2_criteria(m_list) -> tuple:
+    """ppt, fidelity and purity, then stieltjes(m), descartes(m) and the
+    (m-2, m-1, m)-PPT triple per moment order m in m_list.  Stieltjes and
+    the triples are emitted for odd m only: the Hankel test needs an odd
+    top moment, and a triple with even endpoints can never fire
+    (Cauchy-Schwarz bounds the odd middle moment by its even neighbours on
+    any real spectrum).  Descartes runs at every order."""
+    specs = [CriterionSpec("ppt"), CriterionSpec("fidelity"),
+             CriterionSpec("purity")]
+    for m in m_list:
+        if m % 2:
+            specs.append(CriterionSpec("stieltjes", m=m))
+            specs.append(CriterionSpec("klm", triple=(m - 2, m - 1, m)))
+        specs.append(CriterionSpec("descartes", m=m))
     return tuple(specs)
 
 
@@ -560,9 +615,8 @@ def sweep_fig1(n_list, criteria=None, tol: float = BRACKET_TOL) -> list:
         criteria = fig1_criteria()
     rows = []
     for n in sorted(set(n_list)):
-        model = GHZModel(n)
-        for spec in criteria:
-            r = epsilon_max(spec, model, tol=tol)
+        results = epsilon_max_battery(criteria, GHZModel(n), tol=tol)
+        for spec, r in zip(criteria, results):
             rows.append({"n": n, "criterion": r.criterion,
                          "eps_max": r.eps_max, "bracket": r.bracket,
                          "flags": r.flags, "_key": spec.sort_key()})
@@ -573,34 +627,20 @@ def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3), name: str = "ame6",
                n: int = 6, tol: float = BRACKET_TOL) -> list:
     """Threshold vs moment order for one stabilizer state, per cut size.
 
-    For each cut |A| = s the battery is stieltjes(m), descartes(m) and
-    (m-2, m-1, m)-PPT over m_range, plus the order-independent
-    ppt / fidelity / purity rows (m left empty).  Purity compares against
-    the marginal of that very cut.  Stieltjes and the triples are emitted
-    for odd m only: the Hankel test needs an odd top moment, and a triple
-    with even endpoints can never fire (Cauchy-Schwarz bounds the odd
-    middle moment by its even neighbours on any real spectrum).
-    Descartes runs at every order.
+    For each cut |A| = s the battery is fig2_criteria over m_range; the
+    order-independent ppt / fidelity / purity rows leave m empty.  Purity
+    compares against the marginal of that very cut.
     """
     if m_range is None:
         m_range = range(3, 31)
     m_list = sorted(set(m_range))
     if m_list and not 3 <= m_list[0] <= m_list[-1] <= 30:
         raise ValueError("moment orders must lie in 3..30")
-    rows = []
+    specs, rows = fig2_criteria(m_list), []
     for s in cut_sizes:
-        bip = Bipartition(n, frozenset(range(1, s + 1)))
-        model = make_model(name, n, bip)
+        model = make_model(name, n, Bipartition(n, frozenset(range(1, s + 1))))
         cut = f"{s}|{n - s}"
-        specs = [CriterionSpec("ppt"), CriterionSpec("fidelity"),
-                 CriterionSpec("purity")]
-        for m in m_list:
-            if m % 2:
-                specs.append(CriterionSpec("stieltjes", m=m))
-                specs.append(CriterionSpec("klm", triple=(m - 2, m - 1, m)))
-            specs.append(CriterionSpec("descartes", m=m))
-        for spec in specs:
-            r = epsilon_max(spec, model, tol=tol)
+        for spec, r in zip(specs, epsilon_max_battery(specs, model, tol=tol)):
             rows.append({"cut": cut, "criterion": r.criterion,
                          "m": spec.max_order or "",
                          "eps_max": r.eps_max, "bracket": r.bracket,

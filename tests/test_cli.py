@@ -365,3 +365,33 @@ def test_bip_parsing(capsys):
     code, _, err = run(capsys, "moments", "--state", "ame6", "--n", "6",
                        "--bip", "0,1", "--k-max", "2")
     assert code == 2
+
+
+def test_repeated_calls_in_one_process_behave_the_same(capsys):
+    argvs = (
+        ["criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
+         "--noise", "local:0.1"],
+        ["threshold", "--criterion", "stieltjes:4", "--state", "ghz",
+         "--n", "4"],
+        ["sweep", "--preset", "fig9"],
+        ["criterion", "--state", "ghz", "--n", "4"],
+        ["moments", "--state", "ame6", "--bip-size", "2", "--k-max", "3",
+         "--format", "json"],
+        ["gleason", "--n", "4"],
+        [],
+    )
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    first = [outcome(a) for a in argvs]
+    # in reverse, so each call follows another one than the first time
+    again = [outcome(a) for a in reversed(argvs)][::-1]
+    assert again == first
+    assert [code for code, _, _ in first] == [0, 2, 2, 2, 0, 0, 2]
+    assert "invalid choice: 'fig9'" in first[2][2]
+    assert "--name" in first[3][2]

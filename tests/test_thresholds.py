@@ -147,6 +147,19 @@ def test_make_model_validates_the_cut():
                            model=model, noise=noise)
 
 
+@pytest.mark.parametrize("bip", [Bipartition(6, frozenset({1})),
+                                 Bipartition(4, frozenset()),
+                                 Bipartition(4, frozenset({1, 2, 3, 4}))],
+                         ids=["other-n", "empty", "full"])
+def test_every_model_constructor_validates_the_cut(bip):
+    g = state_catalog("ghz", 4)
+    for build in (lambda: GHZModel(4, bip), lambda: StabilizerModel(g, bip),
+                  lambda: GlobalNoiseModel(g, bip),
+                  lambda: DenseModel(state_from_group(g), bip, group=g)):
+        with pytest.raises(ValueError, match="the cut"):
+            build()
+
+
 def test_models_report_bell_pairs():
     assert GHZModel(6).bell_pairs == 1
     for name, n, cut, r in (("ghz", 4, {1}, 1), ("zero", 4, {1, 2}, 0),
