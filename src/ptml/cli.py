@@ -2,8 +2,7 @@
 
 Subcommands:
 
-  moments      PT moments (and Schatten sums where the model provides them)
-               of a noisy catalog state
+  moments      PT moments and Schatten sums of a noisy catalog state
   criterion    one entanglement verdict; the exit code is the answer
                (0 = Entangled, 1 = Inconclusive, 2 = error)
   threshold    bisected noise threshold for one criterion
@@ -16,7 +15,8 @@ Table output is deterministic: fixed column order, a `# schema=1` header,
 labels) double-quoted.  Files are written to a temp path and atomically
 renamed, so a failed run leaves nothing behind.
 PTML_PRECISION_DIGITS overrides the base working precision of the
-analytic models.
+analytic models.  Every state-taking subcommand builds its model through
+thresholds.make_model, the one dispatch from state, noise and cut.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ from .thresholds import (
     sweep_fig1,
     sweep_fig2,
 )
-
-DENSE_CLI_CAP = 10
 
 EXIT_ENTANGLED = 0
 EXIT_INCONCLUSIVE = 1
@@ -188,17 +186,12 @@ def _poly_str(coeffs) -> str:
 
 def cmd_moments(args) -> int:
     cfg = _config(args)
-    k_max = args.k_max
-    if k_max < 1:
+    if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    # up to the cap the dense model supplies Schatten sums on every cut
-    model = make_model(cfg.name, cfg.n, cfg.bip,
-                       model="dense" if cfg.n <= DENSE_CLI_CAP else None,
-                       noise=cfg.noise_kind, digits=cfg.digits)
-    p = model.moments(cfg.eps, k_max)
-    rows = [{"k": k, "p_k": float(p.p(k)),
-             "ptilde_k": "" if p.schatten is None else float(p.ptilde(k))}
-            for k in range(1, k_max + 1)]
+    p = make_model(cfg.name, cfg.n, cfg.bip, noise=cfg.noise_kind,
+                   digits=cfg.digits).moments(cfg.eps, args.k_max)
+    rows = [{"k": k, "p_k": float(p.p(k)), "ptilde_k": float(p.ptilde(k))}
+            for k in range(1, args.k_max + 1)]
     _emit_table(("k", "p_k", "ptilde_k"), rows, cfg.fmt, cfg.out)
     return 0
 

@@ -4,19 +4,19 @@ Every criterion here is a relaxation of the PPT test: it may only fire on
 NPT states.  Verdicts carry a signed margin (positive = detected) and fire
 when the margin exceeds a decision tolerance.
 
-Moments with exact dyadic numerators (the stabilizer model's) are decided
-exactly, with no tolerance, and so are fidelities and purities given as
-ExactScalar.  On the GHZ, dense and global routes each criterion is written
-once over the scalar type: arithmetic runs at the input's precision.  The
-Hankel test there computes no eigenvalue: it asks whether H + tau I admits
-a Cholesky factorisation (np.linalg.cholesky for float input, mp.cholesky
-at digits + 10 for mpf input), and the smallest eigenvalue behind the
-margin is computed only when the margin is read.  The default decision
-tolerance there is 1e-10 for float input and 10^-(d-10) for d-digit input:
-near a threshold the decisive quantities (e.g. the smallest Hankel
-eigenvalue) can sit twelve or more orders below the moment scale, so a
-fixed 1e-10 cutoff would blind the high-precision path exactly where it is
-needed.
+Moments with exact dyadic numerators (the stabilizer models', under local
+and global noise) are decided exactly, with no tolerance, and so are
+fidelities and purities given as ExactScalar.  Elsewhere (GHZ, dense, and
+global-noise fidelity and purity) each criterion is written once over the
+scalar type: arithmetic runs at the input's precision.  The Hankel test
+there computes no eigenvalue: it asks whether H + tau I admits a Cholesky
+factorisation (np.linalg.cholesky for float input, mp.cholesky at digits +
+10 for mpf input), and the smallest eigenvalue behind the margin is
+computed only when the margin is read.  The default decision tolerance
+there is 1e-10 for float input and 10^-(d-10) for d-digit input: near a
+threshold the decisive quantities (e.g. the smallest Hankel eigenvalue)
+can sit twelve or more orders below the moment scale, so a fixed 1e-10
+cutoff would blind the high-precision path exactly where it is needed.
 """
 
 from __future__ import annotations
@@ -369,7 +369,7 @@ def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
 
 
 def ppt_verdict(s: Spectrum, tol=None) -> Verdict:
-    """The PPT criterion itself: a negative PT eigenvalue."""
+    """The PPT criterion on a rounded spectrum: lambda_min < -tol."""
     if tol is None:
         tol = default_tol(s.digits)
     min_eig = s.min_eigenvalue()

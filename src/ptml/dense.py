@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .pauli import Bipartition, PauliString, StabilizerGroup, enumerate_group, weight
-from .spectra import MomentVector
+from .spectra import MomentVector, Spectrum, moments_from_spectrum
 
 DENSE_QUBIT_CAP = 12
 HERMITICITY_RTOL = 1e-12
@@ -151,17 +151,16 @@ def hermitian_eigenvalues(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.n
     return np.linalg.eigvalsh(m)
 
 
-def pt_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> MomentVector:
-    """PT moments p_k = Tr[(rho^G)^k], k = 1..m_max, via power sums."""
-    if m_max < 1:
-        raise ValueError("need m_max >= 1")
+def pt_spectrum(rho: np.ndarray, bip: Bipartition) -> Spectrum:
+    """The eigenvalues of rho^G as a float Spectrum."""
     lams = hermitian_eigenvalues(partial_transpose(rho, bip))
-    by_mag = sorted(lams, key=abs)
-    values = tuple(math.fsum(lam ** k for lam in by_mag)
-                   for k in range(1, m_max + 1))
-    schatten = tuple(math.fsum(abs(lam) ** k for lam in by_mag)
-                     for k in range(1, m_max + 1))
-    return MomentVector(values, schatten, digits=None)
+    return Spectrum(tuple((float(x), 1) for x in lams), digits=None)
+
+
+def pt_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> MomentVector:
+    """PT moments p_k = Tr[(rho^G)^k] and Schatten sums, k = 1..m_max: the
+    exact power sums of the float eigenvalues, each rounded once."""
+    return moments_from_spectrum(pt_spectrum(rho, bip), m_max)
 
 
 def schatten_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> list:
@@ -171,8 +170,8 @@ def schatten_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> list:
 
 def log_negativity(rho: np.ndarray, bip: Bipartition) -> float:
     """log2 of the trace norm of rho^G."""
-    lams = hermitian_eigenvalues(partial_transpose(rho, bip))
-    return math.log2(math.fsum(abs(lam) for lam in lams))
+    lams = pt_spectrum(rho, bip).entries
+    return math.log2(math.fsum(abs(lam) for lam, _ in lams))
 
 
 def fidelity_pure(rho: np.ndarray, g: StabilizerGroup) -> float:

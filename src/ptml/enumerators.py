@@ -552,15 +552,19 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     return CWTable(n, k, bip, cplus, cminus)
 
 
-def dyadic_numerator(coeffs, eps) -> tuple:
-    """(A, f) with sum_w coeffs[w] (1-eps)^w = A / 2^(f deg) exactly: 1 - eps
-    is exactly a / 2^f (from eps's mantissa and exponent), so Horner's rule
-    over ints gives the numerator A."""
+def dyadic_one_minus(eps) -> tuple:
+    """(a, f) with 1 - eps = a / 2^f exactly, from eps's binary form."""
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     _, man, exp, _ = _binary(eps)
     f = max(0, -exp)
-    a = (1 << f) - (man << (exp + f))
+    return (1 << f) - (man << (exp + f)), f
+
+
+def dyadic_numerator(coeffs, eps) -> tuple:
+    """(A, f) with sum_w coeffs[w] (1-eps)^w = A / 2^(f deg) exactly: with
+    1 - eps = a / 2^f, Horner's rule over ints gives the numerator A."""
+    a, f = dyadic_one_minus(eps)
     acc = 0
     for j, c in enumerate(reversed(coeffs)):
         acc = acc * a + (c << f * j)

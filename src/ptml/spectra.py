@@ -1,9 +1,8 @@
 """Closed-form partial-transpose spectra and high-precision moments.
 
-For locally depolarized GHZ states on any cut and globally depolarized
-stabilizer states the PT spectrum is known in closed form, with
-exact integer multiplicities.  This module evaluates those spectra at
-arbitrary decimal precision (mpmath) so that moment power sums stay
+For locally depolarized GHZ states on any cut the PT spectrum is known in
+closed form, with exact integer multiplicities.  This module evaluates it
+at arbitrary decimal precision (mpmath) so that moment power sums stay
 meaningful at large n, where binomial multiplicities around 10^88 multiply
 eigenvalue powers around 10^-100 and float64 would return noise.
 
@@ -12,7 +11,9 @@ per moment (ghz_local_moments), so GHZModel never builds the n + 3 entry
 spectrum; ghz_local_spectrum with moments_from_spectrum is its oracle.
 moments_from_spectrum sums exactly: every entry is a binary number with an
 integer multiplicity, so each power sum is an exact dyadic rational, rounded
-once at the end.
+once at the end.  The stabilizer models hold exact PT spectra, integer
+numerators over one power of two, whose Schatten sums a MomentVector
+rounds on first read.
 
 Conventions: multiplicities are exact Python ints; eigenvalues are mpmath
 mpf values computed at a requested number of significant decimal digits.
@@ -61,18 +62,22 @@ class MomentVector:
     digits records the working precision (None means float64 arithmetic).
     exact holds (A, alpha, beta) for dyadic p_k = A_k / 2^(alpha k + beta).
     Given exact and no values, the values are the A_k rounded to digits,
-    computed on first read: exact verdicts never read them.
+    computed on first read: exact verdicts never read them.  spectrum()
+    returns the exact PT spectrum (entries, s), eigenvalues A_i / 2^s over
+    (A_i, mu_i), whose Schatten sums are rounded on first read likewise.
     """
 
     def __init__(self, values: tuple = None, schatten: tuple = None,
-                 digits: int = None, exact: tuple = None):
+                 digits: int = None, exact: tuple = None, spectrum=None):
         if values is None and exact is None:
             raise ValueError("a moment vector needs values or numerators")
         if values is not None:
             self.values = values  # shadows the rounding below
-        self.schatten = schatten
+        if schatten is not None or spectrum is None:
+            self.schatten = schatten  # shadows the spectrum's sums
         self.digits = digits
         self.exact = exact
+        self._spectrum = spectrum
 
     @functools.cached_property
     def values(self) -> tuple:
@@ -80,6 +85,12 @@ class MomentVector:
         prec = dps_to_prec(self.digits)
         return tuple(round_dyadic(a, -(alpha * k + beta), prec)
                      for k, a in enumerate(nums, 1))
+
+    @functools.cached_property
+    def schatten(self) -> tuple:
+        entries, s = self._spectrum()
+        sums = power_sums([(abs(a), mu) for a, mu in entries], len(self))
+        return MomentVector(exact=(sums, s, 0), digits=self.digits).values
 
     def __len__(self):
         return len(self.values if self.exact is None else self.exact[0])
@@ -96,6 +107,12 @@ class MomentVector:
             raise ValueError(
                 f"moment order {k} outside 1..{len(self.schatten)}")
         return self.schatten[k - 1]
+
+
+def power_sums(entries, m_max: int) -> tuple:
+    """sum_i mu_i A_i^k for k = 1..m_max over integer pairs (A_i, mu_i)."""
+    return tuple(sum(mu * a ** k for a, mu in entries)
+                 for k in range(1, m_max + 1))
 
 
 def ghz_pair(n: int, a: int, e) -> tuple:
@@ -201,32 +218,6 @@ def _binary_powers(x, top: int) -> list:
     for _ in range(top):
         out.append(out[-1] * x)
     return [_binary(y) for y in out]
-
-
-def stab_global_spectrum(n: int, r: int, eps,
-                         digits: int = DEFAULT_DIGITS) -> Spectrum:
-    """PT spectrum of a globally depolarized pure stabilizer state.
-
-    A state with r Bell pairs across the cut has PT eigenvalues
-    lambda_pm = eps/2^n +- (1-eps)/2^r with multiplicities 2^(r-1)(2^r +- 1)
-    and lambda_0 = eps/2^n with multiplicity 2^n - 2^(2r).
-    """
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
-    if not 0 <= float(eps) <= 1:
-        raise ValueError("eps must lie in [0, 1]")
-    with workdps(digits):
-        e = mpf(eps)
-        base = e / 2 ** n
-        gap = (1 - e) / 2 ** r
-        mu_plus = 2 ** (r - 1) * (2 ** r + 1) if r else 1
-        mu_minus = 2 ** (r - 1) * (2 ** r - 1) if r else 0
-        entries = (
-            (base + gap, mu_plus),
-            (base - gap, mu_minus),
-            (base, 2 ** n - 2 ** (2 * r)),
-        )
-    return Spectrum(entries, digits=digits)
 
 
 def moments_from_spectrum(s: Spectrum, m_max: int) -> MomentVector:

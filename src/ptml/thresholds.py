@@ -20,12 +20,12 @@ cut), and make_model is the one dispatch from (state, noise, cut) to model:
                     and the PPT verdict in closed form, at a cost
                     independent of n, in extended precision.
   StabilizerModel   local noise, any stabilizer state and cut (model
-                    "enumerator" for GHZ, as its oracle): exact moments
-                    and exact verdicts for every criterion, from the
-                    character-transformed weight enumerators.
+                    "enumerator" for GHZ, as its oracle): exact moments,
+                    Schatten sums and verdicts for every criterion, from
+                    the character-transformed weight enumerators.
   GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
                     and the Bell pair count, so everything is a closed form
-                    at any n.
+                    at any n; PPT and the moment criteria decide exactly.
   DenseModel        either noise, everything from the density matrix
                     (model "dense").  The slow reference.
 
@@ -51,10 +51,9 @@ from .dense import (
     depolarize_global,
     depolarize_local,
     fidelity_pure,
-    hermitian_eigenvalues,
     nqubits,
-    partial_transpose,
     pt_moments,
+    pt_spectrum,
     state_from_group,
 )
 from .enumerators import (
@@ -62,6 +61,7 @@ from .enumerators import (
     cw_fourier,
     character_polys,
     dyadic_numerator,
+    dyadic_one_minus,
     exact_decayed,
     fidelity_from_enumerators,
     marginal_enumerators,
@@ -72,12 +72,10 @@ from .pauli import Bipartition, StabilizerGroup, bell_pair_rank, state_catalog
 from .spectra import (
     DEFAULT_DIGITS,
     MomentVector,
-    Spectrum,
     ghz_local_moments,
     ghz_pair,
-    moments_from_spectrum,
+    power_sums,
     round_dyadic,
-    stab_global_spectrum,
 )
 
 BRACKET_TOL = 1e-9
@@ -95,8 +93,7 @@ def _order_digits(m_max: int) -> int:
     """
     return DEFAULT_DIGITS + 6 * m_max
 
-# Criterion battery for the GHZ-family sweep.  The klm triples are exposed
-# here so callers can trim or extend the set without touching the sweep.
+# The moment orders and klm triples of the GHZ-family sweep's battery.
 FIG1_KLM_TRIPLES = ((1, 2, 3), (3, 4, 5), (5, 6, 7), (3, 6, 7))
 FIG1_ORDERS = (3, 5, 7)
 
@@ -234,6 +231,19 @@ class GHZModel:
             return tuple(+v for v in pair)
 
 
+def _exact_ppt(model, eps) -> criteria.Verdict:
+    """ppt of the stabilizer models: the sign of the least numerator A_i in
+    model._pt_spectrum(eps) decides, and -lambda_min is rounded when read."""
+    entries, s = model._pt_spectrum(eps)
+    low = min(a for a, _ in entries)
+
+    def explain():
+        min_eig = round_dyadic(low, -s, dps_to_prec(model.digits))
+        return -min_eig, {"min_eigenvalue": min_eig}
+
+    return criteria.DeferredVerdict(low < 0, explain)
+
+
 class StabilizerModel:
     """Locally depolarized stabilizer state, one fixed bipartition.
 
@@ -261,25 +271,21 @@ class StabilizerModel:
     def describe(self) -> str:
         return f"{self.name} n={self.g.n} cut={_cut_label(self.bip)}"
 
+    def _pt_spectrum(self, eps) -> tuple:
+        # P_i(1-eps) / 2^n = A_i / 2^((f+1) n); a verdict reads them once
+        f = dyadic_one_minus(eps)[1]
+        return (((dyadic_numerator(p, eps)[0], mu)
+                 for p, mu in self._chars.minus_set), (f + 1) * self.g.n)
+
     def moments(self, eps, m_max: int) -> MomentVector:
         digits = max(self.digits, _order_digits(m_max))
         nums, fs = zip(*(dyadic_numerator(self._table(k)._difference, eps)
                          for k in range(1, m_max + 1)))
         n = self.g.n
-        return MomentVector(digits=digits, exact=(nums, (fs[0] + 1) * n, -n))
+        return MomentVector(digits=digits, exact=(nums, (fs[0] + 1) * n, -n),
+                            spectrum=functools.partial(self._pt_spectrum, eps))
 
-    def ppt(self, eps) -> criteria.Verdict:
-        # Each eigenvalue P_i(1-eps) / 2^n is A_i / 2^((f+1) n), deg P_i = n:
-        # the numerators' signs decide exactly, the least gives lambda_min.
-        low, f = min(dyadic_numerator(p, eps)
-                     for p, _ in self._chars.minus_set)
-
-        def explain():
-            min_eig = round_dyadic(low, -(f + 1) * self.g.n,
-                                   dps_to_prec(self.digits))
-            return -min_eig, {"min_eigenvalue": min_eig}
-
-        return criteria.DeferredVerdict(low < 0, explain)
+    ppt = _exact_ppt
 
     @functools.cached_property
     def _marginal(self):
@@ -304,8 +310,9 @@ class GlobalNoiseModel:
     """Globally depolarized stabilizer state (1-eps) psi + eps 1/2^n, one
     fixed bipartition, in closed form at any n.
 
-    With r Bell pairs across the cut the PT spectrum has three levels
-    (spectra.stab_global_spectrum), and the marginal on A is (1-eps) times
+    With r Bell pairs across the cut the PT spectrum has three levels,
+    eps/2^n +- (1-eps)/2^r and eps/2^n, exact at a binary eps, so PPT and
+    the moment criteria decide exactly; the marginal on A is (1-eps) times
     a maximally mixed state of rank 2^r plus eps 1/2^|A|.
     """
 
@@ -320,14 +327,22 @@ class GlobalNoiseModel:
     def describe(self) -> str:
         return f"{self.name} n={self.n} cut={_cut_label(self.bip)} noise=global"
 
-    def moments(self, eps, m_max: int) -> MomentVector:
-        digits = max(self.digits, _order_digits(m_max))
-        return moments_from_spectrum(stab_global_spectrum(
-            self.n, self.bell_pairs, eps, digits), m_max)
+    def _pt_spectrum(self, eps) -> tuple:
+        a, f = dyadic_one_minus(eps)
+        n, r = self.n, self.bell_pairs
+        base, gap = ((1 << f) - a) << r, a << n
+        levels = ((base + gap, ((1 << 2 * r) + (1 << r)) >> 1),
+                  (base - gap, ((1 << 2 * r) - (1 << r)) >> 1),
+                  (base, (1 << n) - (1 << 2 * r)))
+        return tuple(e for e in levels if e[1]), n + r + f
 
-    def ppt(self, eps) -> criteria.Verdict:
-        return criteria.ppt_verdict(stab_global_spectrum(
-            self.n, self.bell_pairs, eps, self.digits))
+    def moments(self, eps, m_max: int) -> MomentVector:
+        entries, s = self._pt_spectrum(eps)
+        return MomentVector(digits=max(self.digits, _order_digits(m_max)),
+                            exact=(power_sums(entries, m_max), s, 0),
+                            spectrum=lambda: (entries, s))
+
+    ppt = _exact_ppt
 
     def fidelity(self, eps):
         one = _one_like(eps)
@@ -372,10 +387,7 @@ class DenseModel:
         return pt_moments(self._noisy(eps), self.bip, m_max)
 
     def ppt(self, eps) -> criteria.Verdict:
-        eigs = hermitian_eigenvalues(partial_transpose(self._noisy(eps),
-                                                       self.bip))
-        spec = Spectrum(tuple((float(x), 1) for x in eigs), digits=None)
-        return criteria.ppt_verdict(spec)
+        return criteria.ppt_verdict(pt_spectrum(self._noisy(eps), self.bip))
 
     def fidelity(self, eps):
         if self.group is None:
@@ -546,12 +558,12 @@ def _final_crossing(spec: CriterionSpec, model, grid: list, hits: list,
                            label, state, non_monotone=non_monotone)
 
 
-def fig1_criteria(orders=FIG1_ORDERS, triples=FIG1_KLM_TRIPLES) -> tuple:
+def fig1_criteria() -> tuple:
     specs = [CriterionSpec("ppt"), CriterionSpec("fidelity"),
              CriterionSpec("purity")]
-    specs += [CriterionSpec("descartes", m=m) for m in orders]
-    specs += [CriterionSpec("stieltjes", m=m) for m in orders]
-    specs += [CriterionSpec("klm", triple=t) for t in triples]
+    specs += [CriterionSpec("descartes", m=m) for m in FIG1_ORDERS]
+    specs += [CriterionSpec("stieltjes", m=m) for m in FIG1_ORDERS]
+    specs += [CriterionSpec("klm", triple=t) for t in FIG1_KLM_TRIPLES]
     return tuple(specs)
 
 

@@ -43,8 +43,8 @@ def test_moments_fully_depolarized(capsys):
 
 
 def test_moments_enumerator_route_matches_dense(capsys):
-    # large-n stabilizer path has no dense cross-check inside the CLI, so
-    # do one here at a size where both run
+    # the stabilizer path has no dense cross-check inside the CLI, so do
+    # one here at a size where both run
     from ptml.pauli import Bipartition, state_catalog
     from ptml.dense import depolarize_local, pt_moments, state_from_group
 
@@ -54,7 +54,38 @@ def test_moments_enumerator_route_matches_dense(capsys):
     rho = depolarize_local(state_from_group(state_catalog("ame6", 6)), 0.25)
     want = pt_moments(rho, Bipartition(6, frozenset({1, 2, 3})), 4)
     for r in parse_csv(out):
-        assert float(r["p_k"]) == pytest.approx(want.p(int(r["k"])), abs=1e-9)
+        k = int(r["k"])
+        assert float(r["p_k"]) == pytest.approx(want.p(k), abs=1e-9)
+        assert float(r["ptilde_k"]) == pytest.approx(want.ptilde(k), abs=1e-9)
+
+
+def test_moments_of_twelve_qubits_print_schatten_sums(capsys):
+    # bell_pairs holds the pairs (1,2), (3,4), ...; side A = {1, 3, 4}
+    # splits the first pair only.  Local noise acts pair by pair, so p_k and
+    # ptilde_k are products of two-qubit moments: the split pair's across
+    # its cut, the other five's with no transpose (a full transpose keeps
+    # the spectrum).
+    from ptml.pauli import Bipartition, state_catalog
+    from ptml.dense import depolarize_local, pt_moments, state_from_group
+
+    code, out, _ = run(capsys, "moments", "--state", "bell_pairs", "--n",
+                       "12", "--bip", "1,3,4", "--noise", "local:0.2",
+                       "--k-max", "5")
+    assert code == 0
+    pair = depolarize_local(state_from_group(state_catalog("bell_pairs", 2)),
+                            0.2)
+    split = pt_moments(pair, Bipartition(2, frozenset({1})), 5)
+    whole = pt_moments(pair, Bipartition(2, frozenset()), 5)
+    rows = parse_csv(out)
+    assert [int(r["k"]) for r in rows] == [1, 2, 3, 4, 5]
+    for r in rows:
+        k = int(r["k"])
+        assert r["ptilde_k"] != ""
+        assert float(r["p_k"]) == pytest.approx(
+            split.p(k) * whole.p(k) ** 5, rel=1e-10)
+        assert float(r["ptilde_k"]) == pytest.approx(
+            split.ptilde(k) * whole.ptilde(k) ** 5, rel=1e-10)
+    assert float(rows[0]["ptilde_k"]) > 1  # the split pair is still NPT
 
 
 def test_moments_ghz_beyond_dense_cap_matches_spectrum_oracle(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
-from ptml.pauli import Bipartition, bell_pair_rank, state_catalog
+from ptml.pauli import Bipartition, state_catalog
 from ptml.dense import (
     depolarize_global,
     depolarize_local,
@@ -26,8 +26,8 @@ from ptml.spectra import (
     merge_spectrum,
     moments_from_spectrum,
     ppt_threshold_ghz,
-    stab_global_spectrum,
 )
+from ptml.thresholds import GlobalNoiseModel
 
 
 EPS_GRID = [0.0, 0.2, 0.5, 0.8, 1.0]
@@ -86,20 +86,23 @@ def test_ghz_local_spectrum_accepts_mpf():
 def test_stab_global_spectrum_matches_dense(name, n, a_set, eps):
     g = state_catalog(name, n)
     bip = Bipartition(n, frozenset(a_set))
-    r = bell_pair_rank(g, bip)
-    got = expand(stab_global_spectrum(n, r, eps))
+    entries, s = GlobalNoiseModel(g, bip)._pt_spectrum(eps)
+    got = sorted(a / 2 ** s for a, mu in entries for _ in range(mu))
     want = dense_pt_eigs(name, n, bip, eps, depolarize_global)
     assert np.allclose(got, want, atol=1e-10)
 
 
 def test_stab_global_npt_boundary():
     # pure PT floor is -2^-r, mixing term eps/2^n: zero at eps = 1 - 1/(2^(n-r)+1)
-    for n, r in [(2, 1), (4, 1), (4, 2), (6, 3)]:
+    for name, n, a_set, r in [("ghz", 2, {1}, 1), ("ghz", 4, {1, 2}, 1),
+                              ("bell_pairs", 4, {1, 3}, 2),
+                              ("bell_pairs", 6, {1, 3, 5}, 3)]:
+        model = GlobalNoiseModel(state_catalog(name, n),
+                                 Bipartition(n, frozenset(a_set)))
+        assert model.bell_pairs == r
         thr = 1 - 1 / (2 ** (n - r) + 1)
-        below = stab_global_spectrum(n, r, thr - 1e-6)
-        above = stab_global_spectrum(n, r, thr + 1e-6)
-        assert float(below.min_eigenvalue()) < 0
-        assert float(above.min_eigenvalue()) > 0
+        assert model.ppt(thr - 1e-6).entangled
+        assert not model.ppt(thr + 1e-6).entangled
 
 
 def test_moments_from_spectrum_matches_dense():
