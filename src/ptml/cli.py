@@ -11,9 +11,9 @@ Subcommands:
   gleason      exact self-checks of the enumerator transform algebra
 
 Table output is deterministic: fixed column order, a `# schema=1` header,
-12 significant digits, "\n" line endings, CSV cells holding commas (klm
-labels) double-quoted.  Files are written to a temp path and atomically
-renamed, so a failed run leaves nothing behind.
+12 significant digits (an exact moment rounded once), "\n" line endings,
+CSV cells holding commas (klm labels) double-quoted.  Files are written to
+a temp path and atomically renamed, so a failed run leaves nothing behind.
 PTML_PRECISION_DIGITS overrides the base working precision of the
 analytic models.  Every state-taking subcommand builds its model through
 thresholds.make_model, the one dispatch from state, noise and cut.
@@ -31,7 +31,11 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+
+from mpmath import mpf
+from mpmath.libmp import to_rational
 
 from .enumerators import (
     ame_fixture_check,
@@ -120,10 +124,21 @@ def _config(args) -> RunConfig:
                      getattr(args, "out", None))
 
 
+_TWELVE_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
 def _fmt_cell(v) -> str:
+    """One table cell; numbers print as 12 significant digits.  An exact
+    value (a Fraction, or an mpf's binary value) is rounded once, by a
+    correctly rounded Decimal division; a double holds the 12-digit result
+    exactly enough to print it back unchanged, in float style."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, Fraction)):
+    if isinstance(v, mpf):
+        v = Fraction(*to_rational(v._mpf_))
+    if isinstance(v, Fraction):
+        v = _TWELVE_DIGITS.divide(v.numerator, v.denominator)
+    if isinstance(v, (float, Decimal)):
         return f"{float(v):.12g}"
     return str(v)
 
@@ -190,7 +205,7 @@ def cmd_moments(args) -> int:
         raise ValueError("--k-max must be at least 1")
     p = make_model(cfg.name, cfg.n, cfg.bip, noise=cfg.noise_kind,
                    digits=cfg.digits).moments(cfg.eps, args.k_max)
-    rows = [{"k": k, "p_k": float(p.p(k)), "ptilde_k": float(p.ptilde(k))}
+    rows = [{"k": k, "p_k": p.p(k), "ptilde_k": p.ptilde(k)}
             for k in range(1, args.k_max + 1)]
     _emit_table(("k", "p_k", "ptilde_k"), rows, cfg.fmt, cfg.out)
     return 0

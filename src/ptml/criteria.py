@@ -201,6 +201,13 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
     return Verdict(margin > tol, margin, witness)
 
 
+def hankel_margin(p: MomentVector, m: int) -> tuple:
+    """(margin, witness) of stieltjes(p, m): the margin is -lambda_min of
+    the Hankel matrix, at the precision of hankel_min_eigenvalue."""
+    min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
+    return -min_eig, {"m": m, "min_eigenvalue": min_eig}
+
+
 def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     """Hankel positivity test: a PPT state's moment matrix H_m is PSD, so a
     negative eigenvalue certifies entanglement.  For m=3 this reduces to
@@ -208,13 +215,22 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     diag(2^(alpha i)) makes H_m a positive multiple of the A_k's Hankel.
     Otherwise it fires when -lambda_min > tau = tol max(1, max|H|), that is
     when H + tau I is not positive definite; the margin -lambda_min is
-    computed only when read."""
+    computed only when read.
+
+    Past a rank bound the test is PPT itself.  With D distinct nonzero PT
+    eigenvalues lambda_i of multiplicity mu_i, H_s = V^T diag(mu_i
+    lambda_i) V for the D x s Vandermonde matrix V of the lambda_i, s =
+    (m+1)/2.  For s >= D, V has full row rank, so H_s is PSD exactly when
+    every lambda_i >= 0 (Yu, Imai and Guehne, PRL 127, 060504 (2021);
+    Curto and Fialkow, Houston J. Math. 17 (1991)).  Any upper bound on D
+    serves, since equal or vanishing eigenvalues only lower the count.
+    The models declare one as hankel_rank_bound: the number of minus-set
+    character polynomials under local noise (4, 5 and 4 on the AME(6,2)
+    cuts 1|5, 2|4 and 3|3), 3 under global noise, none for GHZ and dense.
+    thresholds.evaluate decides such an order by the model's exact PPT
+    verdict, with this function's margin."""
     size = _hankel_size(p, m)
-
-    def explain():
-        min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
-        return -min_eig, {"m": m, "min_eigenvalue": min_eig}
-
+    explain = functools.partial(hankel_margin, p, m)
     if p.exact is not None:
         a = p.exact[0]
         return DeferredVerdict(

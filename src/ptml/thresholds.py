@@ -3,18 +3,19 @@
 epsilon_max_battery scans a battery of criteria on one model over a grid of
 eps in [0, 1], and bisects each criterion's final Entangled -> Inconclusive
 crossing down to a requested bracket width.  At each grid point the model's
-moments are computed once, up to the highest order in the battery, and
-every criterion is judged on that one vector; bisection evaluates each
-criterion on its own.  epsilon_max is the battery of one criterion.
-"Final" matters: some moment criteria (notably (m-2, m-1, m)-PPT on uneven
-cuts) switch off and back on before dying out, and the quantity of interest
-is the largest eps at which the criterion still fires.  A pre-scan that
-flips more than once is flagged; strict mode refuses it instead so the
-caller can inspect the grid by hand.
+moments are computed once, up to the highest order a criterion of the
+battery reads, and every criterion is judged on that one vector; bisection
+evaluates each criterion on its own.  epsilon_max is the battery of one
+criterion.  "Final" matters: some moment criteria (notably (m-2, m-1,
+m)-PPT on uneven cuts) switch off and back on before dying out, and the
+quantity of interest is the largest eps at which the criterion still
+fires.  A pre-scan that flips more than once is flagged; strict mode
+refuses it instead so the caller can inspect the grid by hand.
 
 Four state models share one protocol (describe, moments, ppt, fidelity,
-purities, and bell_pairs, the Bell pairs the pure state holds across the
-cut), and make_model is the one dispatch from (state, noise, cut) to model:
+purities, bell_pairs, the Bell pairs the pure state holds across the cut,
+and hankel_rank_bound, see below), and make_model is the one dispatch from
+(state, noise, cut) to model:
 
   GHZModel          local noise, GHZ on any cut and any n: PT moments
                     and the PPT verdict in closed form, at a cost
@@ -28,6 +29,23 @@ cut), and make_model is the one dispatch from (state, noise, cut) to model:
                     at any n; PPT and the moment criteria decide exactly.
   DenseModel        either noise, everything from the density matrix
                     (model "dense").  The slow reference.
+
+hankel_rank_bound is an upper bound D on the number of distinct nonzero PT
+eigenvalue functions of eps, or None.  With D such eigenvalues the order-m
+Hankel matrix, of size s = (m+1)/2, is V^T diag(mu_i lambda_i) V for a
+D x s Vandermonde matrix V of full row rank once s >= D, so stieltjes:m
+with (m+1)/2 >= D fires exactly when PPT does (criteria.stieltjes).  There
+evaluate takes the model's exact PPT verdict, with the Hankel margin
+computed only when read, and the battery reads no moments for it:
+
+  StabilizerModel   D = the number of minus-set character polynomials
+                    (4, 5 and 4 on the AME(6,2) cuts 1|5, 2|4 and 3|3).
+  GlobalNoiseModel  D = 3, the three levels: stieltjes:5 is PPT for every
+                    globally depolarized stabilizer state, at any n and on
+                    any cut, the paper's claim that p_1..p_5 suffice.
+  GHZModel          None: its PPT verdict and Cholesky test carry
+                    different tolerances.
+  DenseModel        None: the oracle takes no shortcut.
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
 (fig1_criteria on the GHZ family vs n; fig2_criteria on AME(6,2) per cut
@@ -179,6 +197,8 @@ class GHZModel:
     closed form."""
 
     bell_pairs = 1
+    # its PPT verdict and Cholesky test carry different tolerances
+    hankel_rank_bound = None
 
     def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
         self.bip = _check_cut(Bipartition.balanced(n) if bip is None else bip,
@@ -265,6 +285,7 @@ class StabilizerModel:
         self.bell_pairs = bell_pair_rank(g, bip)
         self.sl = sl_enumerators(g)
         self._chars = chars = character_polys(g, bip)
+        self.hankel_rank_bound = len(chars.minus_set)
         self._table = functools.cache(
             lambda k: cw_fourier(g, bip, k, chars=chars))
 
@@ -316,6 +337,8 @@ class GlobalNoiseModel:
     a maximally mixed state of rank 2^r plus eps 1/2^|A|.
     """
 
+    hankel_rank_bound = 3
+
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
                  digits: int = None):
         self.n = g.n
@@ -364,6 +387,7 @@ class DenseModel:
     local or global depolarizing noise."""
 
     digits = None  # float64 arithmetic
+    hankel_rank_bound = None  # the oracle takes no shortcut
 
     def __init__(self, rho: np.ndarray, bip: Bipartition,
                  group: StabilizerGroup = None, name: str = None,
@@ -434,13 +458,29 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     return StabilizerModel(g, bip, name=name, digits=digits)
 
 
+def _moment_order(spec: CriterionSpec, model) -> int:
+    """Highest moment the spec's verdict on the model reads: spec.max_order,
+    or 0 for stieltjes at a Hankel size of at least the model's rank bound,
+    which the model's PPT verdict decides."""
+    bound = model.hankel_rank_bound if spec.kind == "stieltjes" else None
+    if bound is not None and (spec.m + 1) // 2 >= bound:
+        return 0
+    return spec.max_order
+
+
 def evaluate(spec: CriterionSpec, model, eps,
              p: MomentVector = None) -> criteria.Verdict:
     """One criterion verdict at one noise rate.  p, the model's moments at
     eps up to order spec.max_order or beyond, spares a moment criterion its
-    own model.moments call; the other criteria ignore it."""
+    own model.moments call; the other criteria ignore it.  Stieltjes past
+    the model's rank bound is the model's PPT verdict, and its Hankel
+    margin takes its own moments, only when read."""
     if spec.kind == "ppt":
         return model.ppt(eps)
+    if spec.kind == "stieltjes" and not _moment_order(spec, model):
+        return criteria.DeferredVerdict(
+            model.ppt(eps).entangled,
+            lambda: criteria.hankel_margin(model.moments(eps, spec.m), spec.m))
     if spec.kind == "fidelity":
         return criteria.fidelity_criterion(
             model.fidelity(eps), model.bell_pairs, digits=model.digits)
@@ -499,7 +539,8 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
 
     A coarse grid over [0, 1] locates every verdict flip.  At each grid
     point the model's moments are computed once, up to the highest order
-    the battery reads, and every spec is judged on that one vector; rounded
+    the battery reads (stieltjes past the model's hankel_rank_bound reads
+    none), and every spec is judged on that one vector; rounded
     moments are then at the top order's precision, so a lower-order
     criterion's grid verdict is judged at that precision and its smaller
     tolerance.  Bisection then tightens each spec's final True -> False
@@ -514,7 +555,7 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
         raise ValueError("need at least 4 grid points")
     specs = tuple(specs)
     grid = [i / (grid_points - 1) for i in range(grid_points)]
-    top = max((spec.max_order for spec in specs), default=0)
+    top = max((_moment_order(spec, model) for spec in specs), default=0)
     hits = [[] for _ in specs]
     for eps in grid:
         p = model.moments(eps, top) if top else None

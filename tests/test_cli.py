@@ -4,11 +4,13 @@ import csv
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mpf, workdps
 
-from ptml.cli import main
+from ptml.cli import _fmt_cell, main
 from ptml.spectra import ppt_threshold_ghz
 
 
@@ -109,6 +111,33 @@ def test_moments_global_noise(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert float(rows[1]["p_k"]) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("argv,k,want", [
+    # p_2 = 0.54090392968749999780..., 2.2e-17 below a 12-digit tie
+    (("zero", "--n", "7", "--bip", "2,5", "--noise", "global:0.267"), 2,
+     "0.540903929687"),
+    # p_4 lies just above 2^-18 = 3.814697265625e-06, itself a tie
+    (("ame6", "--n", "6", "--bip", "2,3,4,6", "--noise", "local:0.996"), 4,
+     "3.81469726563e-06"),
+])
+def test_moments_round_the_exact_value_once(capsys, argv, k, want):
+    code, out, _ = run(capsys, "moments", "--state", *argv, "--k-max", str(k))
+    assert code == 0
+    row = parse_csv(out)[k - 1]
+    assert (row["p_k"], row["ptilde_k"]) == (want, want)
+
+
+def test_cells_round_exact_values_once():
+    tie = mpf(2) ** -18  # 3.814697265625e-06: half to even
+    with workdps(40):  # values a double would round to +-tie
+        above = tie * (1 + mpf(2) ** -60)
+        below = -above
+    assert [_fmt_cell(v) for v in (
+        tie, above, below, mpf(-0.75), mpf(0), Fraction(-1, 3), 0.1,
+        2.0 ** -18)] == [
+        "3.81469726562e-06", "3.81469726563e-06", "-3.81469726563e-06",
+        "-0.75", "0", "-0.333333333333", "0.1", "3.81469726562e-06"]
 
 
 def test_criterion_bell_klm(capsys):

@@ -72,18 +72,29 @@ def test_battery_keeps_each_criterion_flags():
     assert epsilon_max_battery(specs[1:], model, strict=True) == got[1:]
 
 
+def _order_read(spec, model):
+    """The moment order a verdict reads: none for stieltjes at a Hankel
+    size of at least the model's rank bound, which PPT decides."""
+    bound = model.hankel_rank_bound
+    if (spec.kind == "stieltjes" and bound is not None
+            and (spec.m + 1) // 2 >= bound):
+        return 0
+    return spec.max_order
+
+
 @pytest.mark.parametrize("name", sorted(BATTERIES))
 def test_battery_takes_one_moment_vector_per_grid_point(name):
     build, specs = BATTERIES[name]
     model = CountingModel(build())
     results = epsilon_max_battery(specs, model)
-    top = max(spec.max_order for spec in specs)
+    orders = [_order_read(spec, model) for spec in specs]
+    top = max(orders)
     grid = [i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     assert model.calls[:GRID_POINTS] == [(eps, top) for eps in grid]
-    # every later call is one bisection step of one moment criterion, at
-    # that criterion's own order
-    steps = sorted(spec.max_order for spec, r in zip(specs, results)
-                   if spec.max_order for _ in range(r.iterations))
+    # every later call is one bisection step of one criterion that reads
+    # moments, at that criterion's own order
+    steps = sorted(m for m, r in zip(orders, results)
+                   if m for _ in range(r.iterations))
     assert sorted(m for _, m in model.calls[GRID_POINTS:]) == steps
 
 
