@@ -130,14 +130,17 @@ _TWELVE_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
 def _fmt_cell(v) -> str:
     """One table cell; numbers print as 12 significant digits.  An exact
     value (a Fraction, or an mpf's binary value) is rounded once, by a
-    correctly rounded Decimal division; a double holds the 12-digit result
-    exactly enough to print it back unchanged, in float style."""
+    correctly rounded Decimal division.  A double holds the 12-digit result
+    exactly enough to print it back unchanged, in float style; below the
+    normal double range the Decimal prints itself, in the same style."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, mpf):
         v = Fraction(*to_rational(v._mpf_))
     if isinstance(v, Fraction):
         v = _TWELVE_DIGITS.divide(v.numerator, v.denominator)
+    if isinstance(v, Decimal) and 0 < abs(v) < sys.float_info.min:
+        return f"{v.normalize():g}"
     if isinstance(v, (float, Decimal)):
         return f"{float(v):.12g}"
     return str(v)
@@ -220,7 +223,7 @@ def cmd_criterion(args) -> int:
     v = evaluate(spec, make_model(cfg.name, cfg.n, cfg.bip,
                                   noise=cfg.noise_kind, digits=cfg.digits),
                  cfg.eps)
-    print(f"{v.status} margin={_fmt_cell(float(v.margin))}")
+    print(f"{v.status} margin={_fmt_cell(v.margin)}")
     return EXIT_ENTANGLED if v.entangled else EXIT_INCONCLUSIVE
 
 

@@ -5,11 +5,13 @@ NPT states.  Verdicts carry a signed margin (positive = detected) and fire
 when the margin exceeds a decision tolerance.
 
 Moments with exact dyadic numerators (the stabilizer models', under local
-and global noise) are decided exactly, with no tolerance, and so are
-fidelities and purities given as ExactScalar.  Elsewhere (GHZ, dense, and
-global-noise fidelity and purity) each criterion is written once over the
-scalar type: arithmetic runs at the input's precision.  The Hankel test
-there computes no eigenvalue: it asks whether H + tau I admits a Cholesky
+and global noise: MomentVector.exact = (A, s), p_k = A_k / 2^(s k)) are
+decided exactly, with no tolerance, and so are fidelities and purities
+given as Fractions (the stabilizer models', global noise included); a
+margin is then rounded once from the exact value, and only when read.
+Elsewhere (GHZ and dense) each criterion is written once over the scalar
+type: arithmetic runs at the input's precision.  The Hankel test there
+computes no eigenvalue: it asks whether H + tau I admits a Cholesky
 factorisation (np.linalg.cholesky for float input, mp.cholesky at digits +
 10 for mpf input), and the smallest eigenvalue behind the margin is
 computed only when the margin is read.  The default decision tolerance
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .spectra import MomentVector, Spectrum, merge_spectrum
 
@@ -69,20 +72,17 @@ class DeferredVerdict(Verdict):
 
 
 @dataclass(frozen=True)
-class ExactScalar:
-    """A quantity known exactly (value, a Fraction) whose rounded form, the
-    one a margin reads, is computed by rounded() only when it is read."""
-
-    value: Fraction
-    rounded: object
-
-
-@dataclass(frozen=True)
 class HankelMatrix:
     """[H]_{i,j} = p_{i+j-1} (1-based), square of size (m+1)/2, odd m."""
 
     m: int
     entries: tuple
+
+
+def _round_once(x: Fraction, digits: int):
+    """An exact margin, rounded once to digits."""
+    return mp.make_mpf(from_rational(x.numerator, x.denominator,
+                                     dps_to_prec(digits), round_nearest))
 
 
 def default_tol(digits):
@@ -212,7 +212,7 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     """Hankel positivity test: a PPT state's moment matrix H_m is PSD, so a
     negative eigenvalue certifies entanglement.  For m=3 this reduces to
     the p_2^2 > p_3 test.  On exact numerators, congruence by
-    diag(2^(alpha i)) makes H_m a positive multiple of the A_k's Hankel.
+    diag(2^(s i)) makes H_m a positive multiple of the A_k's Hankel.
     Otherwise it fires when -lambda_min > tau = tol max(1, max|H|), that is
     when H + tau I is not positive definite; the margin -lambda_min is
     computed only when read.
@@ -226,7 +226,8 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     serves, since equal or vanishing eigenvalues only lower the count.
     The models declare one as hankel_rank_bound: the number of minus-set
     character polynomials under local noise (4, 5 and 4 on the AME(6,2)
-    cuts 1|5, 2|4 and 3|3), 3 under global noise, none for GHZ and dense.
+    cuts 1|5, 2|4 and 3|3), at most 3 under global noise, none for GHZ and
+    dense.
     thresholds.evaluate decides such an order by the model's exact PPT
     verdict, with this function's margin."""
     size = _hankel_size(p, m)
@@ -249,7 +250,7 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
     e_1..e_m follow from the power sums by Newton's identities
         e_j = (1/j) sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i;
     any e_j < 0 certifies a negative eigenvalue.  On exact numerators the
-    integers F_j = j! 2^(alpha j) e_j follow the same recurrence over ints.
+    integers F_j = j! 2^(s j) e_j follow the same recurrence over ints.
     """
     if not 1 <= m <= len(p):
         raise ValueError(f"need 1 <= m <= {len(p)}")
@@ -260,12 +261,12 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
         return margin, {"elementary": tuple(es[1:]), "worst_j": worst}
 
     if p.exact is not None:
-        nums, alpha, beta = p.exact
-        fs = _newton_numerators(tuple(nums), -beta)[:m + 1]
+        nums, s = p.exact
+        fs = _newton_numerators(tuple(nums))[:m + 1]
 
         def rounded():
             with workdps(p.digits):
-                return explain([mp.ldexp(mpf(f) / math.factorial(j), -alpha * j)
+                return explain([mp.ldexp(mpf(f) / math.factorial(j), -s * j)
                                 for j, f in enumerate(fs)])
 
         return DeferredVerdict(min(fs) < 0, rounded)
@@ -278,14 +279,13 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
 # vector in turn, and F_j reads only A_1..A_j, so each reuses the first
 # call's sequence.
 @functools.lru_cache(maxsize=1)
-def _newton_numerators(nums: tuple, shift: int) -> tuple:
-    """F_0..F_len(nums) with F_j = j! 2^(alpha j) e_j, by Newton's
-    identities over ints from p_i = A_i / 2^(alpha i - shift)."""
-    a = [x << shift for x in nums]
+def _newton_numerators(nums: tuple) -> tuple:
+    """F_0..F_len(nums) with F_j = j! 2^(s j) e_j, by Newton's
+    identities over ints from p_i = A_i / 2^(s i)."""
     fs = [1]
-    for j in range(1, len(a) + 1):
+    for j in range(1, len(nums) + 1):
         fs.append(sum((-1) ** (i - 1) * math.perm(j - 1, i - 1) * fs[j - i]
-                      * a[i - 1] for i in range(1, j + 1)))
+                      * nums[i - 1] for i in range(1, j + 1)))
     return tuple(fs)
 
 
@@ -355,13 +355,13 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
     2^-bell_pairs, so with none the criterion certifies nothing.  digits
-    is the precision of mpf input; float input is judged as float64, and
-    an ExactScalar exactly."""
-    if isinstance(f, ExactScalar):
-        above_half = 2 * f.value.numerator > f.value.denominator
-        return DeferredVerdict(bell_pairs >= 1 and above_half,
-                               lambda: (f.rounded() - 0.5, None),
-                               exact=bell_pairs >= 1)
+    is the precision of mpf input; float input is judged as float64, and a
+    Fraction exactly, its margin rounded once to digits."""
+    if isinstance(f, Fraction):
+        return DeferredVerdict(
+            bell_pairs >= 1 and 2 * f > 1,
+            lambda: (_round_once(f - Fraction(1, 2), digits), None),
+            exact=bell_pairs >= 1)
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
     tol = default_tol(None if isinstance(f, float) else digits)
@@ -371,12 +371,11 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
 
 def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
-    digits as for fidelity_criterion.  Two ExactScalar purities are
-    compared exactly."""
-    if isinstance(global_purity, ExactScalar):
-        return DeferredVerdict(
-            global_purity.value > subsystem_purity.value, lambda: (
-                global_purity.rounded() - subsystem_purity.rounded(), None))
+    digits as for fidelity_criterion.  Two Fraction purities are compared
+    exactly."""
+    if isinstance(global_purity, Fraction):
+        gap = global_purity - subsystem_purity
+        return DeferredVerdict(gap > 0, lambda: (_round_once(gap, digits), None))
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
     tol = default_tol(None if isinstance(global_purity, float) else digits)

@@ -14,12 +14,13 @@ reduces the count to a sum of k-th powers of at most 2^n small polynomials,
 taken as packed big-int powers (each polynomial evaluated at z = 2^B).
 Stabilizer tables are evaluated exactly at a float or mpf eps, a binary
 number, and rounded once; the minus-set character polynomials evaluated the
-same way give the PT spectrum, P_i(1-eps) / 2^n with multiplicity mult_i.
+same way give the PT spectrum, P_i(1-eps) / 2^n with multiplicity mult_i,
+and their k-th power sums alone give the PT moments, which is how
+thresholds.StabilizerModel takes them (the tables are its oracle).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -83,10 +84,6 @@ class CWTable:
         return [self.cplus.get(w, 0) - self.cminus.get(w, 0)
                 for w in range(self.n * self.k + 1)]
 
-    @functools.cached_property
-    def _difference(self) -> tuple:
-        return tuple(self.difference_poly())  # built once, read per moment
-
 
 @dataclass(frozen=True)
 class CharacterPolynomials:
@@ -100,10 +97,6 @@ class CharacterPolynomials:
     n: int
     plus_set: tuple
     minus_set: tuple
-
-    @functools.cached_property
-    def pairings(self) -> tuple:  # built once, read for every k
-        return _mirror_pairs(self.plus_set), _mirror_pairs(self.minus_set)
 
 
 def _num(v, like):
@@ -286,14 +279,24 @@ def marginal_enumerators(g: StabilizerGroup, bip: Bipartition) -> SLVector:
     return SLVector(s, tuple(Fraction(c, 1 << s) for c in counts))
 
 
-def exact_decayed(a: SLVector, eps, power: int = 1) -> Fraction:
-    """sum_i a_i (1-eps)^(power i) exactly, for stabilizer enumerators
-    (integers over 2^n) at a binary eps: Horner's rule over ints."""
-    coeffs, scale = [0] * (power * a.n + 1), 1 << a.n
-    for i, v in enumerate(a.values):
-        coeffs[power * i] = v.numerator * (scale // v.denominator)
-    num, f = dyadic_numerator(coeffs, eps)
-    return Fraction(num, 1 << (f * power * a.n + a.n))
+def one_step_enumerators(size: int, r: int) -> SLVector:
+    """Shor-Laflamme enumerators under the one-step weight [S != I], the
+    weight global depolarization damps by: a pure stabilizer state's
+    reduction to size qubits, holding r Bell pairs with the rest, has
+    2^(size-r) group elements, so (1, 2^(size-r) - 1) / 2^size."""
+    return SLVector(1, (Fraction(1, 1 << size),
+                        Fraction((1 << size - r) - 1, 1 << size)))
+
+
+def exact_decayed(values, eps, power: int = 1) -> Fraction:
+    """sum_i v_i (1-eps)^(power i) exactly, for rational v_i (such as
+    enumerators, integers over 2^n) at a binary eps: Horner's rule over
+    Fractions."""
+    a, f = dyadic_one_minus(eps)
+    q, acc = Fraction(a, 1 << f) ** power, Fraction(0)
+    for v in reversed(values):
+        acc = acc * q + v
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +530,15 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     size = sum(m for _, m in chars.plus_set)
     wmax = n * k
 
-    def combine(charset, pairs):
-        tot = _power_sum(charset, k, wmax + 1, pairs)
+    def combine(charset):
+        tot = _power_sum(charset, k, wmax + 1)
         if any(c % size for c in tot):
             raise ValueError("character inversion is not integral; "
                              "group tables are inconsistent")
         return [c // size for c in tot]
 
-    spoly = combine(chars.plus_set, chars.pairings[0])
-    dpoly = combine(chars.minus_set, chars.pairings[1])
+    spoly = combine(chars.plus_set)
+    dpoly = combine(chars.minus_set)
     cplus = {}
     cminus = {}
     for w in range(wmax + 1):
@@ -561,14 +564,13 @@ def dyadic_one_minus(eps) -> tuple:
     return (1 << f) - (man << (exp + f)), f
 
 
-def dyadic_numerator(coeffs, eps) -> tuple:
-    """(A, f) with sum_w coeffs[w] (1-eps)^w = A / 2^(f deg) exactly: with
-    1 - eps = a / 2^f, Horner's rule over ints gives the numerator A."""
-    a, f = dyadic_one_minus(eps)
+def dyadic_numerator(coeffs, a: int, f: int) -> int:
+    """A with sum_w coeffs[w] (1-eps)^w = A / 2^(f deg) exactly, where
+    1 - eps = a / 2^f (dyadic_one_minus): Horner's rule over ints."""
     acc = 0
     for j, c in enumerate(reversed(coeffs)):
         acc = acc * a + (c << f * j)
-    return acc, f
+    return acc
 
 
 def noisy_pt_moment(table, eps):
@@ -582,9 +584,9 @@ def noisy_pt_moment(table, eps):
         raise ValueError("eps must lie in [0, 1]")
     if isinstance(table, CWTable):
         wide = isinstance(eps, mpf)
-        acc, f = dyadic_numerator(table._difference, eps)
-        v = round_dyadic(acc, -(f * (len(table._difference) - 1)
-                                + table.n * (table.k - 1)),
+        x = (exact_decayed(table.difference_poly(), eps)
+             / (1 << table.n * (table.k - 1)))  # dyadic
+        v = round_dyadic(x.numerator, 1 - x.denominator.bit_length(),
                          mp.prec if wide else 53)
         return v if wide else float(v)
     if isinstance(table, QWETable):

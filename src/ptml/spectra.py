@@ -11,9 +11,11 @@ per moment (ghz_local_moments), so GHZModel never builds the n + 3 entry
 spectrum; ghz_local_spectrum with moments_from_spectrum is its oracle.
 moments_from_spectrum sums exactly: every entry is a binary number with an
 integer multiplicity, so each power sum is an exact dyadic rational, rounded
-once at the end.  The stabilizer models hold exact PT spectra, integer
-numerators over one power of two, whose Schatten sums a MomentVector
-rounds on first read.
+once at the end.  The stabilizer models, under local and global noise,
+hold exact PT spectra, integer numerators A_i over one power of two 2^s,
+and give their moments in the same form: MomentVector.exact is (A, s) with
+p_k = A_k / 2^(s k), and a MomentVector rounds the A_k, and the Schatten
+sums of the spectrum, once on first read.
 
 Conventions: multiplicities are exact Python ints; eigenvalues are mpmath
 mpf values computed at a requested number of significant decimal digits.
@@ -60,11 +62,12 @@ class MomentVector:
     """PT moments p_1..p_m, optionally with Schatten variants ptilde_k.
 
     digits records the working precision (None means float64 arithmetic).
-    exact holds (A, alpha, beta) for dyadic p_k = A_k / 2^(alpha k + beta).
-    Given exact and no values, the values are the A_k rounded to digits,
-    computed on first read: exact verdicts never read them.  spectrum()
-    returns the exact PT spectrum (entries, s), eigenvalues A_i / 2^s over
-    (A_i, mu_i), whose Schatten sums are rounded on first read likewise.
+    exact holds (A, s) for dyadic p_k = A_k / 2^(s k), s the exponent of the
+    exact PT spectrum the moments sum.  Given exact and no values, the
+    values are the A_k rounded to digits, computed on first read: exact
+    verdicts never read them.  spectrum() returns that spectrum (entries,
+    s), eigenvalues A_i / 2^s over (A_i, mu_i), whose Schatten sums are
+    rounded on first read likewise.
     """
 
     def __init__(self, values: tuple = None, schatten: tuple = None,
@@ -81,16 +84,16 @@ class MomentVector:
 
     @functools.cached_property
     def values(self) -> tuple:
-        nums, alpha, beta = self.exact
+        nums, s = self.exact
         prec = dps_to_prec(self.digits)
-        return tuple(round_dyadic(a, -(alpha * k + beta), prec)
+        return tuple(round_dyadic(a, -s * k, prec)
                      for k, a in enumerate(nums, 1))
 
     @functools.cached_property
     def schatten(self) -> tuple:
         entries, s = self._spectrum()
         sums = power_sums([(abs(a), mu) for a, mu in entries], len(self))
-        return MomentVector(exact=(sums, s, 0), digits=self.digits).values
+        return MomentVector(exact=(sums, s), digits=self.digits).values
 
     def __len__(self):
         return len(self.values if self.exact is None else self.exact[0])

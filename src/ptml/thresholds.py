@@ -23,10 +23,11 @@ and hankel_rank_bound, see below), and make_model is the one dispatch from
   StabilizerModel   local noise, any stabilizer state and cut (model
                     "enumerator" for GHZ, as its oracle): exact moments,
                     Schatten sums and verdicts for every criterion, from
-                    the character-transformed weight enumerators.
-  GlobalNoiseModel  global noise: a three-level PT spectrum fixed by n, eps
-                    and the Bell pair count, so everything is a closed form
-                    at any n; PPT and the moment criteria decide exactly.
+                    the minus-set character polynomials in 1 - eps.
+  GlobalNoiseModel  global noise: the stabilizer model with one-step
+                    weights [S != I], whose polynomials are three linear
+                    levels fixed by n and the Bell pair count, exact at
+                    any n.
   DenseModel        either noise, everything from the density matrix
                     (model "dense").  The slow reference.
 
@@ -40,9 +41,10 @@ computed only when read, and the battery reads no moments for it:
 
   StabilizerModel   D = the number of minus-set character polynomials
                     (4, 5 and 4 on the AME(6,2) cuts 1|5, 2|4 and 3|3).
-  GlobalNoiseModel  D = 3, the three levels: stieltjes:5 is PPT for every
-                    globally depolarized stabilizer state, at any n and on
-                    any cut, the paper's claim that p_1..p_5 suffice.
+  GlobalNoiseModel  D = the levels of nonzero multiplicity, 3 (2 when r = 0
+                    or 2r = n): stieltjes:5 is PPT for every globally
+                    depolarized stabilizer state, at any n and on any cut,
+                    the paper's claim that p_1..p_5 suffice.
   GHZModel          None: its PPT verdict and Cholesky test carry
                     different tolerances.
   DenseModel        None: the oracle takes no shortcut.
@@ -75,15 +77,14 @@ from .dense import (
     state_from_group,
 )
 from .enumerators import (
-    _one_like,
-    cw_fourier,
+    _mirror_pairs,
+    _power_sum,
     character_polys,
     dyadic_numerator,
     dyadic_one_minus,
     exact_decayed,
-    fidelity_from_enumerators,
     marginal_enumerators,
-    noisy_purity,
+    one_step_enumerators,
     sl_enumerators,
 )
 from .pauli import Bipartition, StabilizerGroup, bell_pair_rank, state_catalog
@@ -251,29 +252,22 @@ class GHZModel:
             return tuple(+v for v in pair)
 
 
-def _exact_ppt(model, eps) -> criteria.Verdict:
-    """ppt of the stabilizer models: the sign of the least numerator A_i in
-    model._pt_spectrum(eps) decides, and -lambda_min is rounded when read."""
-    entries, s = model._pt_spectrum(eps)
-    low = min(a for a, _ in entries)
-
-    def explain():
-        min_eig = round_dyadic(low, -s, dps_to_prec(model.digits))
-        return -min_eig, {"min_eigenvalue": min_eig}
-
-    return criteria.DeferredVerdict(low < 0, explain)
-
-
 class StabilizerModel:
-    """Locally depolarized stabilizer state, one fixed bipartition.
+    """Depolarized stabilizer state, one fixed bipartition, exact at a
+    binary eps.
 
-    Moments are exact polynomials in (1-eps) from the character-transformed
-    weight enumerators, returned with their integer numerators at a binary
-    eps, so moment criteria decide exactly.  The PT spectrum is P_i(1-eps) /
-    2^n with multiplicity mult_i over the minus-set character polynomials,
-    so the PPT boundary is a root of min_i P_i(1-eps).  Fidelity and the
-    purities are polynomials in (1-eps) with dyadic coefficients, returned
-    as exact values.
+    Depolarizing noise damps each group element S by (1-eps)^wt(S); under
+    local noise wt is the Pauli weight.  The model's data: the PT spectrum
+    P_i(1-eps) / 2^n with multiplicity mu_i over polys ((coeffs, mu), ...),
+    here the minus-set character polynomials, and the Shor-Laflamme
+    enumerators sl of the state and _marginal of its reduction to A, here
+    group elements counted by weight.  From them: PPT is the sign of
+    min_i P_i(1-eps); the moments p_k = sum_i mu_i P_i(1-eps)^k / 2^(nk)
+    come from the power-sum polynomials by Horner's rule, as integer
+    numerators, so every criterion decides exactly; hankel_rank_bound =
+    len(polys); fidelity and the purities are sum_w a_w (1-eps)^w and
+    sum_w a_w (1-eps)^(2w), exact Fractions.  GlobalNoiseModel changes
+    only the data.
     """
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
@@ -283,103 +277,107 @@ class StabilizerModel:
         self.name = name or "stabilizer"
         self.digits = DEFAULT_DIGITS if digits is None else digits
         self.bell_pairs = bell_pair_rank(g, bip)
-        self.sl = sl_enumerators(g)
-        self._chars = chars = character_polys(g, bip)
-        self.hankel_rank_bound = len(chars.minus_set)
-        self._table = functools.cache(
-            lambda k: cw_fourier(g, bip, k, chars=chars))
+        self.polys = self._polys()
+        self.hankel_rank_bound = len(self.polys)
+        self._degree = len(self.polys[0][0]) - 1
+        self._power = functools.cache(lambda k: _power_sum(
+            self.polys, k, self._degree * k + 1, self._pairs))
 
-    def describe(self) -> str:
-        return f"{self.name} n={self.g.n} cut={_cut_label(self.bip)}"
+    def _polys(self) -> tuple:
+        return character_polys(self.g, self.bip).minus_set
 
-    def _pt_spectrum(self, eps) -> tuple:
-        # P_i(1-eps) / 2^n = A_i / 2^((f+1) n); a verdict reads them once
-        f = dyadic_one_minus(eps)[1]
-        return (((dyadic_numerator(p, eps)[0], mu)
-                 for p, mu in self._chars.minus_set), (f + 1) * self.g.n)
+    @functools.cached_property
+    def _pairs(self) -> tuple:  # found once, read for every k
+        return _mirror_pairs(self.polys)
 
-    def moments(self, eps, m_max: int) -> MomentVector:
-        digits = max(self.digits, _order_digits(m_max))
-        nums, fs = zip(*(dyadic_numerator(self._table(k)._difference, eps)
-                         for k in range(1, m_max + 1)))
-        n = self.g.n
-        return MomentVector(digits=digits, exact=(nums, (fs[0] + 1) * n, -n),
-                            spectrum=functools.partial(self._pt_spectrum, eps))
-
-    ppt = _exact_ppt
+    @functools.cached_property
+    def sl(self):
+        return sl_enumerators(self.g)
 
     @functools.cached_property
     def _marginal(self):
         # a walk of the whole group, taken once and only if purity is asked
         return marginal_enumerators(self.g, self.bip)
 
-    def fidelity(self, eps):
-        # exact at a binary eps; a margin reads the float (or mpf) sum
-        return criteria.ExactScalar(
-            exact_decayed(self.sl, eps),
-            functools.partial(fidelity_from_enumerators, self.sl, eps))
-
-    def purities(self, eps):
-        # Size-resolved comparison: the purity of this very marginal.
-        return tuple(
-            criteria.ExactScalar(exact_decayed(a, eps, power=2),
-                                 functools.partial(noisy_purity, a, eps))
-            for a in (self.sl, self._marginal))
-
-
-class GlobalNoiseModel:
-    """Globally depolarized stabilizer state (1-eps) psi + eps 1/2^n, one
-    fixed bipartition, in closed form at any n.
-
-    With r Bell pairs across the cut the PT spectrum has three levels,
-    eps/2^n +- (1-eps)/2^r and eps/2^n, exact at a binary eps, so PPT and
-    the moment criteria decide exactly; the marginal on A is (1-eps) times
-    a maximally mixed state of rank 2^r plus eps 1/2^|A|.
-    """
-
-    hankel_rank_bound = 3
-
-    def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
-                 digits: int = None):
-        self.n = g.n
-        self.bip = _check_cut(bip, g.n)
-        self.name = name or "stabilizer"
-        self.digits = DEFAULT_DIGITS if digits is None else digits
-        self.bell_pairs = bell_pair_rank(g, bip)
-
     def describe(self) -> str:
-        return f"{self.name} n={self.n} cut={_cut_label(self.bip)} noise=global"
+        return f"{self.name} n={self.g.n} cut={_cut_label(self.bip)}"
 
     def _pt_spectrum(self, eps) -> tuple:
+        # P_i(1-eps) / 2^n = A_i / 2^s
         a, f = dyadic_one_minus(eps)
-        n, r = self.n, self.bell_pairs
-        base, gap = ((1 << f) - a) << r, a << n
-        levels = ((base + gap, ((1 << 2 * r) + (1 << r)) >> 1),
-                  (base - gap, ((1 << 2 * r) - (1 << r)) >> 1),
-                  (base, (1 << n) - (1 << 2 * r)))
-        return tuple(e for e in levels if e[1]), n + r + f
+        return (tuple((dyadic_numerator(p, a, f), mu) for p, mu in self.polys),
+                f * self._degree + self.g.n)
 
     def moments(self, eps, m_max: int) -> MomentVector:
-        entries, s = self._pt_spectrum(eps)
+        a, f = dyadic_one_minus(eps)
+        nums = tuple(dyadic_numerator(self._power(k), a, f)
+                     for k in range(1, m_max + 1))
         return MomentVector(digits=max(self.digits, _order_digits(m_max)),
-                            exact=(power_sums(entries, m_max), s, 0),
-                            spectrum=lambda: (entries, s))
+                            exact=(nums, f * self._degree + self.g.n),
+                            spectrum=functools.partial(self._pt_spectrum, eps))
 
-    ppt = _exact_ppt
+    def ppt(self, eps) -> criteria.Verdict:
+        """The sign of the least numerator A_i of the PT spectrum decides,
+        and -lambda_min is rounded when read."""
+        entries, s = self._pt_spectrum(eps)
+        low = min(a for a, _ in entries)
+
+        def explain():
+            min_eig = round_dyadic(low, -s, dps_to_prec(self.digits))
+            return -min_eig, {"min_eigenvalue": min_eig}
+
+        return criteria.DeferredVerdict(low < 0, explain)
 
     def fidelity(self, eps):
-        one = _one_like(eps)
-        return (one - eps) + eps * (one / 2) ** self.n
+        return exact_decayed(self.sl.values, eps)
 
-    def purities(self, eps):
-        # in mpf: the global purity reaches 2^-n, past float64 range
-        with workdps(self.digits):
-            e = mpf(eps)
-            q = (1 - e) ** 2
-            mixed = e * (2 - e)
-            return (q + mp.ldexp(mixed, -self.n),
-                    mp.ldexp(q, -self.bell_pairs)
-                    + mp.ldexp(mixed, -len(self.bip.a_set)))
+    def purities(self, eps) -> tuple:
+        # Size-resolved comparison: the purity of this very marginal.
+        return tuple(exact_decayed(a.values, eps, power=2)
+                     for a in (self.sl, self._marginal))
+
+
+class GlobalNoiseModel(StabilizerModel):
+    """Globally depolarized stabilizer state (1-eps) psi + eps 1/2^n, one
+    fixed bipartition, exact at any n: the stabilizer model with one-step
+    weights.
+
+    Global noise damps every Pauli but the identity by 1 - eps, so the
+    weight wt(S) of StabilizerModel becomes [S != I].  With r Bell pairs
+    across the cut the PT spectrum has three levels, the polynomials
+    1 + (2^(n-r) - 1) z, 1 - (2^(n-r) + 1) z and 1 - z in z = 1 - eps with
+    multiplicities (4^r + 2^r)/2, (4^r - 2^r)/2 and 2^n - 4^r (levels of
+    multiplicity 0 dropped, so D = 2 when r = 0 or 2r = n, else 3).  The
+    enumerators are (1, 2^n - 1) / 2^n for the state and, since 2^(|A|-r)
+    group elements lie inside A (Fattal et al., quant-ph/0406168),
+    (1, 2^(|A|-r) - 1) / 2^|A| for its marginal.
+    """
+
+    def _polys(self) -> tuple:
+        n, r = self.g.n, self.bell_pairs
+        levels = (((1, (1 << n - r) - 1), ((1 << 2 * r) + (1 << r)) >> 1),
+                  ((1, -(1 << n - r) - 1), ((1 << 2 * r) - (1 << r)) >> 1),
+                  ((1, -1), (1 << n) - (1 << 2 * r)))
+        return tuple(e for e in levels if e[1])
+
+    @functools.cached_property
+    def sl(self):
+        return one_step_enumerators(self.g.n, 0)
+
+    @functools.cached_property
+    def _marginal(self):
+        return one_step_enumerators(len(self.bip.a_set), self.bell_pairs)
+
+    def describe(self) -> str:
+        return super().describe() + " noise=global"
+
+    def moments(self, eps, m_max: int) -> MomentVector:
+        # at most three levels: their power sums cost less than Horner
+        # steps through the k-th power polynomials
+        entries, s = self._pt_spectrum(eps)
+        return MomentVector(digits=max(self.digits, _order_digits(m_max)),
+                            exact=(power_sums(entries, m_max), s),
+                            spectrum=lambda: (entries, s))
 
 
 class DenseModel:
@@ -453,9 +451,8 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     if model == "dense":
         return DenseModel(state_from_group(g), bip, group=g, name=name,
                           noise=noise)
-    if noise == "global":
-        return GlobalNoiseModel(g, bip, name=name, digits=digits)
-    return StabilizerModel(g, bip, name=name, digits=digits)
+    cls = GlobalNoiseModel if noise == "global" else StabilizerModel
+    return cls(g, bip, name=name, digits=digits)
 
 
 def _moment_order(spec: CriterionSpec, model) -> int:

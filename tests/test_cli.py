@@ -140,6 +140,37 @@ def test_cells_round_exact_values_once():
         "-0.75", "0", "-0.333333333333", "0.1", "3.81469726562e-06"]
 
 
+def test_criterion_margin_is_rounded_once(capsys):
+    # the exact margin is -0.03516064453124999772..., just inside the
+    # 12-digit tie; the nearest double, -0.03516064453125000017..., lies
+    # past it, so float() printed ...313
+    code, out, _ = run(capsys, "criterion", "--name", "descartes:3",
+                       "--state", "zero", "--n", "7", "--bip", "2,5",
+                       "--noise", "global:0.3")
+    assert code == 1
+    assert out == "Inconclusive margin=-0.0351606445312\n"
+
+
+def test_cells_print_values_past_the_double_range(capsys):
+    # p_3 = 2^-2000 of the maximally mixed 1000-qubit state, 0 as a double
+    code, out, _ = run(capsys, "moments", "--state", "ghz", "--n", "1000",
+                       "--k-max", "3", "--noise", "global:1")
+    assert code == 0
+    assert parse_csv(out)[2]["p_k"] == "8.70980981622e-603"
+    # the exact global fidelity gap 2^-1101: Entangled, with its margin
+    code, out, _ = run(capsys, "criterion", "--name", "fidelity", "--state",
+                       "ghz", "--n", "1100", "--noise", "global:0.5")
+    assert code == 0
+    assert out == "Entangled margin=3.68107591451e-332\n"
+    # a subnormal double would keep fewer digits; the normal range prints
+    # as a double
+    assert [_fmt_cell(v) for v in (
+        Fraction(-1, 10 ** 400), Fraction(3, 2 ** 1075), mpf(2) ** -1022,
+        Fraction(1, 2 ** 1022))] == [
+        "-1e-400", "7.41098468762e-324", "2.22507385851e-308",
+        "2.22507385851e-308"]
+
+
 def test_criterion_bell_klm(capsys):
     code, out, _ = run(capsys, "criterion", "--name", "klm:1,2,3",
                        "--state", "ghz", "--n", "2")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec, to_rational
 
 from ptml import criteria
 from ptml.cli import main
@@ -269,7 +270,7 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
     # threshold.  Just below it lambda_min is about -1e-71, under the 1e-50
     # tolerance a rounded spectrum is judged with; the numerators decide.
     thr = epsilon_max(CriterionSpec("ppt"), AME6_33).eps_max
-    polys = [p for p, _ in AME6_33._chars.minus_set]
+    polys = [p for p, _ in AME6_33.polys]
     with workdps(150):
         def value(c, q):
             return mp.polyval(list(reversed(c)), q)
@@ -337,6 +338,13 @@ def test_enumerator_fidelity_is_decided_exactly():
     assert not evaluate(fidelity, model, float(star + 1e-13)).entangled
 
 
+def _rounded_once(margin, exact, digits):
+    """Whether an mpf margin is the exact value rounded once to digits:
+    within a relative 2^-prec of it, where a float sum misses by 1e-17."""
+    err = abs(Fraction(*to_rational(margin._mpf_)) - exact)
+    return err <= abs(exact) / 2 ** dps_to_prec(digits)
+
+
 def _decayed_exactly(a, eps, power):
     q = 1 - Fraction(eps)
     return sum(v * q ** (power * i) for i, v in enumerate(a.values))
@@ -350,11 +358,8 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     f = _decayed_exactly(model.sl, eps, 1)
     v = evaluate(CriterionSpec("fidelity"), model, eps)
     assert v.entangled == (model.bell_pairs >= 1 and f > Fraction(1, 2))
-    # the margin is the float sum it always was, or 0 where its sign
-    # contradicts the exact verdict; with no Bell pair it is never zeroed
-    raw = fidelity_from_enumerators(model.sl, eps) - 0.5
-    assert v.margin == (_agreeing(raw, v.entangled) if model.bell_pairs
-                        else raw)
+    # the margin is the exact gap rounded once, with no Bell pair too
+    assert _rounded_once(v.margin, f - Fraction(1, 2), model.digits)
     # the marginal's enumerators count the group elements inside side A
     a_mask, size = model.bip.a_mask, len(model.bip.a_set)
     inside = [0] * (size + 1)
@@ -366,4 +371,4 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     glob = _decayed_exactly(model.sl, eps, 2)
     v = evaluate(CriterionSpec("purity"), model, eps)
     assert v.entangled == (glob > sub)
-    assert abs(v.margin - float(glob - sub)) <= 1e-15
+    assert _rounded_once(v.margin, glob - sub, model.digits)
