@@ -12,18 +12,23 @@ a brute-force oracle (qwe_bruteforce, cw_bruteforce) and a character
 transform over the stabilizer group (character_polys + cw_fourier) that
 reduces the count to a sum of k-th powers of at most 2^n small polynomials,
 taken as packed big-int powers (each polynomial evaluated at z = 2^B).
-Stabilizer tables are evaluated exactly at a float or mpf eps, a binary
-number, and rounded once; the minus-set character polynomials evaluated the
-same way give the PT spectrum, P_i(1-eps) / 2^n with multiplicity mult_i,
-and their k-th power sums alone give the PT moments, which is how
-thresholds.StabilizerModel takes them (the tables are its oracle).
+Exact evaluation runs over ints: at a float or mpf eps, a binary number,
+1 - eps = a / 2^f, so Horner's rule (dyadic_numerator) gives an integer
+numerator over a power of two, and a Fraction is built only where one is
+returned (exact_decayed).  Stabilizer tables are evaluated this way and
+rounded once; the minus-set character polynomials give the PT spectrum,
+P_i(1-eps) / 2^n with multiplicity mult_i, and their k-th power sums alone
+give the PT moments, which is how thresholds.StabilizerModel takes them
+(the tables are its oracle).
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +39,7 @@ from .pauli import (Bipartition, StabilizerGroup, enumerate_group,
 from .spectra import _binary, round_dyadic
 
 BRUTEFORCE_BUDGET = 1 << 26
+BRUTEFORCE_BLOCK = 1 << 14
 CHARACTER_QUBIT_CAP = 14
 SL_DENSE_CAP = 8
 SL_STABILIZER_CAP = 20
@@ -85,18 +91,23 @@ class CWTable:
                 for w in range(self.n * self.k + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterPolynomials:
     """Deduplicated character transforms of a stabilizer group.
 
     plus_set pairs (coeffs, multiplicity) for sum_S chi(S) z^wt(S);
     minus_set additionally weights each element by its partial-transpose
     sign.  Coefficient tuples run z^0..z^n; every constant term is 1.
+    plus_set is transformed from the element weights wt when first read.
     """
 
     n: int
-    plus_set: tuple
     minus_set: tuple
+    wt: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def plus_set(self) -> tuple:
+        return _character_set(self.wt, 1, self.n)
 
 
 def _num(v, like):
@@ -290,13 +301,13 @@ def one_step_enumerators(size: int, r: int) -> SLVector:
 
 def exact_decayed(values, eps, power: int = 1) -> Fraction:
     """sum_i v_i (1-eps)^(power i) exactly, for rational v_i (such as
-    enumerators, integers over 2^n) at a binary eps: Horner's rule over
-    Fractions."""
+    enumerators, integers over 2^n) at a binary eps: Horner's rule over the
+    numerators on the values' common denominator."""
     a, f = dyadic_one_minus(eps)
-    q, acc = Fraction(a, 1 << f) ** power, Fraction(0)
-    for v in reversed(values):
-        acc = acc * q + v
-    return acc
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return Fraction(dyadic_numerator(nums, a**power, f * power),
+                    den << f * power * max(len(values) - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +417,10 @@ def cw_bruteforce(g: StabilizerGroup, bip: Bipartition, k: int,
     Element signs never matter: the sign class theta and the weight depend
     only on patterns, and patterns compose as XOR of generator subsets, so
     the product slot is a table lookup at the XOR of the tuple's indices.
+    An element's key wt (k+1) + [theta < 0] sums over a tuple to W (k+1) + c
+    for total weight W and c <= k negative signs, so one bincount of key
+    sums gives both.  The last two free slots run as numpy blocks of at
+    most BRUTEFORCE_BLOCK tuples per prefix, so memory stays flat.
     """
     n = g.n
     if bip.n != n:
@@ -420,26 +435,46 @@ def cw_bruteforce(g: StabilizerGroup, bip: Bipartition, k: int,
 
     wmax = n * k
     wt, th = _element_tables(g, bip)
-    wtl = wt.tolist()
-    thl = th.tolist()
-    bidx = np.arange(size, dtype=np.int64)
-    acc = np.zeros(2 * (wmax + 1), dtype=np.int64)
+    key = wt * (k + 1) + (th < 0)
+    keyl = key.tolist()
+    slots = min(k - 1, 2)
+    acc = np.zeros((wmax + 1) * (k + 1), dtype=np.int64)
 
-    def scan(level, bxor, w, t):
+    def blocks():
+        # (XOR, key sum) over the last free slots; with one free slot y is
+        # 0, the identity, whose key is 0
+        for lo in range(0, size ** slots, BRUTEFORCE_BLOCK):
+            flat = np.arange(lo, min(lo + BRUTEFORCE_BLOCK, size ** slots))
+            x, y = flat % size, flat // size
+            yield x ^ y, key[x] + key[y]
+
+    one = list(blocks()) if size ** slots <= BRUTEFORCE_BLOCK else None
+
+    def scan(level, bxor, ksum):
         if level == 0:
-            b1 = np.bitwise_xor(bidx, bxor)
-            wv = w + wt + wt[b1]
-            tv = t * th * th[b1]
-            bucket = np.where(tv < 0, wmax + 1, 0) + wv
-            acc[:] += np.bincount(bucket, minlength=2 * (wmax + 1))
+            for x, ks in one or blocks():
+                acc[:] += np.bincount(ks + key[x ^ bxor] + ksum,
+                                      minlength=len(acc))
             return
         for b in range(size):
-            scan(level - 1, bxor ^ b, w + wtl[b], t * thl[b])
+            scan(level - 1, bxor ^ b, ksum + keyl[b])
 
-    scan(k - 2, 0, 0, 1)
-    cplus = {w: int(acc[w]) for w in range(wmax + 1) if acc[w]}
-    cminus = {w: int(acc[wmax + 1 + w]) for w in range(wmax + 1) if acc[wmax + 1 + w]}
-    return CWTable(n, k, bip, cplus, cminus)
+    scan(k - 1 - slots, 0, 0)
+    counts = acc.reshape(wmax + 1, k + 1)
+    cplus = counts[:, 0::2].sum(axis=1).tolist()
+    cminus = counts[:, 1::2].sum(axis=1).tolist()
+    return CWTable(n, k, bip, {w: c for w, c in enumerate(cplus) if c},
+                   {w: c for w, c in enumerate(cminus) if c})
+
+
+def _character_set(wt: np.ndarray, signs, n: int) -> tuple:
+    """(coeffs, multiplicity) of sum_S chi_v(S) signs(S) z^wt(S) over the
+    characters v, sorted by descending coefficients."""
+    size = len(wt)
+    table = np.zeros((n + 1, size), dtype=np.int64)
+    table[wt, np.arange(size)] = signs
+    polys = collections.Counter(map(tuple, _wht(table).T.tolist()))
+    return tuple(sorted(polys.items(), key=lambda kv: tuple(-c for c in kv[0])))
 
 
 def character_polys(g: StabilizerGroup, bip: Bipartition,
@@ -451,27 +486,10 @@ def character_polys(g: StabilizerGroup, bip: Bipartition,
     class yields every character's polynomial at once; identical rows are
     merged with multiplicities.
     """
-    n = g.n
     if len(g.generators) > cap:
         raise ValueError(f"character transform capped at {cap} generators")
-    size = 1 << len(g.generators)
     wt, th = _element_tables(g, bip)
-    plus = np.zeros((n + 1, size), dtype=np.int64)
-    minus = np.zeros((n + 1, size), dtype=np.int64)
-    plus[wt, np.arange(size)] = 1
-    minus[wt, np.arange(size)] = th
-    plus_hat = _wht(plus)
-    minus_hat = _wht(minus)
-
-    def collect(hat):
-        polys = {}
-        for v in range(size):
-            coeffs = tuple(int(hat[w, v]) for w in range(n + 1))
-            polys[coeffs] = polys.get(coeffs, 0) + 1
-        ordered = sorted(polys.items(), key=lambda kv: tuple(-c for c in kv[0]))
-        return tuple(ordered)
-
-    return CharacterPolynomials(n, collect(plus_hat), collect(minus_hat))
+    return CharacterPolynomials(g.n, _character_set(wt, th, g.n), wt)
 
 
 def _mirror_pairs(polys) -> tuple:

@@ -1,5 +1,6 @@
 """Weight-enumerator machinery vs dense matrix oracles."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
-from ptml.pauli import Bipartition, PauliString, StabilizerGroup, from_label, state_catalog
+from ptml.pauli import (Bipartition, PauliString, StabilizerGroup, enumerate_group,
+                        from_label, state_catalog, weight)
 from ptml.dense import (
     _partial_trace_keep,
     depolarize_local,
@@ -18,6 +21,7 @@ from ptml.dense import (
     pt_moments,
     state_from_group,
 )
+from ptml import enumerators
 from ptml.enumerators import (
     _power_sum,
     CWTable,
@@ -26,6 +30,7 @@ from ptml.enumerators import (
     character_polys,
     cw_bruteforce,
     cw_fourier,
+    exact_decayed,
     fidelity_from_enumerators,
     ghz_sl_vector,
     marginal_enumerators,
@@ -409,3 +414,133 @@ def test_stabilizer_moments_are_rounded_once():
                 assert err <= abs(want) * Fraction(10) ** -(mv.digits - 1), (eps, k)
                 # the numerators the exact verdicts decide on
                 assert Fraction(nums[k - 1], 2 ** (s * k)) == want
+
+
+def _block_cases():
+    for name, n in CATALOG:
+        bips = list(all_bips(n))
+        for bip in bips[:2] + bips[-1:]:
+            yield state_catalog(name, n), bip
+    for seed in range(6):
+        n = 2 + seed % 4
+        yield random_group(n, seed), random_cut(n, seed)
+
+
+@pytest.mark.parametrize("block", [5, 64, enumerators.BRUTEFORCE_BLOCK])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_cw_bruteforce_blocks_match_fourier(monkeypatch, k, block):
+    # the last two free slots run as numpy blocks, whole or in pieces
+    # (5 splits every block unevenly, 64 caches a single piece for
+    # groups of up to 64 elements)
+    monkeypatch.setattr(enumerators, "BRUTEFORCE_BLOCK", block)
+    for g, bip in _block_cases():
+        if (1 << len(g.generators)) ** (k - 1) > 2 ** 12 * block:
+            continue  # at most 4096 pieces, which keeps 5 to small groups
+        a = cw_fourier(g, bip, k)
+        b = cw_bruteforce(g, bip, k)
+        assert (a.cplus, a.cminus) == (b.cplus, b.cminus), (g, bip, k)
+
+
+def test_cw_bruteforce_blocks_past_one_piece():
+    # 256 elements: a pair block of 2^16 tuples runs in four pieces
+    g, bip = random_group(8, 5), random_cut(8, 5)
+    for k in (2, 3, 4):
+        a = cw_fourier(g, bip, k)
+        b = cw_bruteforce(g, bip, k)
+        assert (a.cplus, a.cminus) == (b.cplus, b.cminus)
+
+
+def test_cw_bruteforce_budget_message():
+    g = state_catalog("ame6", 6)
+    bip = Bipartition(6, frozenset({1, 2, 3}))
+    # cmd_enumerators reports this error by matching "budget"
+    with pytest.raises(ValueError,
+                       match=r"^tuple space \|S\|\^\(k-1\) exceeds budget$"):
+        cw_bruteforce(g, bip, 4, budget=64 ** 3 - 1)
+    assert cw_bruteforce(g, bip, 4, budget=64 ** 3).total() == 64 ** 3
+
+
+def test_cw_bruteforce_memory_stays_flat():
+    g, bip = random_group(10, 3), random_cut(10, 3)
+    want = cw_fourier(g, bip, 3)
+    tracemalloc.start()
+    try:
+        got = cw_bruteforce(g, bip, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.cplus, got.cminus) == (want.cplus, want.cminus)
+    # 2^20 tuples: one int64 array over all of them would take 8 MiB
+    assert peak < 2 * 2 ** 20, peak
+
+
+def test_plus_set_is_transformed_only_when_read(monkeypatch):
+    calls = []
+    transform = enumerators._character_set
+
+    def counted(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(enumerators, "_character_set", counted)
+    g, bip = random_group(5, 7), random_cut(5, 7)
+    model = StabilizerModel(g, bip)
+    model.moments(0.3, 5)
+    model.ppt(0.3)
+    assert len(calls) == 1  # the minus set, for the PT spectrum
+    chars = character_polys(g, bip)
+    assert len(calls) == 2
+    plus = chars.plus_set
+    assert chars.plus_set is plus and len(calls) == 3
+    # the plus set by definition: sum_S chi_v(S) z^wt(S) for every v
+    # over the group's elements, indexed by their generator subsets b
+    wt = [weight(p) for p in enumerate_group(g)]
+    size = len(wt)
+    want = {}
+    for v in range(size):
+        p = [0] * (g.n + 1)
+        for b in range(size):
+            p[wt[b]] += -1 if (v & b).bit_count() % 2 else 1
+        want[tuple(p)] = want.get(tuple(p), 0) + 1
+    assert dict(plus) == want
+
+
+def _horner_oracle(values, eps, power):
+    q, acc = (1 - Fraction(eps)) ** power, Fraction(0)
+    for v in reversed(values):
+        acc = acc * q + v
+    return acc
+
+
+def _bisection_point(steps):
+    lo, hi = 0.0, 1.0
+    for up in steps:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if up else (lo, mid)
+    return (lo + hi) / 2
+
+
+_RATIONALS = st.one_of(
+    st.integers(-10 ** 12, 10 ** 12),
+    st.builds(lambda a, j: Fraction(a, 1 << j),
+              st.integers(-10 ** 12, 10 ** 12), st.integers(0, 80)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_RATIONALS, min_size=1, max_size=14),
+       eps=st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
+                     st.lists(st.booleans(), max_size=60).map(_bisection_point)),
+       power=st.sampled_from([1, 2]))
+def test_exact_decayed_matches_fraction_horner(values, eps, power):
+    got = exact_decayed(values, eps, power)
+    assert isinstance(got, Fraction)
+    assert got == _horner_oracle(values, eps, power)
+
+
+def test_exact_decayed_at_an_mpf_rate():
+    values = [Fraction(1, 64), 0, 0, 0, Fraction(45, 64), 0, Fraction(18, 64)]
+    with mp.workprec(200):
+        eps = mpf(1) / 3
+    want = _horner_oracle(values, Fraction(*to_rational(eps._mpf_)), 2)
+    assert exact_decayed(values, eps, 2) == want

@@ -372,3 +372,41 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     v = evaluate(CriterionSpec("purity"), model, eps)
     assert v.entangled == (glob > sub)
     assert _rounded_once(v.margin, glob - sub, model.digits)
+
+
+# Printed before the integer Horner pass; the lines may not move.
+@pytest.mark.parametrize("argv,code,line", [
+    ("fidelity --state ghz --n 8 --bip 1,2,3,5,6,7,8 --noise local:0.111",
+     0, "Entangled margin=0.0117216569125"),
+    ("fidelity --state ghz --n 5 --bip 3,5 --noise local:0.045",
+     0, "Entangled margin=0.343404471896"),
+    ("fidelity --state bell_pairs --n 4 --noise local:0.1",
+     1, "Inconclusive margin=0.23530625"),
+    ("fidelity --state bell_pairs --n 6 --bip 3 --noise local:0.297",
+     1, "Inconclusive margin=-0.26091383336"),
+    ("fidelity --state ghz --n 11 --bip 1,2,3 --noise local:0.2",
+     1, "Inconclusive margin=-0.30014502899"),
+    ("fidelity --state ame6 --n 6 --bip 1,2,3 --noise local:1",
+     1, "Inconclusive margin=-0.484375"),
+    ("fidelity --state ame6 --n 6 --bip 4 --noise global:0.069",
+     0, "Entangled margin=0.432078125"),
+    ("fidelity --state zero --n 2 --noise global:0.2",
+     1, "Inconclusive margin=0.35"),
+    ("purity --state ame6 --n 6 --bip 1,2,3,4,5 --noise local:0.05",
+     0, "Entangled margin=0.291840438238"),
+    ("purity --state ghz --n 10 --bip 1,2,3,4,5,6,7,8,9 --noise local:0.01",
+     0, "Entangled margin=0.40440665428"),
+    ("purity --state bell_pairs --n 4 --bip 1 --noise local:0.0",
+     0, "Entangled margin=0.5"),
+    ("purity --state ame6 --n 6 --bip 1,2,3,5,6 --noise local:0.588",
+     1, "Inconclusive margin=-0.0154236965316"),
+    ("purity --state zero --n 8 --bip 1,2,3,5,6,7,8 --noise local:0.056",
+     1, "Inconclusive margin=-0.0367877864176"),
+    ("purity --state ghz --n 8 --bip 1,2,3,4,5,6 --noise global:0.6",
+     0, "Entangled margin=0.07015625"),
+    ("purity --state bell_pairs --n 8 --bip 2,3 --noise global:0.3",
+     0, "Entangled margin=0.2419921875"),
+])
+def test_fidelity_and_purity_lines_are_unchanged(capsys, argv, code, line):
+    assert main(["criterion", "--name"] + argv.split()) == code
+    assert capsys.readouterr().out == line + "\n"

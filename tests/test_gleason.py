@@ -1,9 +1,11 @@
 """MacWilliams transform, invariant kernels, and enumerator reconstruction."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from ptml.cli import main
 from ptml.pauli import StabilizerGroup, from_label, state_catalog
 from ptml.enumerators import ghz_sl_vector, sl_enumerators
 from ptml.gleason import (
@@ -143,3 +145,91 @@ def test_reconstructed_vectors_are_valid_enumerators():
     got = reconstruct_enumerators({0: Fraction(1, 64), 2: 0}, 6, type2=True)
     assert macwilliams(6).apply(got.values) == got.values
     assert sum(got.values) == 1  # pure state: purity one
+
+
+# The Fraction constructions the integer code replaced, kept as oracles.
+
+
+def _fraction_macwilliams(n):
+    return tuple(tuple(Fraction(sum(math.comb(n - j, t) * 3**t * math.comb(j, i - t)
+                                    * (-1) ** (i - t)
+                                    for t in range(max(0, i - j), min(i, n - j) + 1)),
+                                1 << n)
+                       for j in range(n + 1))
+                 for i in range(n + 1))
+
+
+def _fraction_product(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+def _fraction_convolve_power(parts):
+    out = vacuum_vector()
+    for part, count in parts:
+        for _ in range(count):
+            out = sl_convolve(out, part)
+    return out.values
+
+
+def test_integer_transforms_match_fraction_oracle():
+    for n in range(1, 11):
+        m_want = _fraction_macwilliams(n)
+        t_want = tuple(tuple(-v if j % 2 else v for j, v in enumerate(row))
+                       for row in m_want)
+        m, t = macwilliams(n), ttilde(n)
+        assert m.entries == m_want
+        assert t.entries == t_want
+        for a, b, a_want, b_want in ((m, m, m_want, m_want),
+                                     (m, t, m_want, t_want),
+                                     (t, m, t_want, m_want),
+                                     (t, t, t_want, t_want)):
+            assert a.mul(b).entries == _fraction_product(a_want, b_want)
+        # apply on mixed dyadic and non-dyadic rationals, ints included
+        values = [Fraction(3 * i - n, 1 + i % 4 + i % 3) for i in range(n)] + [2]
+        column = _fraction_product(m_want, [[v] for v in values])
+        assert m.apply(values) == tuple(row[0] for row in column)
+
+
+def test_integer_kernel_bases_match_fraction_convolution():
+    for n in range(1, 13):
+        want = [_fraction_convolve_power([(bell_vector(), i),
+                                          (psi0_vector(), n - 2 * i)])
+                for i in range(n // 2 + 1)]
+        assert [v.values for v in pure_kernel_basis(n)] == want
+        if n % 2 == 0:
+            want = [_fraction_convolve_power([(ame6_vector(), i),
+                                              (bell_vector(), (n - 6 * i) // 2)])
+                    for i in range(n // 6 + 1)]
+            assert [v.values for v in type2_kernel_basis(n)] == want
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_involution_and_kernels_up_to_twenty_qubits(n):
+    m = macwilliams(n)
+    assert m.mul(m).is_identity()
+    assert not m.is_identity()
+    unit = (1,) + (0,) * n
+    assert m.apply(unit) != unit  # a mixed-state vector is not fixed
+    for v in pure_kernel_basis(n):
+        assert m.apply(v.values) == v.values
+        assert sum(v.values) == 1
+    if n % 2 == 0:
+        t = ttilde(n)
+        for v in type2_kernel_basis(n):
+            assert m.apply(v.values) == v.values
+            assert t.apply(v.values) == v.values
+
+
+def test_gleason_cli_prints_every_check(capsys):
+    for n in range(1, 17):
+        want = ["PASS involution M^2 = 1", "PASS pure fixed-point basis"]
+        if n % 2 == 0:
+            want.append("PASS type-II fixed-point basis")
+        if n == 6:
+            want.append("PASS ame reconstruction from 2 entries")
+        assert main(["gleason", "--n", str(n)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == want
+        assert err == ""
