@@ -34,8 +34,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from .pauli import (Bipartition, StabilizerGroup, enumerate_group,
-                    state_catalog, theta, weight)
+from .pauli import Bipartition, StabilizerGroup, state_catalog
 from .spectra import _binary, round_dyadic
 
 BRUTEFORCE_BUDGET = 1 << 26
@@ -404,10 +403,13 @@ def qwe_bruteforce(rho: np.ndarray, bip: Bipartition, k: int,
 
 
 def _element_tables(g: StabilizerGroup, bip: Bipartition):
-    elements = enumerate_group(g)
-    wt = np.array([weight(p) for p in elements], dtype=np.int64)
-    th = np.array([theta(p, bip) for p in elements], dtype=np.int64)
-    return wt, th
+    """Weight and PT sign of every group element, in enumerate_group's
+    order: the x and z masks by XOR doubling, then popcounts."""
+    x = z = np.zeros(1, dtype=np.int64)
+    for p in g.generators:
+        x, z = np.append(x, x ^ p.x_mask), np.append(z, z ^ p.z_mask)
+    y = np.bitwise_count(x & z & bip.a_mask).astype(np.int64) & 1
+    return np.bitwise_count(x | z).astype(np.int64), 1 - 2 * y
 
 
 def cw_bruteforce(g: StabilizerGroup, bip: Bipartition, k: int,

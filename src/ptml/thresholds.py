@@ -12,6 +12,16 @@ quantity of interest is the largest eps at which the criterion still
 fires.  A pre-scan that flips more than once is flagged; strict mode
 refuses it instead so the caller can inspect the grid by hand.
 
+Every eps a threshold evaluates is a short dyadic rational.  The
+GRID_POINTS = 65 grid nodes are i/64, and the midpoint of two dyadic floats
+is exact with one more fraction bit, so 1 - eps = a / 2^f with f <= 6 on the
+grid and f <= 6 + 23 after the 23 halvings of a 1e-9 bracket, where a
+float eps off that grid carries f of about 53.  The exact models' verdicts
+(moment Horner steps, integer Hankel elimination, Newton numerators, klm
+powers) work on integers whose length grows with f, so the dyadic nodes
+keep them short.  Any grid_points still gives a certified result, at the
+cost of longer numerators when grid_points - 1 is not a power of two.
+
 Four state models share one protocol (describe, moments, ppt, fidelity,
 purities, bell_pairs, the Bell pairs the pure state holds across the cut,
 and hankel_rank_bound, see below), and make_model is the one dispatch from
@@ -98,7 +108,7 @@ from .spectra import (
 )
 
 BRACKET_TOL = 1e-9
-GRID_POINTS = 64
+GRID_POINTS = 65
 
 
 def _order_digits(m_max: int) -> int:
@@ -534,10 +544,13 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
     """Thresholds of a battery of criteria on one model, one
     ThresholdResult per spec.
 
-    A coarse grid over [0, 1] locates every verdict flip.  At each grid
-    point the model's moments are computed once, up to the highest order
-    the battery reads (stieltjes past the model's hankel_rank_bound reads
-    none), and every spec is judged on that one vector; rounded
+    A grid of grid_points nodes i / (grid_points - 1) over [0, 1]
+    locates every verdict flip; the default nodes i/64 are dyadic, so every
+    eps evaluated, midpoints included, has a short binary expansion and the
+    exact models' integer verdicts stay cheap (module docstring).  At each
+    grid point the model's moments are computed once, up to the highest
+    order the battery reads (stieltjes past the model's hankel_rank_bound
+    reads none), and every spec is judged on that one vector; rounded
     moments are then at the top order's precision, so a lower-order
     criterion's grid verdict is judged at that precision and its smaller
     tolerance.  Bisection then tightens each spec's final True -> False

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from ptml.pauli import (Bipartition, PauliString, StabilizerGroup, enumerate_group,
-                        from_label, state_catalog, weight)
+                        from_label, state_catalog, theta, weight)
 from ptml.dense import (
     _partial_trace_keep,
     depolarize_local,
@@ -503,6 +503,23 @@ def test_plus_set_is_transformed_only_when_read(monkeypatch):
             p[wt[b]] += -1 if (v & b).bit_count() % 2 else 1
         want[tuple(p)] = want.get(tuple(p), 0) + 1
     assert dict(plus) == want
+
+
+def _element_tables_oracle(g, bip):
+    """Weights and PT signs of the PauliString elements, one by one."""
+    elements = enumerate_group(g)
+    return (np.array([weight(p) for p in elements], dtype=np.int64),
+            np.array([theta(p, bip) for p in elements], dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 14), seed=st.integers(0, 10 ** 6))
+def test_element_tables_match_the_group_elements(n, seed):
+    g, bip = random_group(n, seed), random_cut(n, seed)
+    for got, want in zip(enumerators._element_tables(g, bip),
+                         _element_tables_oracle(g, bip)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def _horner_oracle(values, eps, power):

@@ -11,6 +11,7 @@ its D = 3 case.
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from ptml import criteria
 from ptml.cli import main
@@ -135,7 +136,12 @@ def test_shortcut_runs_no_hankel_elimination(monkeypatch):
 
     monkeypatch.setattr(criteria, "is_psd_exact", forbidden)
     r = epsilon_max(CriterionSpec("stieltjes", m=15), _ame6(3))
-    assert (f"{r.eps_max:.12g}", r.iterations) == ("0.400073355152", 23)
+    assert (f"{r.eps_max:.12g}", r.iterations) == ("0.400073355995", 23)
+    # the PPT root on cut 3|3: the least PT eigenvalue vanishes where
+    # 1 - 7 q^4 - 2 q^6 = 0, q = 1 - eps
+    with mp.workdps(50):
+        root = 1 - mp.findroot(lambda q: 1 - 7 * q ** 4 - 2 * q ** 6, 0.6)
+        assert abs(r.eps_max - root) <= r.bracket
     for s in (1, 2, 3):
         model = _ame6(s)
         d = model.hankel_rank_bound

@@ -103,7 +103,7 @@ def test_ghz_and_global_thresholds_compute_no_eigenvalue(monkeypatch):
     monkeypatch.setattr(mp, "eigsy", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     res = epsilon_max(CriterionSpec.parse("stieltjes:7"), GHZModel(12))
-    assert f"{res.eps_max:.12g}" == "0.318571564697"
+    assert f"{res.eps_max:.12g}" == "0.318571564741"
     glob = make_model("bell_pairs", 8, Bipartition(8, frozenset({1, 3, 4})),
                       noise="global")
     # H_7 sees all three PT levels, so stieltjes:7 is the PPT test there,
