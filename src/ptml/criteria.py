@@ -7,8 +7,11 @@ when the margin exceeds a decision tolerance.
 Moments with exact dyadic numerators (the stabilizer models', under local
 and global noise: MomentVector.exact = (A, s), p_k = A_k / 2^(s k)) are
 decided exactly, with no tolerance, and so are fidelities and purities
-given as Fractions (the stabilizer models', global noise included); a
-margin is then rounded once from the exact value, and only when read.
+given as Fractions (the stabilizer models', global noise included).  A
+margin is computed only when read.  The ppt (thresholds.StabilizerModel),
+fidelity, purity and descartes margins are then the exact value rounded
+once; the klm and stieltjes margins come from the rounded moments, and one
+whose sign contradicts the exact verdict reads 0.
 Elsewhere (GHZ and dense) each criterion is written once over the scalar
 type: arithmetic runs at the input's precision.  The Hankel test there
 computes no eigenvalue: it asks whether H + tau I admits a Cholesky
@@ -26,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,45 +40,37 @@ from .spectra import MomentVector, Spectrum, merge_spectrum
 FLOAT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class Verdict:
-    entangled: bool
-    margin: object  # float or mpf; positive = past the decision boundary
-    witness: dict = None
-
-    @property
-    def status(self) -> str:
-        return "Entangled" if self.entangled else "Inconclusive"
-
-
-class DeferredVerdict(Verdict):
-    """A verdict whose (margin, witness) = explain() are computed on first
-    read: a threshold search reads only `entangled`.  With exact=True the
-    verdict is the exact sign of the margin, so a rounded margin whose sign
-    contradicts it reads 0; the witness keeps the raw value.  exact=False
-    reads the margin raw."""
+    """A verdict and its signed margin (positive = past the decision
+    boundary, float or mpf) with a witness, (margin, witness) = explain(),
+    computed on first read: a threshold search reads only `entangled`.
+    With exact=True the verdict is the exact sign of the margin, so a
+    rounded margin whose sign contradicts it reads 0; the witness keeps the
+    raw value.  exact=False reads the margin raw."""
 
     def __init__(self, entangled: bool, explain, exact: bool = True):
-        object.__setattr__(self, "entangled", entangled)
-        object.__setattr__(self, "_explained", functools.cache(explain))
-        object.__setattr__(self, "_exact", exact)
+        self.entangled = entangled
+        self._explain = explain
+        self._exact = exact
+
+    @functools.cached_property
+    def _explained(self) -> tuple:
+        return self._explain()
 
     @property
     def margin(self):
-        m = self._explained()[0]
+        m = self._explained[0]
         if self._exact and (m > 0) != self.entangled:
             return type(m)(0)
         return m
 
-    witness = property(lambda self: self._explained()[1])
+    @property
+    def witness(self):
+        return self._explained[1]
 
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    """[H]_{i,j} = p_{i+j-1} (1-based), square of size (m+1)/2, odd m."""
-
-    m: int
-    entries: tuple
+    @property
+    def status(self) -> str:
+        return "Entangled" if self.entangled else "Inconclusive"
 
 
 def _round_once(x: Fraction, digits: int):
@@ -114,29 +108,29 @@ def _hankel_size(p: MomentVector, m: int) -> int:
     return (m + 1) // 2
 
 
-def build_hankel(p: MomentVector, m: int) -> HankelMatrix:
+def build_hankel(p: MomentVector, m: int) -> tuple:
+    """Rows of [H]_{i,j} = p_{i+j-1} (1-based), square of size (m+1)/2."""
     size = _hankel_size(p, m)
-    rows = tuple(tuple(p.p(i + j + 1) for j in range(size)) for i in range(size))
-    return HankelMatrix(m, rows)
+    return tuple(tuple(p.p(i + j + 1) for j in range(size)) for i in range(size))
 
 
-def hankel_min_eigenvalue(h: HankelMatrix, digits=None):
+def hankel_min_eigenvalue(h: tuple, digits=None):
     """Smallest eigenvalue of the Hankel matrix, at the input's precision:
     np.linalg.eigvalsh for float input, mp.eigsy at digits + 10 for mpf."""
     if digits is None:
-        return float(np.linalg.eigvalsh(np.array(h.entries, dtype=float))[0])
+        return float(np.linalg.eigvalsh(np.array(h, dtype=float))[0])
     with workdps(digits + 10):
-        return mp.eigsy(mp.matrix(h.entries), eigvals_only=True)[0]
+        return mp.eigsy(mp.matrix(h), eigvals_only=True)[0]
 
 
-def is_shifted_pd(h: HankelMatrix, shift, digits=None) -> bool:
+def is_shifted_pd(h: tuple, shift, digits=None) -> bool:
     """Whether H + shift I is positive definite, i.e. lambda_min(H) > -shift,
     by the library Cholesky at the precision of hankel_min_eigenvalue:
     np.linalg.cholesky for float input, mp.cholesky at digits + 10 for mpf
     (with no tolerance of its own, so a zero pivot fails too)."""
     def shifted():
         return [[x + shift if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(h.entries)]
+                for i, row in enumerate(h)]
 
     try:
         if digits is None:
@@ -194,11 +188,11 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
             return pl - pk ** x * pm ** (1 - x), {"triple": (k, l, m), "x": x}
 
     if p.exact is not None:
-        return DeferredVerdict(
+        return Verdict(
             al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k), explain)
     tol = default_tol(p.digits) if tol is None else tol
     margin, witness = explain()
-    return Verdict(margin > tol, margin, witness)
+    return Verdict(margin > tol, lambda: (margin, witness), exact=False)
 
 
 def hankel_margin(p: MomentVector, m: int) -> tuple:
@@ -234,14 +228,13 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     explain = functools.partial(hankel_margin, p, m)
     if p.exact is not None:
         a = p.exact[0]
-        return DeferredVerdict(
+        return Verdict(
             not is_psd_exact([a[i:i + size] for i in range(size)]), explain)
     h = build_hankel(p, m)
     tol = default_tol(p.digits) if tol is None else tol
-    norm = max(max(abs(x) for x in row) for row in h.entries)
-    return DeferredVerdict(
-        not is_shifted_pd(h, tol * max(1, norm), p.digits), explain,
-        exact=False)
+    norm = max(max(abs(x) for x in row) for row in h)
+    return Verdict(not is_shifted_pd(h, tol * max(1, norm), p.digits), explain,
+                   exact=False)
 
 
 def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
@@ -266,13 +259,14 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
 
         def rounded():
             with workdps(p.digits):
-                return explain([mp.ldexp(mpf(f) / math.factorial(j), -s * j)
+                return explain([_round_once(Fraction(f, math.factorial(j)
+                                                     << s * j), p.digits)
                                 for j, f in enumerate(fs)])
 
-        return DeferredVerdict(min(fs) < 0, rounded)
+        return Verdict(min(fs) < 0, rounded)
     tol = default_tol(p.digits) if tol is None else tol
     margin, witness = explain(newton_elementary(p, m))
-    return Verdict(margin > tol, margin, witness)
+    return Verdict(margin > tol, lambda: (margin, witness), exact=False)
 
 
 # One entry: a battery judges descartes at every order on one moment
@@ -358,7 +352,7 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     is the precision of mpf input; float input is judged as float64, and a
     Fraction exactly, its margin rounded once to digits."""
     if isinstance(f, Fraction):
-        return DeferredVerdict(
+        return Verdict(
             bell_pairs >= 1 and 2 * f > 1,
             lambda: (_round_once(f - Fraction(1, 2), digits), None),
             exact=bell_pairs >= 1)
@@ -366,7 +360,8 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
         raise ValueError("fidelity must lie in [0, 1]")
     tol = default_tol(None if isinstance(f, float) else digits)
     margin = f - 0.5
-    return Verdict(bell_pairs >= 1 and margin > tol, margin)
+    return Verdict(bell_pairs >= 1 and margin > tol, lambda: (margin, None),
+                   exact=False)
 
 
 def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
@@ -375,12 +370,12 @@ def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     exactly."""
     if isinstance(global_purity, Fraction):
         gap = global_purity - subsystem_purity
-        return DeferredVerdict(gap > 0, lambda: (_round_once(gap, digits), None))
+        return Verdict(gap > 0, lambda: (_round_once(gap, digits), None))
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
     tol = default_tol(None if isinstance(global_purity, float) else digits)
     margin = global_purity - subsystem_purity
-    return Verdict(margin > tol, margin)
+    return Verdict(margin > tol, lambda: (margin, None), exact=False)
 
 
 def ppt_verdict(s: Spectrum, tol=None) -> Verdict:
@@ -388,5 +383,5 @@ def ppt_verdict(s: Spectrum, tol=None) -> Verdict:
     if tol is None:
         tol = default_tol(s.digits)
     min_eig = s.min_eigenvalue()
-    return Verdict(min_eig < -tol, -min_eig,
-                   witness={"min_eigenvalue": min_eig})
+    margin, witness = -min_eig, {"min_eigenvalue": min_eig}
+    return Verdict(min_eig < -tol, lambda: (margin, witness), exact=False)

@@ -47,13 +47,13 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return (1j) ** p.phase_exp * acc
 
 
-def state_from_group(g: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def state_from_group(g: StabilizerGroup) -> np.ndarray:
     """Projector onto the stabilizer state: sum of group elements / 2^n.
 
     With Y = i X Z an element is i^(phase + |x&z|) X^x Z^z, whose column s
     holds (-1)^|z&s| in row s^x; pauli_matrix is the Kronecker reference."""
-    if g.n > cap:
-        raise ValueError(f"dense cap exceeded: n={g.n} > {cap}")
+    if g.n > DENSE_QUBIT_CAP:
+        raise ValueError(f"dense cap exceeded: n={g.n} > {DENSE_QUBIT_CAP}")
     dim = 1 << g.n
     s = np.arange(dim)
     sign = 1 - 2 * (np.bitwise_count(s) & 1).astype(np.int64)  # (-1)^|s|
@@ -131,9 +131,7 @@ def depolarize_global(rho: np.ndarray, eps: float) -> np.ndarray:
 def partial_transpose(rho: np.ndarray, bip: Bipartition) -> np.ndarray:
     """Transpose the A-side indices: <a,b|rho^G|a',b'> = <a',b|rho|a,b'>."""
     n = nqubits(rho)
-    if bip.n != n:
-        raise ValueError(f"bipartition of {bip.n} qubits on a {n}-qubit state")
-    a_mask = bip.a_mask
+    a_mask = bip.check(n).a_mask
     dim = 1 << n
     idx = np.arange(dim)
     rows = idx[:, None]

@@ -20,6 +20,13 @@ rounded once; the minus-set character polynomials give the PT spectrum,
 P_i(1-eps) / 2^n with multiplicity mult_i, and their k-th power sums alone
 give the PT moments, which is how thresholds.StabilizerModel takes them
 (the tables are its oracle).
+
+A stabilizer group is walked one way: _element_masks builds the x and z
+masks of all 2^n elements by XOR doubling in numpy, and the Shor-Laflamme
+counts (by weight), the marginal counts (elements supported inside A,
+Fattal et al., quant-ph/0406168) and the character tables are popcounts
+and bincounts of those masks.  pauli.enumerate_group, which multiplies
+PauliStrings with their signs, is the oracle.
 """
 
 from __future__ import annotations
@@ -158,36 +165,6 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coef.real.T).ravel()
 
 
-def _group_weight_counts(g: StabilizerGroup, a_mask=None) -> list:
-    """Element counts by weight, restricted to support inside a_mask.
-
-    Walks the group in Gray-code order so each step is one generator XOR;
-    keeps n ~ 20 feasible without materializing Pauli objects.
-    """
-    n = g.n
-    gens = g.generators
-    if a_mask is None:
-        a_mask = (1 << n) - 1
-    outside = ((1 << n) - 1) & ~a_mask
-    gx = [p.x_mask for p in gens]
-    gz = [p.z_mask for p in gens]
-    counts = [0] * (n + 1)
-    x = z = 0
-    counts[0] += 1
-    prev = 0
-    for t in range(1, 1 << len(gens)):
-        gray = t ^ (t >> 1)
-        bit = (gray ^ prev).bit_length() - 1
-        prev = gray
-        x ^= gx[bit]
-        z ^= gz[bit]
-        supp = x | z
-        if supp & outside:
-            continue
-        counts[supp.bit_count()] += 1
-    return counts
-
-
 def sl_enumerators(state, mode: str = None) -> SLVector:
     """a_i[rho] = 2^-n sum_{wt(P)=i} Tr[rho P]^2, by either route.
 
@@ -214,8 +191,9 @@ def sl_enumerators(state, mode: str = None) -> SLVector:
         n = g.n
         if n > SL_STABILIZER_CAP:
             raise ValueError(f"stabilizer enumerators capped at {SL_STABILIZER_CAP} qubits")
-        counts = _group_weight_counts(g)
-        return SLVector(n, tuple(Fraction(c, 1 << n) for c in counts))
+        x, z = _element_masks(g)
+        counts = np.bincount(np.bitwise_count(x | z), minlength=n + 1)
+        return SLVector(n, tuple(Fraction(c, 1 << n) for c in counts.tolist()))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -284,9 +262,12 @@ def marginal_enumerators(g: StabilizerGroup, bip: Bipartition) -> SLVector:
     stabilizer state: 2^-|A| times the count of elements supported inside
     A, by weight.  noisy_purity of them is the depolarized marginal's
     purity."""
-    s = len(bip.a_set)
-    counts = _group_weight_counts(g, bip.a_mask)[:s + 1]
-    return SLVector(s, tuple(Fraction(c, 1 << s) for c in counts))
+    s = len(bip.check(g.n).a_set)
+    x, z = _element_masks(g)
+    supp = x | z
+    inside = supp[(supp & ~bip.a_mask) == 0]
+    counts = np.bincount(np.bitwise_count(inside), minlength=s + 1)
+    return SLVector(s, tuple(Fraction(c, 1 << s) for c in counts.tolist()))
 
 
 def one_step_enumerators(size: int, r: int) -> SLVector:
@@ -332,8 +313,7 @@ def qwe_bruteforce(rho: np.ndarray, bip: Bipartition, k: int,
     """
     d = rho.shape[0]
     n = d.bit_length() - 1
-    if bip.n != n:
-        raise ValueError("bipartition size mismatch")
+    bip.check(n)
     if k < 1:
         raise ValueError("need k >= 1")
     if 4 ** (n * k) > budget:
@@ -402,12 +382,20 @@ def qwe_bruteforce(rho: np.ndarray, bip: Bipartition, k: int,
 # PT-moment enumerators, stabilizer route
 
 
-def _element_tables(g: StabilizerGroup, bip: Bipartition):
-    """Weight and PT sign of every group element, in enumerate_group's
-    order: the x and z masks by XOR doubling, then popcounts."""
+def _element_masks(g: StabilizerGroup) -> tuple:
+    """x and z masks of every group element, in enumerate_group's order,
+    by XOR doubling: the elements with generator i are the earlier ones
+    times g_i."""
     x = z = np.zeros(1, dtype=np.int64)
     for p in g.generators:
         x, z = np.append(x, x ^ p.x_mask), np.append(z, z ^ p.z_mask)
+    return x, z
+
+
+def _element_tables(g: StabilizerGroup, bip: Bipartition):
+    """Weight and PT sign of every group element, in enumerate_group's
+    order, as popcounts of the element masks."""
+    x, z = _element_masks(g)
     y = np.bitwise_count(x & z & bip.a_mask).astype(np.int64) & 1
     return np.bitwise_count(x | z).astype(np.int64), 1 - 2 * y
 
@@ -425,8 +413,7 @@ def cw_bruteforce(g: StabilizerGroup, bip: Bipartition, k: int,
     most BRUTEFORCE_BLOCK tuples per prefix, so memory stays flat.
     """
     n = g.n
-    if bip.n != n:
-        raise ValueError("bipartition size mismatch")
+    bip.check(n)
     if k < 1:
         raise ValueError("need k >= 1")
     size = 1 << len(g.generators)
@@ -479,8 +466,7 @@ def _character_set(wt: np.ndarray, signs, n: int) -> tuple:
     return tuple(sorted(polys.items(), key=lambda kv: tuple(-c for c in kv[0])))
 
 
-def character_polys(g: StabilizerGroup, bip: Bipartition,
-                    cap: int = CHARACTER_QUBIT_CAP) -> CharacterPolynomials:
+def character_polys(g: StabilizerGroup, bip: Bipartition) -> CharacterPolynomials:
     """Character transforms of the weight and signed-weight indicators.
 
     Characters are indexed by v acting on generator exponents via
@@ -488,9 +474,10 @@ def character_polys(g: StabilizerGroup, bip: Bipartition,
     class yields every character's polynomial at once; identical rows are
     merged with multiplicities.
     """
-    if len(g.generators) > cap:
-        raise ValueError(f"character transform capped at {cap} generators")
-    wt, th = _element_tables(g, bip)
+    if len(g.generators) > CHARACTER_QUBIT_CAP:
+        raise ValueError("character transform capped at "
+                         f"{CHARACTER_QUBIT_CAP} generators")
+    wt, th = _element_tables(g, bip.check(g.n))
     return CharacterPolynomials(g.n, _character_set(wt, th, g.n), wt)
 
 
@@ -543,6 +530,7 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     2^n and 2 must come out exact.
     """
     n = g.n
+    bip.check(n)
     if k < 1:
         raise ValueError("need k >= 1")
     if chars is None:

@@ -66,6 +66,12 @@ class Bipartition:
         if not all(1 <= a <= self.n for a in self.a_set):
             raise ValueError(f"cut qubits must lie in 1..{self.n}")
 
+    def check(self, n: int) -> "Bipartition":
+        """self, once it is a cut of n qubits (either side may be empty)."""
+        if self.n != n:
+            raise ValueError(f"the cut is on {self.n} qubits, the state on {n}")
+        return self
+
     @property
     def a_mask(self) -> int:
         m = 0
@@ -283,7 +289,7 @@ def bell_pair_rank(g: StabilizerGroup, bip: Bipartition) -> int:
     from the GF(2) rank of the generators restricted to B: products landing
     in the kernel of that restriction are exactly the elements trivial on B.
     """
-    b_mask = ((1 << g.n) - 1) ^ bip.a_mask
+    b_mask = ((1 << g.n) - 1) ^ bip.check(g.n).a_mask
     rows = [((gen.x_mask & b_mask) << g.n) | (gen.z_mask & b_mask)
             for gen in g.generators]
     rank_b = _gf2_rank(rows)

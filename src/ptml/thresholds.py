@@ -19,8 +19,7 @@ grid and f <= 6 + 23 after the 23 halvings of a 1e-9 bracket, where a
 float eps off that grid carries f of about 53.  The exact models' verdicts
 (moment Horner steps, integer Hankel elimination, Newton numerators, klm
 powers) work on integers whose length grows with f, so the dyadic nodes
-keep them short.  Any grid_points still gives a certified result, at the
-cost of longer numerators when grid_points - 1 is not a power of two.
+keep them short.
 
 Four state models share one protocol (describe, moments, ppt, fidelity,
 purities, bell_pairs, the Bell pairs the pure state holds across the cut,
@@ -196,9 +195,7 @@ def _cut_label(bip: Bipartition) -> str:
 
 def _check_cut(bip: Bipartition, n: int) -> Bipartition:
     """bip, once it is a cut of the n qubits with 1 <= |A| <= n-1."""
-    if bip.n != n:
-        raise ValueError(f"the cut is on {bip.n} qubits, the state on {n}")
-    if not 1 <= len(bip.a_set) <= n - 1:
+    if not 1 <= len(bip.check(n).a_set) <= n - 1:
         raise ValueError("the cut needs 1 <= |A| <= n-1 qubits on side A")
     return bip
 
@@ -234,9 +231,10 @@ class GHZModel:
         # 1e-63 at n = 200), so the decision is relative to d.
         with workdps(self.digits):
             d, g = ghz_pair(self.n, self.a, mpf(eps))
-            return criteria.Verdict(
-                g - d > criteria.default_tol(self.digits) * d, g - d,
-                witness={"min_eigenvalue": d - g})
+            hit = g - d > criteria.default_tol(self.digits) * d
+            margin, low = g - d, d - g
+        return criteria.Verdict(
+            hit, lambda: (margin, {"min_eigenvalue": low}), exact=False)
 
     def fidelity(self, eps):
         # sum_i a_i (1-eps)^i: even-weight Z-type binomials plus 2^(n-1)
@@ -333,10 +331,13 @@ class StabilizerModel:
         low = min(a for a, _ in entries)
 
         def explain():
-            min_eig = round_dyadic(low, -s, dps_to_prec(self.digits))
-            return -min_eig, {"min_eigenvalue": min_eig}
+            # -low rounds as itself: negating a rounded mpf would round
+            # again, to the precision in force where the margin is read
+            prec = dps_to_prec(self.digits)
+            return (round_dyadic(-low, -s, prec),
+                    {"min_eigenvalue": round_dyadic(low, -s, prec)})
 
-        return criteria.DeferredVerdict(low < 0, explain)
+        return criteria.Verdict(low < 0, explain)
 
     def fidelity(self, eps):
         return exact_decayed(self.sl.values, eps)
@@ -485,7 +486,7 @@ def evaluate(spec: CriterionSpec, model, eps,
     if spec.kind == "ppt":
         return model.ppt(eps)
     if spec.kind == "stieltjes" and not _moment_order(spec, model):
-        return criteria.DeferredVerdict(
+        return criteria.Verdict(
             model.ppt(eps).entangled,
             lambda: criteria.hankel_margin(model.moments(eps, spec.m), spec.m))
     if spec.kind == "fidelity":
@@ -531,23 +532,21 @@ class ThresholdResult:
 
 
 def epsilon_max(spec: CriterionSpec, model, tol: float = BRACKET_TOL,
-                grid_points: int = GRID_POINTS,
                 strict: bool = False) -> ThresholdResult:
     """Bisect the last eps where the criterion still fires: the battery of
     one criterion, see epsilon_max_battery."""
-    return epsilon_max_battery((spec,), model, tol, grid_points, strict)[0]
+    return epsilon_max_battery((spec,), model, tol, strict)[0]
 
 
 def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
-                        grid_points: int = GRID_POINTS,
                         strict: bool = False) -> list:
     """Thresholds of a battery of criteria on one model, one
     ThresholdResult per spec.
 
-    A grid of grid_points nodes i / (grid_points - 1) over [0, 1]
-    locates every verdict flip; the default nodes i/64 are dyadic, so every
-    eps evaluated, midpoints included, has a short binary expansion and the
-    exact models' integer verdicts stay cheap (module docstring).  At each
+    A grid of GRID_POINTS nodes i/64 over [0, 1] locates every verdict
+    flip; the nodes are dyadic, so every eps evaluated, midpoints
+    included, has a short binary expansion and the exact models' integer
+    verdicts stay cheap (module docstring).  At each
     grid point the model's moments are computed once, up to the highest
     order the battery reads (stieltjes past the model's hankel_rank_bound
     reads none), and every spec is judged on that one vector; rounded
@@ -561,10 +560,8 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
-    if grid_points < 4:
-        raise ValueError("need at least 4 grid points")
     specs = tuple(specs)
-    grid = [i / (grid_points - 1) for i in range(grid_points)]
+    grid = [i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     top = max((_moment_order(spec, model) for spec in specs), default=0)
     hits = [[] for _ in specs]
     for eps in grid:

@@ -244,7 +244,7 @@ def test_criterion_6_soundness_on_random_states():
                 nn = distinct_count(merge_spectrum(s, tol=1e-12), tol=1e-12)
                 m = 2 * nn - 1
                 c = criteria.stieltjes_witness(s, m)
-                h = criteria.build_hankel(moments_from_spectrum(s, m), m).entries
+                h = criteria.build_hankel(moments_from_spectrum(s, m), m)
                 q = sum(c[i] * c[j] * h[i][j]
                         for i in range(len(c)) for j in range(len(c)))
             witness_failures += not q < 0

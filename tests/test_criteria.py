@@ -29,6 +29,7 @@ from ptml.criteria import (
     purity_criterion,
     stieltjes,
     stieltjes_witness,
+    Verdict,
 )
 
 
@@ -112,7 +113,7 @@ def test_stieltjes_min_eig_matches_numpy():
     p = moments_from_spectrum(s, 7)
     pf = MomentVector(tuple(float(p.p(k)) for k in range(1, 8)))
     v = stieltjes(pf, 7)
-    h = np.array(build_hankel(pf, 7).entries, dtype=float)
+    h = np.array(build_hankel(pf, 7), dtype=float)
     want = min(np.linalg.eigvalsh(h))
     assert abs(v.witness["min_eigenvalue"] - want) < 1e-10
     assert v.margin == -v.witness["min_eigenvalue"]
@@ -225,7 +226,7 @@ def test_stieltjes_witness_quadratic_form_negative():
         c = stieltjes_witness(s, m)
         assert len(c) == (m + 1) // 2
         p = moments_from_spectrum(s, m)
-        h = build_hankel(p, m).entries
+        h = build_hankel(p, m)
         q = sum(float(c[i]) * float(c[j]) * float(h[i][j])
                 for i in range(len(c)) for j in range(len(c)))
         # closed form: mu1 lam1 f(lam1)^2 with f vanishing on the others
@@ -337,3 +338,21 @@ def test_midpoint_klm_implies_stieltjes(s):
             continue  # outside the triple test's domain
         if klm_ppt(pf, k, (k + m) // 2, m).entangled:
             assert stieltjes(pf, m).entangled
+
+
+def test_verdict_explains_once_and_only_when_read():
+    calls = []
+
+    def explain():
+        calls.append(1)
+        return mpf(-1), {"min_eigenvalue": mpf(1)}
+
+    v = Verdict(True, explain)
+    assert v.entangled and v.status == "Entangled" and calls == []
+    # an exact verdict's contradicting rounded margin reads 0
+    assert v.margin == 0 and v.witness == {"min_eigenvalue": 1}
+    assert v.margin == 0 and v.witness["min_eigenvalue"] == 1
+    assert len(calls) == 1
+    raw = Verdict(True, explain, exact=False)
+    assert raw.margin == -1 and raw.witness == {"min_eigenvalue": 1}
+    assert len(calls) == 2

@@ -65,7 +65,7 @@ def test_state_from_group_matches_kron_sum(name, n):
 
 def test_state_from_group_cap():
     with pytest.raises(ValueError):
-        state_from_group(state_catalog("ghz", 13), cap=12)
+        state_from_group(state_catalog("ghz", 13))
 
 
 def test_nqubits_and_maximally_mixed():

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from ptml.pauli import (Bipartition, PauliString, StabilizerGroup, enumerate_group,
-                        from_label, state_catalog, theta, weight)
+from ptml.pauli import (Bipartition, PauliString, StabilizerGroup, bell_pair_rank,
+                        enumerate_group, from_label, state_catalog, theta, weight)
 from ptml.dense import (
     _partial_trace_keep,
     depolarize_local,
     fidelity_pure,
+    partial_transpose,
     pauli_matrix,
     pt_moments,
     state_from_group,
@@ -45,6 +46,7 @@ from ptml.enumerators import (
 from ptml.thresholds import (
     CriterionSpec,
     StabilizerModel,
+    _check_cut,
     epsilon_max,
 )
 from stabilizers import random_cut, random_group
@@ -561,3 +563,84 @@ def test_exact_decayed_at_an_mpf_rate():
         eps = mpf(1) / 3
     want = _horner_oracle(values, Fraction(*to_rational(eps._mpf_)), 2)
     assert exact_decayed(values, eps, 2) == want
+
+
+def _group_weight_counts(g: StabilizerGroup, a_mask=None) -> list:
+    """Element counts by weight, restricted to support inside a_mask.
+
+    Walks the group in Gray-code order so each step is one generator XOR;
+    keeps n ~ 20 feasible without materializing Pauli objects.
+    """
+    n = g.n
+    gens = g.generators
+    if a_mask is None:
+        a_mask = (1 << n) - 1
+    outside = ((1 << n) - 1) & ~a_mask
+    gx = [p.x_mask for p in gens]
+    gz = [p.z_mask for p in gens]
+    counts = [0] * (n + 1)
+    x = z = 0
+    counts[0] += 1
+    prev = 0
+    for t in range(1, 1 << len(gens)):
+        gray = t ^ (t >> 1)
+        bit = (gray ^ prev).bit_length() - 1
+        prev = gray
+        x ^= gx[bit]
+        z ^= gz[bit]
+        supp = x | z
+        if supp & outside:
+            continue
+        counts[supp.bit_count()] += 1
+    return counts
+
+
+def _mask_cut(n: int, a_mask: int) -> Bipartition:
+    return Bipartition(n, frozenset(a + 1 for a in range(n) if a_mask >> a & 1))
+
+
+def _check_walks(g: StabilizerGroup, a_masks):
+    n = g.n
+    counts = _group_weight_counts(g)
+    assert sl_enumerators(g).values == tuple(Fraction(c, 1 << n) for c in counts)
+    for a_mask in a_masks:
+        s = a_mask.bit_count()
+        inside = _group_weight_counts(g, a_mask)[:s + 1]
+        got = marginal_enumerators(g, _mask_cut(n, a_mask))
+        assert got == SLVector(s, tuple(Fraction(c, 1 << s) for c in inside))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_group_walk_matches_gray_walk_on_random_groups(n, seed, data):
+    # every side A, the empty and the full one included
+    _check_walks(random_group(n, seed), [data.draw(st.integers(0, (1 << n) - 1))])
+
+
+@pytest.mark.parametrize("name,n", [("ghz", 20), ("zero", 20),
+                                    ("bell_pairs", 20), ("ame6", 6),
+                                    ("ghz", 13), ("bell_pairs", 14)])
+def test_group_walk_matches_gray_walk_on_catalog_states(name, n):
+    g, rng = state_catalog(name, n), np.random.default_rng(n)
+    _check_walks(g, [0, (1 << n) - 1, int(rng.integers(1, (1 << n) - 1))])
+
+
+_GHZ4 = state_catalog("ghz", 4)
+_OFF_CUT = Bipartition(5, frozenset({5}))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bell_pair_rank(_GHZ4, _OFF_CUT),
+    lambda: marginal_enumerators(_GHZ4, _OFF_CUT),
+    lambda: cw_fourier(_GHZ4, _OFF_CUT, 2),
+    lambda: character_polys(_GHZ4, _OFF_CUT),
+    lambda: cw_bruteforce(_GHZ4, _OFF_CUT, 2),
+    lambda: qwe_bruteforce(state_from_group(_GHZ4), _OFF_CUT, 2),
+    lambda: partial_transpose(state_from_group(_GHZ4), _OFF_CUT),
+    lambda: _check_cut(_OFF_CUT, 4),
+], ids=["bell_pair_rank", "marginal_enumerators", "cw_fourier",
+        "character_polys", "cw_bruteforce", "qwe_bruteforce",
+        "partial_transpose", "check_cut"])
+def test_a_cut_on_the_wrong_qubit_count_is_refused(call):
+    with pytest.raises(ValueError, match="^the cut is on 5 qubits, the state on 4$"):
+        call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import dps_to_prec, to_rational
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_rational
 
 from ptml import criteria
 from ptml.cli import main
@@ -245,6 +245,38 @@ def test_deferred_margin_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _elementary_exactly(p: MomentVector, m: int) -> list:
+    """e_1..e_m by Newton's identities over Fractions from p_k = A_k /
+    2^(s k)."""
+    nums, s = p.exact
+    ps = [Fraction(a, 1 << s * k) for k, a in enumerate(nums, 1)]
+    es = [Fraction(1)]
+    for j in range(1, m + 1):
+        es.append(sum((-1) ** (i - 1) * es[j - i] * ps[i - 1]
+                      for i in range(1, j + 1)) / j)
+    return es[1:]
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_descartes_elementary_values_are_rounded_once(cut):
+    # a bisection point carries up to 29 fraction bits; rounding F_j and
+    # then F_j / j! 2^(s j) misses the once-rounded value in about one
+    # elementary value of five there
+    model = StabilizerModel(state_catalog("ame6", 6),
+                            Bipartition(6, frozenset(range(1, cut + 1))))
+    rng = random.Random(cut)
+    for _ in range(6):
+        eps = rng.randrange(1, 1 << 29) / (1 << 29)
+        for m in (9, 20):
+            p = model.moments(eps, m)
+            got = descartes(p, m).witness["elementary"]
+            prec = dps_to_prec(p.digits)
+            want = tuple(mp.make_mpf(from_rational(e.numerator, e.denominator,
+                                                   prec, round_nearest))
+                         for e in _elementary_exactly(p, m))
+            assert got == want, (eps, m)
+
+
 def test_criterion_cli_prints_the_mpf_margin(capsys):
     code = main(["criterion", "--name", "stieltjes:15", "--state", "ame6",
                  "--bip-size", "3", "--noise", "local:0.3"])
@@ -282,7 +314,8 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
     v = AME6_33.ppt(below)
     assert v.entangled
     assert 0 < -v.witness["min_eigenvalue"] < default_tol(AME6_33.digits)
-    assert v.margin == -v.witness["min_eigenvalue"]
+    with workdps(AME6_33.digits):  # negation rounds to the working precision
+        assert v.margin == -v.witness["min_eigenvalue"]
     assert not AME6_33.ppt(above).entangled
     assert abs(star - thr) <= 1e-9
 
@@ -372,6 +405,16 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     v = evaluate(CriterionSpec("purity"), model, eps)
     assert v.entangled == (glob > sub)
     assert _rounded_once(v.margin, glob - sub, model.digits)
+
+
+def test_ppt_margin_is_the_exact_value_rounded_once():
+    # read at mpmath's default precision, as `ptml criterion` reads it
+    for eps in (0.3, 0.45, 0.7):
+        entries, s = AME6_33._pt_spectrum(eps)
+        low = Fraction(min(a for a, _ in entries), 1 << s)
+        v = AME6_33.ppt(eps)
+        assert _rounded_once(v.margin, -low, AME6_33.digits), eps
+        assert _rounded_once(v.witness["min_eigenvalue"], low, AME6_33.digits)
 
 
 # Printed before the integer Horner pass; the lines may not move.

@@ -25,7 +25,7 @@ def _check_against_eigenvalue(p: MomentVector, m: int):
     positive definite for s = -lambda_min + floor and not for s =
     -lambda_min - floor."""
     h = build_hankel(p, m)
-    norm = max(1, max(abs(x) for row in h.entries for x in row))
+    norm = max(1, max(abs(x) for row in h for x in row))
     tau = default_tol(p.digits) * norm
     floor = (1e-13 if p.digits is None else mpf(10) ** -p.digits) * norm
     with workdps(p.digits + 10 if p.digits else 15):

@@ -21,8 +21,10 @@ from ptml.thresholds import (
     ThresholdResult,
     _check_dominance,
     epsilon_max,
+    epsilon_max_battery,
     evaluate,
     fig1_criteria,
+    fig2_criteria,
     make_model,
     sweep_fig1,
     sweep_fig2,
@@ -440,7 +442,7 @@ class FakeModel:
 
     def ppt(self, eps):
         hit = self._fire(eps)
-        return Verdict(hit, 1.0 if hit else -1.0, None)
+        return Verdict(hit, lambda: (1.0 if hit else -1.0, None), exact=False)
 
     def describe(self):
         return "scripted"
@@ -472,11 +474,29 @@ def test_fires_at_one_is_an_error():
         epsilon_max(CriterionSpec("ppt"), model)
 
 
+def test_threshold_search_never_explains_a_verdict(monkeypatch):
+    built, explained = [], []
+    init = Verdict.__init__
+
+    def counting(self, entangled, explain, exact=True):
+        def counted():
+            explained.append(1)
+            return explain()
+
+        built.append(1)
+        init(self, entangled, counted, exact)
+
+    monkeypatch.setattr(Verdict, "__init__", counting)
+    specs = fig2_criteria([3, 5])
+    for model in (make_model("ame6", 6, Bipartition(6, frozenset({1}))),
+                  GHZModel(4), make_model("ghz", 4, model="dense")):
+        epsilon_max_battery(specs, model)
+    assert len(built) > 3 * 65 * len(specs) and explained == []
+
+
 def test_epsilon_max_validation():
     with pytest.raises(ValueError):
         epsilon_max(CriterionSpec("ppt"), GHZModel(2), tol=0.0)
-    with pytest.raises(ValueError):
-        epsilon_max(CriterionSpec("ppt"), GHZModel(2), grid_points=3)
 
 
 # ---------------------------------------------------------------- sweeps
