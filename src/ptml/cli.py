@@ -52,6 +52,7 @@ from .gleason import (
 from .pauli import Bipartition, state_catalog
 from .spectra import DEFAULT_DIGITS
 from .thresholds import (
+    BRACKET_TOL,
     CriterionSpec,
     epsilon_max,
     evaluate,
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", default=None,
                      choices=("dense", "enumerator"),
                      help="force a reference route (default: by state, noise)")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=float, default=BRACKET_TOL)
     sub.add_argument("--strict", action="store_true",
                      help="refuse non-monotone pre-scans")
     sub.set_defaults(fn=cmd_threshold)
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fig2 moment orders, e.g. 3:30 or 3,5,7")
     sub.add_argument("--cuts", default="1,2,3",
                      help="fig2 bipartition sizes")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=float, default=BRACKET_TOL)
     _add_output_opts(sub)
     sub.set_defaults(fn=cmd_sweep)
 

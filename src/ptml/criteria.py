@@ -197,9 +197,11 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
 
 def hankel_margin(p: MomentVector, m: int) -> tuple:
     """(margin, witness) of stieltjes(p, m): the margin is -lambda_min of
-    the Hankel matrix, at the precision of hankel_min_eigenvalue."""
+    the Hankel matrix, at the precision of hankel_min_eigenvalue (an mpf
+    is negated exactly, not rounded to the caller's mp.prec)."""
     min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
-    return -min_eig, {"m": m, "min_eigenvalue": min_eig}
+    margin = -min_eig if p.digits is None else mp.fneg(min_eig, exact=True)
+    return margin, {"m": m, "min_eigenvalue": min_eig}
 
 
 def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:

@@ -69,16 +69,6 @@ def maximally_mixed(n: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-def werner_state(eps: float) -> np.ndarray:
-    """(1-eps) |psi-><psi-| + eps 1/4 on two qubits."""
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must lie in [0, 1]")
-    psi = np.zeros(4, dtype=complex)
-    psi[2] = 1 / math.sqrt(2)   # |01>: qubit 1 in 0, qubit 2 in 1
-    psi[1] = -1 / math.sqrt(2)  # |10>
-    return (1 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4
-
-
 def depolarize_local(rho: np.ndarray, eps: float) -> np.ndarray:
     """Apply the single-qubit depolarizing channel to every qubit."""
     if not 0 <= eps <= 1:
@@ -104,7 +94,7 @@ def _trace_out_embed(rho: np.ndarray, a: int) -> np.ndarray:
 
 def depolarize_local_via_weights(rho: np.ndarray, eps: float) -> np.ndarray:
     """Same channel through the Pauli picture: coefficients decay as
-    (1-eps)^wt(P).  Exponential in n; used to cross-check depolarize_local.
+    (1-eps)^wt(P).  Exponential in n; the oracle of depolarize_local.
     """
     n = nqubits(rho)
     if n > 6:
@@ -161,11 +151,6 @@ def pt_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> MomentVector:
     return moments_from_spectrum(pt_spectrum(rho, bip), m_max)
 
 
-def schatten_moments(rho: np.ndarray, bip: Bipartition, m_max: int) -> list:
-    """Schatten power sums ptilde_k = sum |lambda_i|^k of rho^G."""
-    return list(pt_moments(rho, bip, m_max).schatten)
-
-
 def log_negativity(rho: np.ndarray, bip: Bipartition) -> float:
     """log2 of the trace norm of rho^G."""
     lams = pt_spectrum(rho, bip).entries
@@ -179,7 +164,8 @@ def fidelity_pure(rho: np.ndarray, g: StabilizerGroup) -> float:
 
 
 def schmidt_rank(rho_pure: np.ndarray, bip: Bipartition, tol: float = 1e-9) -> int:
-    """Schmidt rank of a pure state across A|B (oracle for bell_pair_rank).
+    """Schmidt rank of a pure state across A|B; the oracle of
+    pauli.bell_pair_rank.
 
     Counts eigenvalues of the reduced state on A above tol.
     """

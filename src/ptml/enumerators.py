@@ -2,10 +2,14 @@
 
 Shor-Laflamme vectors a_i collect squared Pauli coefficients by weight and
 fix how fidelity, purity, and subsystem purity decay under local
-depolarization.  PT moments decay the same way one order up: p_k of the
-noisy partial transpose is a polynomial in (1-eps) whose coefficients are
-weight enumerators of Pauli k-tuples.  For stabilizer states those
-coefficients are integer counts over (k-1)-tuples of group elements.
+depolarization: each is sum_i a_i (1-eps)^(power i), power 1 for the
+fidelity and 2 for a purity (of the state, or of a marginal from
+marginal_enumerators).  One evaluator computes that decay: exact_decayed,
+an exact Fraction at a binary eps.  PT moments decay the same way one
+order up: p_k of the noisy partial transpose is a polynomial in (1-eps)
+whose coefficients are weight enumerators of Pauli k-tuples.  For
+stabilizer states those coefficients are integer counts over (k-1)-tuples
+of group elements.
 
 Both tuple enumerations come in two routes that must agree exactly:
 a brute-force oracle (qwe_bruteforce, cw_bruteforce) and a character
@@ -116,19 +120,6 @@ class CharacterPolynomials:
         return _character_set(self.wt, 1, self.n)
 
 
-def _num(v, like):
-    # exact ints / Fractions into the arithmetic type of `like`
-    if isinstance(like, mpf):
-        if isinstance(v, Fraction):
-            return mpf(v.numerator) / mpf(v.denominator)
-        return mpf(v)
-    return float(v)
-
-
-def _one_like(eps):
-    return mpf(1) if isinstance(eps, mpf) else 1.0
-
-
 def _wht(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of 2)."""
     a = np.array(a, copy=True)
@@ -165,41 +156,37 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coef.real.T).ravel()
 
 
-def sl_enumerators(state, mode: str = None) -> SLVector:
-    """a_i[rho] = 2^-n sum_{wt(P)=i} Tr[rho P]^2, by either route.
+def sl_enumerators(state) -> SLVector:
+    """a_i[rho] = 2^-n sum_{wt(P)=i} Tr[rho P]^2.
 
-    dense mode sums over all 4^n Pauli patterns of a density matrix
-    (n <= 8); stabilizer_count mode counts group elements by weight over
-    2^n (exact Fractions, n <= 20).
+    A StabilizerGroup is counted by weight over its 2^n elements (exact
+    Fractions, n <= SL_STABILIZER_CAP); an array is a density matrix whose
+    4^n Pauli coefficients are summed in float64 (n <= SL_DENSE_CAP), the
+    oracle of the count.
     """
-    if mode is None:
-        mode = "stabilizer_count" if isinstance(state, StabilizerGroup) else "dense"
-    if mode == "dense":
-        rho = np.asarray(state)
-        d = rho.shape[0]
-        n = d.bit_length() - 1
-        if n > SL_DENSE_CAP:
-            raise ValueError(f"dense enumerators capped at {SL_DENSE_CAP} qubits")
-        coef = pauli_coefficients(rho)
-        idx = np.arange(d * d, dtype=np.int64)
-        popn = np.array([v.bit_count() for v in range(d)], dtype=np.int64)
-        wt = popn[(idx & (d - 1)) | (idx >> n)]
-        mass = np.bincount(wt, weights=coef * coef, minlength=n + 1)
-        return SLVector(n, tuple(float(v) / d for v in mass))
-    if mode == "stabilizer_count":
-        g = state
-        n = g.n
+    if isinstance(state, StabilizerGroup):
+        n = state.n
         if n > SL_STABILIZER_CAP:
             raise ValueError(f"stabilizer enumerators capped at {SL_STABILIZER_CAP} qubits")
-        x, z = _element_masks(g)
+        x, z = _element_masks(state)
         counts = np.bincount(np.bitwise_count(x | z), minlength=n + 1)
         return SLVector(n, tuple(Fraction(c, 1 << n) for c in counts.tolist()))
-    raise ValueError(f"unknown mode {mode!r}")
+    rho = np.asarray(state)
+    d = rho.shape[0]
+    n = d.bit_length() - 1
+    if n > SL_DENSE_CAP:
+        raise ValueError(f"dense enumerators capped at {SL_DENSE_CAP} qubits")
+    coef = pauli_coefficients(rho)
+    idx = np.arange(d * d, dtype=np.int64)
+    wt = np.bitwise_count((idx & (d - 1)) | (idx >> n))
+    mass = np.bincount(wt, weights=coef * coef, minlength=n + 1)
+    return SLVector(n, tuple(float(v) / d for v in mass))
 
 
 def ghz_sl_vector(n: int) -> SLVector:
     """Closed-form GHZ enumerators: binomial Z-type counts plus 2^{n-1}
-    X-type elements, all of full weight."""
+    X-type elements, all of full weight.  The oracle of sl_enumerators on
+    GHZ and, decayed by exact_decayed, of GHZModel.fidelity and purities."""
     if n < 2:
         raise ValueError("need n >= 2")
     counts = [0] * (n + 1)
@@ -209,59 +196,11 @@ def ghz_sl_vector(n: int) -> SLVector:
     return SLVector(n, tuple(Fraction(c, 1 << n) for c in counts))
 
 
-def sl_decay(a: SLVector, eps) -> SLVector:
-    """Local depolarization damps each weight class by (1-eps)^{2i}."""
-    one = _one_like(eps)
-    q = (one - eps) ** 2
-    return SLVector(a.n, tuple(_num(v, one) * q**i for i, v in enumerate(a.values)))
-
-
-def _sum_like(terms, one):
-    if isinstance(one, float):
-        return math.fsum(terms)
-    return sum(terms, one - one)
-
-
-def _decayed(values, q, one):
-    """sum_i v_i q^i in the scalar type of one."""
-    return _sum_like((_num(v, one) * q**i for i, v in enumerate(values) if v),
-                     one)
-
-
-def noisy_purity(a: SLVector, eps):
-    """Tr[rho_eps^2] = sum_i a_i (1-eps)^{2i}."""
-    one = _one_like(eps)
-    return _decayed(a.values, (one - eps) ** 2, one)
-
-
-def rains_subsystem_purity(a: SLVector, eps, s: int):
-    """Average purity over all size-s marginals of the depolarized state.
-
-    A weight-i Pauli fits inside C(n-i, s-i) of the C(n,s) subsystems, hence
-    the reweighting of a_i; the 2^{n-s} restores the marginal trace scale.
-    """
-    n = a.n
-    if not 0 <= s <= n:
-        raise ValueError("subsystem size out of range")
-    one = _one_like(eps)
-    scale = Fraction(1 << (n - s), math.comb(n, s))
-    return _decayed([scale * math.comb(n - i, s - i) * ai
-                     for i, ai in enumerate(a.values[: s + 1])],
-                    (one - eps) ** 2, one)
-
-
-def fidelity_from_enumerators(a: SLVector, eps):
-    """Overlap of the depolarized state with the clean pure state:
-    F(eps) = sum_i a_i (1-eps)^i (single decay factor per weight)."""
-    one = _one_like(eps)
-    return _decayed(a.values, one - eps, one)
-
-
 def marginal_enumerators(g: StabilizerGroup, bip: Bipartition) -> SLVector:
     """Shor-Laflamme enumerators of the reduced state on block A of a pure
     stabilizer state: 2^-|A| times the count of elements supported inside
-    A, by weight.  noisy_purity of them is the depolarized marginal's
-    purity."""
+    A, by weight.  exact_decayed(values, eps, power=2) of them is the
+    depolarized marginal's purity."""
     s = len(bip.check(g.n).a_set)
     x, z = _element_masks(g)
     supp = x | z

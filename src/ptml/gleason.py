@@ -83,16 +83,13 @@ def ttilde(n: int) -> MacWilliamsMatrix:
 
 
 def sl_convolve(a: SLVector, b: SLVector) -> SLVector:
-    """Enumerators of a tensor product: traces factor, weights add."""
+    """Enumerators of a tensor product: traces factor, weights add.  The
+    Fraction oracle of _product_vector."""
     out = [Fraction(0)] * (a.n + b.n + 1)
     for i, ai in enumerate(a.values):
         for j, bj in enumerate(b.values):
             out[i + j] += ai * bj
     return SLVector(a.n + b.n, tuple(out))
-
-
-def vacuum_vector() -> SLVector:
-    return SLVector(0, (Fraction(1),))
 
 
 def psi0_vector() -> SLVector:
@@ -140,11 +137,6 @@ def type2_kernel_basis(n: int) -> list:
     return [_product_vector(n, [(ame6_vector(), i),
                                 (bell_vector(), (n - 6 * i) // 2)])
             for i in range(n // 6 + 1)]
-
-
-def is_type2(a: SLVector, tol=1e-12) -> bool:
-    """True when every odd-weight enumerator vanishes (within tol)."""
-    return all(abs(v) <= tol for i, v in enumerate(a.values) if i % 2 == 1)
 
 
 def _solve_exact(mat, rhs):

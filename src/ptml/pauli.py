@@ -85,9 +85,6 @@ class Bipartition:
             raise ValueError("no default bipartition for odd n; pass a cut")
         return cls(n, frozenset(range(1, n // 2 + 1)))
 
-    def complement(self) -> "Bipartition":
-        return Bipartition(self.n, frozenset(range(1, self.n + 1)) - self.a_set)
-
 
 def from_label(label: str) -> PauliString:
     """Parse e.g. 'XIZY', '-YY', 'i*XZ' into a PauliString."""
@@ -145,26 +142,11 @@ def theta(p: PauliString, bip: Bipartition) -> int:
 
     Transposing a single-qubit factor flips Y and fixes I, X, Z, so the
     sign is (-1)^(number of Y factors inside A).  The phase of p is
-    irrelevant here; only the pattern matters.
+    irrelevant here; only the pattern matters.  The oracle of the PT signs
+    of enumerators._element_tables.
     """
     y_in_a = p.x_mask & p.z_mask & bip.a_mask
     return -1 if y_in_a.bit_count() & 1 else 1
-
-
-def phi(ps: list[PauliString]) -> complex:
-    """Normalized trace of a product of Pauli strings: in {0, +-1, +-i}.
-
-    Tr[prod P_i] / 2^n is nonzero only when the product pattern is the
-    identity, in which case it equals the accumulated phase i^e.
-    """
-    if not ps:
-        return 1
-    acc = identity(ps[0].n)
-    for p in ps:
-        acc = multiply(acc, p)
-    if not acc.is_identity_pattern:
-        return 0
-    return (1j) ** acc.phase_exp
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,6 @@ class Spectrum:
     def min_eigenvalue(self):
         return min(lam for lam, _ in self.entries)
 
-    def trace(self):
-        return mp.fsum(lam * mu for lam, mu in self.entries)
-
 
 class MomentVector:
     """PT moments p_1..p_m, optionally with Schatten variants ptilde_k.

@@ -553,8 +553,9 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
     moments are then at the top order's precision, so a lower-order
     criterion's grid verdict is judged at that precision and its smaller
     tolerance.  Bisection then tightens each spec's final True -> False
-    crossing on its own, at its own order, until its bracket is below tol.
-    With strict=True a grid whose verdict flips more than once is an error
+    crossing on its own, at its own order, until its bracket is below tol;
+    a tol below the float64 spacing at the crossing is refused there, with
+    the narrowest bracket available.  With strict=True a grid whose verdict flips more than once is an error
     (the grid is embedded in the message for inspection) instead of being
     resolved by the final-crossing rule.
     """
@@ -597,6 +598,10 @@ def _final_crossing(spec: CriterionSpec, model, grid: list, hits: list,
     iterations = 0
     while hi - lo > 2 * tol:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            raise ValueError(
+                f"tol {tol:.3g} is below the float64 spacing near eps = "
+                f"{lo:.12g}: the narrowest bracket there is {(hi - lo) / 2:.3g}")
         if evaluate(spec, model, mid).entangled:
             lo = mid
         else:

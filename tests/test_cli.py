@@ -281,6 +281,13 @@ def test_threshold_ghz_off_balanced_past_the_enumerator_cap(capsys):
     assert gap(e - 2e-9) > 0 > gap(e + 2e-9)
 
 
+def test_threshold_tol_below_float_spacing_exits_2(capsys):
+    code, out, err = run(capsys, "threshold", "--criterion", "ppt", "--state",
+                         "ame6", "--bip-size", "3", "--tol", "1e-20")
+    assert code == 2 and out == ""
+    assert "tol 1e-20 is below the float64 spacing" in err
+
+
 def test_threshold_model_choices(capsys):
     with pytest.raises(SystemExit):
         main(["threshold", "--criterion", "ppt", "--state", "ghz", "--n", "4",

@@ -2,7 +2,6 @@
 
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -32,15 +31,11 @@ from ptml.enumerators import (
     cw_bruteforce,
     cw_fourier,
     exact_decayed,
-    fidelity_from_enumerators,
     ghz_sl_vector,
     marginal_enumerators,
     noisy_pt_moment,
-    noisy_purity,
     pauli_coefficients,
     qwe_bruteforce,
-    rains_subsystem_purity,
-    sl_decay,
     sl_enumerators,
 )
 from ptml.thresholds import (
@@ -103,8 +98,6 @@ def test_ghz_sl_vector_matches_group_count():
 
 
 def test_sl_enumerators_validation():
-    with pytest.raises(ValueError):
-        sl_enumerators(state_catalog("ghz", 2), mode="nope")
     # a state group must have exactly n independent generators
     with pytest.raises(ValueError):
         StabilizerGroup(2, (from_label("XX"),))
@@ -112,18 +105,6 @@ def test_sl_enumerators_validation():
         SLVector(2, (Fraction(1),))
     with pytest.raises(ValueError):
         pauli_coefficients(np.eye(3))
-
-
-def test_sl_decay():
-    a = ghz_sl_vector(4)
-    assert sl_decay(a, 0.0).values == a.values
-    dead = sl_decay(a, 1.0)
-    assert float(dead.values[0]) == float(a.values[0])
-    assert all(float(v) == 0 for v in dead.values[1:])
-    q = 0.6
-    got = sl_decay(a, 1 - q)
-    assert np.allclose([float(v) for v in got.values],
-                       [float(v) * q ** (2 * w) for w, v in enumerate(a.values)])
 
 
 def test_noisy_purity_vs_dense():
@@ -134,7 +115,7 @@ def test_noisy_purity_vs_dense():
         for eps in EPS_GRID:
             noisy = depolarize_local(rho, eps)
             want = np.trace(noisy @ noisy).real
-            assert abs(float(noisy_purity(a, eps)) - want) < 1e-12
+            assert abs(float(exact_decayed(a.values, eps, power=2)) - want) < 1e-12
 
 
 def test_fidelity_vs_dense():
@@ -144,24 +125,7 @@ def test_fidelity_vs_dense():
         rho = state_from_group(g)
         for eps in EPS_GRID:
             want = fidelity_pure(depolarize_local(rho, eps), g)
-            assert abs(float(fidelity_from_enumerators(a, eps)) - want) < 1e-12
-
-
-def test_rains_subsystem_purity_is_subset_average():
-    # from the weight distribution alone only the average over size-s
-    # subsets is recoverable; bell_pairs has genuinely unequal cuts
-    g = state_catalog("bell_pairs", 4)
-    a = sl_enumerators(g)
-    rho = state_from_group(g)
-    for eps in (0.0, 0.3, 0.8):
-        noisy = depolarize_local(rho, eps)
-        for s in (1, 2):
-            vals = []
-            for subset in combinations(range(4), s):
-                mask = sum(1 << b for b in subset)
-                red = _partial_trace_keep(noisy, mask, 4)
-                vals.append(np.trace(red @ red).real)
-            assert abs(float(rains_subsystem_purity(a, eps, s=s)) - np.mean(vals)) < 1e-12
+            assert abs(float(exact_decayed(a.values, eps)) - want) < 1e-12
 
 
 def test_stab_subsystem_purity_vs_dense_per_cut():
@@ -173,7 +137,7 @@ def test_stab_subsystem_purity_vs_dense_per_cut():
             noisy = depolarize_local(rho, eps)
             red = _partial_trace_keep(noisy, bip.a_mask, 4)
             want = np.trace(red @ red).real
-            got = noisy_purity(marginal_enumerators(g, bip), eps)
+            got = exact_decayed(marginal_enumerators(g, bip).values, eps, power=2)
             assert abs(float(got) - want) < 1e-12
 
 
@@ -226,7 +190,8 @@ def test_cw_k1_and_k2_specials():
     t2 = cw_fourier(g, bip, 2)
     a = sl_enumerators(g)
     for eps in EPS_GRID:
-        assert abs(noisy_pt_moment(t2, eps) - float(noisy_purity(a, eps))) < 1e-12
+        assert abs(noisy_pt_moment(t2, eps)
+                   - float(exact_decayed(a.values, eps, power=2))) < 1e-12
     assert t2.cminus == {}
     assert t2.cplus == {2 * w: int(v * 4 ** 4 / 16) for w, v in enumerate(a.values) if v}
 

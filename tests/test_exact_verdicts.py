@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_rational
+from mpmath.libmp import (dps_to_prec, from_rational, mpf_neg, round_nearest,
+                          to_rational)
 
 from ptml import criteria
 from ptml.cli import main
 from ptml.criteria import (default_tol, descartes, fidelity_criterion,
                            is_psd_exact, klm_ppt, purity_criterion,
                            stieltjes)
-from ptml.enumerators import fidelity_from_enumerators
+from ptml.enumerators import exact_decayed
 from ptml.pauli import Bipartition, enumerate_group, state_catalog
 from ptml.spectra import MomentVector
 from ptml.thresholds import (CriterionSpec, GHZModel, StabilizerModel,
@@ -241,8 +242,19 @@ def test_deferred_margin_is_computed_once(monkeypatch):
     monkeypatch.setattr(criteria, "hankel_min_eigenvalue", counted)
     v = stieltjes(AME6_33.moments(0.3, 15), 15)
     assert calls == []
-    assert v.margin == -v.witness["min_eigenvalue"] > 0
+    # negated exactly: a bare minus would round to mpmath's default precision
+    assert v.margin._mpf_ == mpf_neg(v.witness["min_eigenvalue"]._mpf_)
+    assert v.margin > 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", [GHZModel(6), AME6_33],
+                         ids=["ghz6-mpf", "ame6-exact"])
+def test_stieltjes_margin_keeps_the_eigenvalue_precision(model):
+    v = evaluate(CriterionSpec.parse("stieltjes:5"), model, 0.3)
+    w = v.witness["min_eigenvalue"]
+    assert v.margin._mpf_ == mpf_neg(w._mpf_)
+    assert v.margin._mpf_[3] > 300  # digits + 10, not mpmath's 53 bits
 
 
 def _elementary_exactly(p: MomentVector, m: int) -> list:
@@ -363,7 +375,9 @@ def test_enumerator_purity_threshold_brackets_the_true_root():
 def test_enumerator_fidelity_is_decided_exactly():
     model = StabilizerModel(state_catalog("ame6", 6),
                             Bipartition(6, frozenset({1, 2, 3})))
-    star = _root(lambda e: fidelity_from_enumerators(model.sl, e) - 0.5, 0.3)
+    # a secant step from 0.3 leaves [0, 1], which exact_decayed refuses
+    star = _root(lambda e: mp.convert(exact_decayed(model.sl.values, e)
+                                      - Fraction(1, 2)), 0.15)
     res = epsilon_max(CriterionSpec("fidelity"), model)
     assert abs(res.eps_max - star) <= res.bracket
     fidelity = CriterionSpec("fidelity")

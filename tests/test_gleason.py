@@ -7,11 +7,10 @@ import pytest
 
 from ptml.cli import main
 from ptml.pauli import StabilizerGroup, from_label, state_catalog
-from ptml.enumerators import ghz_sl_vector, sl_enumerators
+from ptml.enumerators import SLVector, ghz_sl_vector, sl_enumerators
 from ptml.gleason import (
     ame6_vector,
     bell_vector,
-    is_type2,
     macwilliams,
     psi0_vector,
     pure_kernel_basis,
@@ -19,8 +18,10 @@ from ptml.gleason import (
     sl_convolve,
     ttilde,
     type2_kernel_basis,
-    vacuum_vector,
 )
+
+# enumerators of the zero-qubit state, the unit of sl_convolve
+VACUUM = SLVector(0, (Fraction(1),))
 
 
 def test_macwilliams_n1_entries():
@@ -51,7 +52,6 @@ def test_pure_state_vectors_are_fixed_points():
 
 
 def test_fixed_vectors():
-    assert vacuum_vector().values == (Fraction(1),)
     assert psi0_vector().values == (Fraction(1, 2), Fraction(1, 2))
     assert bell_vector().values == (Fraction(1, 4), 0, Fraction(3, 4))
     assert ame6_vector().values == tuple(Fraction(c, 64) for c in (1, 0, 0, 0, 45, 0, 18))
@@ -87,16 +87,6 @@ def test_type2_kernel_vectors_fixed_by_both_transforms():
             assert t.apply(v.values) == v.values
 
 
-def test_is_type2():
-    assert is_type2(bell_vector())
-    assert is_type2(ame6_vector())
-    assert not is_type2(psi0_vector())
-    # even-n GHZ only has even-weight support, so it is type-II too
-    assert is_type2(ghz_sl_vector(4))
-    # |00> is pure but has odd-weight support, hence not type-II
-    assert not is_type2(sl_enumerators(state_catalog("zero", 2)))
-
-
 def test_sl_convolve_matches_product_state():
     conv = sl_convolve(bell_vector(), psi0_vector())
     g3 = StabilizerGroup(3, (from_label("XXI"), from_label("ZZI"), from_label("IIZ")))
@@ -105,7 +95,7 @@ def test_sl_convolve_matches_product_state():
 
 def test_sl_convolve_with_vacuum_is_identity():
     a = ghz_sl_vector(4)
-    assert sl_convolve(a, vacuum_vector()).values == a.values
+    assert sl_convolve(a, VACUUM).values == a.values
 
 
 def test_sl_convolve_commutes():
@@ -166,7 +156,7 @@ def _fraction_product(a, b):
 
 
 def _fraction_convolve_power(parts):
-    out = vacuum_vector()
+    out = VACUUM
     for part, count in parts:
         for _ in range(count):
             out = sl_convolve(out, part)

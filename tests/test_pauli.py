@@ -21,7 +21,6 @@ from ptml.pauli import (
     from_label,
     identity,
     multiply,
-    phi,
     state_catalog,
     theta,
     weight,
@@ -149,30 +148,6 @@ def test_theta_matches_partial_transpose_sign():
         assert np.allclose(partial_transpose(m, bip), theta(p, bip) * m)
 
 
-def test_phi_is_product_phase():
-    x, y, z = (from_label(c) for c in "XYZ")
-    assert phi([x, x]) == 1
-    assert phi([x, y, z]) == 1j
-    assert phi([z, y, x]) == -1j
-    assert phi([y, y, y, y]) == 1
-
-
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(pauli_strings(n), min_size=1, max_size=4)))
-@settings(max_examples=100, deadline=None)
-def test_phi_matches_dense_product(ps):
-    acc = identity(ps[0].n)
-    for p in ps:
-        acc = multiply(acc, p)
-    chain = ps + [PauliString(acc.n, acc.x_mask, acc.z_mask, 0)]
-    m = np.eye(1 << ps[0].n, dtype=complex)
-    for p in chain:
-        m = m @ pauli_matrix(p)
-    d = m.shape[0]
-    assert np.allclose(m, (np.trace(m) / d) * np.eye(d))
-    assert abs(phi(chain) - np.trace(m) / d) < 1e-12
-
-
 def test_enumerate_group_ghz2():
     g = state_catalog("ghz", 2)
     labels = sorted(str(p) for p in enumerate_group(g))
@@ -229,13 +204,8 @@ def test_bell_pair_rank_matches_schmidt_rank():
         assert schmidt_rank(state_from_group(g), bip) == 1 << r
 
 
-def test_bipartition_complement():
-    bip = Bipartition(4, frozenset({1, 3}))
-    assert bip.complement().a_set == frozenset({2, 4})
-    assert bip.a_mask == 0b0101
-
-
 def test_out_of_range_input_raises_value_error():
+    assert Bipartition(4, frozenset({1, 3})).a_mask == 0b0101
     with pytest.raises(ValueError):
         Bipartition(2, frozenset({5}))
     with pytest.raises(ValueError):

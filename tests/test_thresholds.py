@@ -1,6 +1,7 @@
 """Noise-threshold bisection, model routing, and figure sweeps."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,8 +11,7 @@ from ptml.criteria import Verdict, ppt_verdict
 from ptml.pauli import Bipartition, state_catalog
 from ptml.spectra import ghz_local_spectrum, ppt_threshold_ghz
 from ptml.dense import state_from_group
-from ptml.enumerators import (fidelity_from_enumerators, ghz_sl_vector,
-                              noisy_purity, rains_subsystem_purity)
+from ptml.enumerators import exact_decayed, ghz_sl_vector, marginal_enumerators
 from ptml.thresholds import (
     CriterionSpec,
     DenseModel,
@@ -193,17 +193,28 @@ def test_ghz_model_describe():
             == "ghz n=5 cut=2,4")
 
 
+def ghz_marginal_vector(s: int) -> tuple:
+    """Enumerators of GHZ reduced to s < n qubits, the mixture of |0..0>
+    and |1..1>: its Pauli mass is on the even-weight Z strings, C(s, w)/2^s."""
+    return tuple(Fraction(0 if w % 2 else math.comb(s, w), 1 << s)
+                 for w in range(s + 1))
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 12, 40, 5, 9])
 def test_ghz_closed_forms_match_enumerator_sums(n):
-    a = ghz_sl_vector(n)
-    for eps in (0.0, 0.1, 0.37, 0.8, 1.0):
-        for s in range(1, n):
-            model = GHZModel(n, Bipartition(n, frozenset(range(1, s + 1))))
-            assert abs(model.fidelity(eps)
-                       - fidelity_from_enumerators(a, eps)) < 1e-15
+    a = ghz_sl_vector(n).values
+    for s in range(1, n):
+        bip = Bipartition(n, frozenset(range(1, s + 1)))
+        marginal = ghz_marginal_vector(s)
+        if n <= 12:
+            assert marginal_enumerators(state_catalog("ghz", n), bip).values \
+                == marginal
+        model = GHZModel(n, bip)
+        for eps in (0.0, 0.1, 0.37, 0.8, 1.0):
+            assert abs(model.fidelity(eps) - exact_decayed(a, eps)) < 1e-15
             glob, marg = model.purities(eps)
-            assert abs(glob - noisy_purity(a, eps)) < 1e-15
-            assert abs(marg - rains_subsystem_purity(a, eps, s)) < 1e-15
+            assert abs(glob - exact_decayed(a, eps, power=2)) < 1e-15
+            assert abs(marg - exact_decayed(marginal, eps, power=2)) < 1e-15
 
 
 def test_ghz_vs_dense_model_thresholds():
@@ -497,6 +508,16 @@ def test_threshold_search_never_explains_a_verdict(monkeypatch):
 def test_epsilon_max_validation():
     with pytest.raises(ValueError):
         epsilon_max(CriterionSpec("ppt"), GHZModel(2), tol=0.0)
+
+
+def test_tol_below_float_spacing_is_refused():
+    # bisection stalls once the midpoint rounds to an end: one float64 ulp
+    # near 0.4 is 5.55e-17, so 1e-20 can never be met
+    model = make_model("ame6", 6, Bipartition(6, frozenset({1, 2, 3})))
+    with pytest.raises(ValueError, match=r"narrowest bracket there is 2\.78e-17"):
+        epsilon_max(CriterionSpec("ppt"), model, tol=1e-20)
+    res = epsilon_max(CriterionSpec("ppt"), model, tol=1e-16)
+    assert res.bracket <= 1e-16
 
 
 # ---------------------------------------------------------------- sweeps
