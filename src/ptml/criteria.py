@@ -12,16 +12,22 @@ margin is computed only when read.  The ppt (thresholds.StabilizerModel),
 fidelity, purity and descartes margins are then the exact value rounded
 once; the klm and stieltjes margins come from the rounded moments, and one
 whose sign contradicts the exact verdict reads 0.
-Elsewhere (GHZ and dense) each criterion is written once over the scalar
-type: arithmetic runs at the input's precision.  The Hankel test there
-computes no eigenvalue: it asks whether H + tau I admits a Cholesky
-factorisation (np.linalg.cholesky for float input, mp.cholesky at digits +
-10 for mpf input), and the smallest eigenvalue behind the margin is
-computed only when the margin is read.  The default decision tolerance
-there is 1e-10 for float input and 10^-(d-10) for d-digit input: near a
-threshold the decisive quantities (e.g. the smallest Hankel eigenvalue)
-can sit twelve or more orders below the moment scale, so a fixed 1e-10
-cutoff would blind the high-precision path exactly where it is needed.
+Elsewhere (GHZ and dense) the moments are rounded, float64 or mpf, and
+the Hankel and Descartes tests run on the same integer kernels: p_k is
+rounded once onto the grid 2^-b, b the moments' precision in bits + 64,
+and the grid numerators q_k = p_k 2^b are decided with a tolerance tau.
+The grid moves the Hankel matrix by at most its size times 2^-b, far
+below tau.  stieltjes fires when the grid Hankel plus tau 2^b on its
+diagonal is not PSD, i.e. when -lambda_min > tau up to the grid; the
+smallest eigenvalue behind the margin is computed only when read.
+descartes fires when some e_j < -tau, from the Newton numerators of the
+q_k << b(k-1); its margin is the exact route's, rounded once.  The
+default decision tolerance there is 1e-10 for float input and
+10^-(d-10) for d-digit input: near a threshold the decisive quantities
+(e.g. the smallest Hankel eigenvalue) can sit twelve or more orders below
+the moment scale, so a fixed 1e-10 cutoff would blind the high-precision
+path exactly where it is needed.  klm compares fractional powers of the
+rounded moments: the grid would round a tiny positive p_k to 0.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest
+from mpmath.libmp import (dps_to_prec, from_rational, mpf_shift, round_nearest,
+                          to_int)
 
-from .spectra import MomentVector, Spectrum, merge_spectrum
+from .spectra import MomentVector, Spectrum, _binary, merge_spectrum
 
 FLOAT_TOL = 1e-10
 
@@ -74,7 +81,9 @@ class Verdict:
 
 
 def _round_once(x: Fraction, digits: int):
-    """An exact margin, rounded once to digits."""
+    """An exact margin, rounded once to digits (None: to a float)."""
+    if digits is None:
+        return float(x)
     return mp.make_mpf(from_rational(x.numerator, x.denominator,
                                      dps_to_prec(digits), round_nearest))
 
@@ -94,6 +103,33 @@ def _arithmetic(digits):
     else:
         with workdps(digits):
             yield mpf(1)
+
+
+def _negated(x):
+    """-x, exact for mpf input: a bare minus would round it to the
+    caller's mp.prec."""
+    return mp.fneg(x, exact=True) if isinstance(x, mpf) else -x
+
+
+def _difference(x, y):
+    """x - y, exact for mpf input, in float64 for float input."""
+    if isinstance(x, mpf) or isinstance(y, mpf):
+        return mp.fsub(x, y, exact=True)
+    return x - y
+
+
+def _on_grid(x, bits: int) -> int:
+    """x 2^bits rounded to the nearest integer, from x's exact binary
+    value (float or mpf)."""
+    return to_int(mpf_shift(_binary(x), bits), round_nearest)
+
+
+def _grid(p: MomentVector) -> tuple:
+    """(q, b): the moments rounded once onto the grid 2^-b, q_k the integer
+    nearest p_k 2^b, with b the moments' precision in bits (53 for float64)
+    + 64."""
+    b = (53 if p.digits is None else dps_to_prec(p.digits)) + 64
+    return tuple(_on_grid(x, b) for x in p.values), b
 
 
 def _log2(v):
@@ -123,26 +159,6 @@ def hankel_min_eigenvalue(h: tuple, digits=None):
         return mp.eigsy(mp.matrix(h), eigvals_only=True)[0]
 
 
-def is_shifted_pd(h: tuple, shift, digits=None) -> bool:
-    """Whether H + shift I is positive definite, i.e. lambda_min(H) > -shift,
-    by the library Cholesky at the precision of hankel_min_eigenvalue:
-    np.linalg.cholesky for float input, mp.cholesky at digits + 10 for mpf
-    (with no tolerance of its own, so a zero pivot fails too)."""
-    def shifted():
-        return [[x + shift if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(h)]
-
-    try:
-        if digits is None:
-            np.linalg.cholesky(np.array(shifted(), dtype=float))
-        else:
-            with workdps(digits + 10):
-                mp.cholesky(mp.matrix(shifted()), tol=0)
-    except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
-        return False
-    return True
-
-
 def is_psd_exact(rows) -> bool:
     """Whether a symmetric integer matrix is positive semidefinite, exactly.
 
@@ -169,7 +185,7 @@ def is_psd_exact(rows) -> bool:
     return True
 
 
-def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
+def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
     """Three-moment test: p_l > p_k^x p_m^(1-x) with x = (m-l)/(m-k)
     certifies a negative PT eigenvalue.  On exact numerators this is
     A_l > 0 and A_l^(m-k) > A_k^(m-l) A_m^(l-k): the powers of 2 cancel."""
@@ -190,9 +206,9 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int, tol=None) -> Verdict:
     if p.exact is not None:
         return Verdict(
             al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k), explain)
-    tol = default_tol(p.digits) if tol is None else tol
     margin, witness = explain()
-    return Verdict(margin > tol, lambda: (margin, witness), exact=False)
+    return Verdict(margin > default_tol(p.digits), lambda: (margin, witness),
+                   exact=False)
 
 
 def hankel_margin(p: MomentVector, m: int) -> tuple:
@@ -200,18 +216,18 @@ def hankel_margin(p: MomentVector, m: int) -> tuple:
     the Hankel matrix, at the precision of hankel_min_eigenvalue (an mpf
     is negated exactly, not rounded to the caller's mp.prec)."""
     min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
-    margin = -min_eig if p.digits is None else mp.fneg(min_eig, exact=True)
-    return margin, {"m": m, "min_eigenvalue": min_eig}
+    return _negated(min_eig), {"m": m, "min_eigenvalue": min_eig}
 
 
-def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
+def stieltjes(p: MomentVector, m: int) -> Verdict:
     """Hankel positivity test: a PPT state's moment matrix H_m is PSD, so a
     negative eigenvalue certifies entanglement.  For m=3 this reduces to
     the p_2^2 > p_3 test.  On exact numerators, congruence by
     diag(2^(s i)) makes H_m a positive multiple of the A_k's Hankel.
-    Otherwise it fires when -lambda_min > tau = tol max(1, max|H|), that is
-    when H + tau I is not positive definite; the margin -lambda_min is
-    computed only when read.
+    Otherwise it fires when -lambda_min > tau = default_tol max(1, max|H|),
+    decided exactly on the grid: the Hankel of the q_k plus tau 2^b on its
+    diagonal is not PSD.  The margin -lambda_min is computed only when
+    read.
 
     Past a rank bound the test is PPT itself.  With D distinct nonzero PT
     eigenvalues lambda_i of multiplicity mu_i, H_s = V^T diag(mu_i
@@ -229,23 +245,27 @@ def stieltjes(p: MomentVector, m: int, tol=None) -> Verdict:
     size = _hankel_size(p, m)
     explain = functools.partial(hankel_margin, p, m)
     if p.exact is not None:
-        a = p.exact[0]
-        return Verdict(
-            not is_psd_exact([a[i:i + size] for i in range(size)]), explain)
-    h = build_hankel(p, m)
-    tol = default_tol(p.digits) if tol is None else tol
-    norm = max(max(abs(x) for x in row) for row in h)
-    return Verdict(not is_shifted_pd(h, tol * max(1, norm), p.digits), explain,
-                   exact=False)
+        a, shift = p.exact[0], 0
+    else:
+        a, b = _grid(p)
+        norm = max(abs(x) for x in p.values[:m])
+        shift = _on_grid(default_tol(p.digits) * max(1, norm), b)
+    rows = [[x + shift * (i == j) for j, x in enumerate(a[i:i + size])]
+            for i in range(size)]
+    return Verdict(not is_psd_exact(rows), explain, exact=p.exact is not None)
 
 
-def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
+def descartes(p: MomentVector, m: int) -> Verdict:
     """Sign test on elementary symmetric polynomials of the PT spectrum.
 
     e_1..e_m follow from the power sums by Newton's identities
         e_j = (1/j) sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i;
     any e_j < 0 certifies a negative eigenvalue.  On exact numerators the
-    integers F_j = j! 2^(s j) e_j follow the same recurrence over ints.
+    integers F_j = j! 2^(s j) e_j follow the same recurrence over ints, and
+    a negative F_j decides.  Rounded moments are put on the grid first,
+    A_k = q_k 2^(b(k-1)) with s = b, and it fires when some
+    F_j < -tau j! 2^(b j), tau = default_tol, i.e. e_j < -tau.  The margin
+    is max_j -e_j, each e_j rounded once, and read only when asked.
     """
     if not 1 <= m <= len(p):
         raise ValueError(f"need 1 <= m <= {len(p)}")
@@ -256,19 +276,21 @@ def descartes(p: MomentVector, m: int, tol=None) -> Verdict:
         return margin, {"elementary": tuple(es[1:]), "worst_j": worst}
 
     if p.exact is not None:
-        nums, s = p.exact
-        fs = _newton_numerators(tuple(nums))[:m + 1]
+        (nums, s), tau = p.exact, 0
+    else:
+        q, s = _grid(p)
+        nums, tau = [x << s * k for k, x in enumerate(q)], default_tol(p.digits)
+    fs = _newton_numerators(tuple(nums))[:m + 1]
 
-        def rounded():
-            with workdps(p.digits):
-                return explain([_round_once(Fraction(f, math.factorial(j)
-                                                     << s * j), p.digits)
-                                for j, f in enumerate(fs)])
+    def rounded():
+        with _arithmetic(p.digits):
+            return explain([_round_once(Fraction(f, math.factorial(j)
+                                                 << s * j), p.digits)
+                            for j, f in enumerate(fs)])
 
-        return Verdict(min(fs) < 0, rounded)
-    tol = default_tol(p.digits) if tol is None else tol
-    margin, witness = explain(newton_elementary(p, m))
-    return Verdict(margin > tol, lambda: (margin, witness), exact=False)
+    return Verdict(any(f < -_on_grid(tau, s * j) * math.factorial(j)
+                       for j, f in enumerate(fs) if j),
+                   rounded, exact=p.exact is not None)
 
 
 # One entry: a battery judges descartes at every order on one moment
@@ -283,16 +305,6 @@ def _newton_numerators(nums: tuple) -> tuple:
         fs.append(sum((-1) ** (i - 1) * math.perm(j - 1, i - 1) * fs[j - i]
                       * nums[i - 1] for i in range(1, j + 1)))
     return tuple(fs)
-
-
-def newton_elementary(p: MomentVector, m: int) -> list:
-    """e_0..e_m from power sums p_1..p_m, at the input's precision."""
-    with _arithmetic(p.digits) as one:
-        es = [one]
-        for j in range(1, m + 1):
-            es.append(sum(((-1) ** (i - 1) * es[j - i] * p.p(i)
-                           for i in range(1, j + 1)), one - one) / j)
-    return es
 
 
 def negativity_lower_bound(pt, l: int, m: int):
@@ -361,7 +373,7 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
     tol = default_tol(None if isinstance(f, float) else digits)
-    margin = f - 0.5
+    margin = _difference(f, 0.5)
     return Verdict(bell_pairs >= 1 and margin > tol, lambda: (margin, None),
                    exact=False)
 
@@ -369,21 +381,21 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
 def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
     digits as for fidelity_criterion.  Two Fraction purities are compared
-    exactly."""
+    exactly; an mpf margin is their exact difference, as fidelity's."""
     if isinstance(global_purity, Fraction):
         gap = global_purity - subsystem_purity
         return Verdict(gap > 0, lambda: (_round_once(gap, digits), None))
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
     tol = default_tol(None if isinstance(global_purity, float) else digits)
-    margin = global_purity - subsystem_purity
+    margin = _difference(global_purity, subsystem_purity)
     return Verdict(margin > tol, lambda: (margin, None), exact=False)
 
 
-def ppt_verdict(s: Spectrum, tol=None) -> Verdict:
-    """The PPT criterion on a rounded spectrum: lambda_min < -tol."""
-    if tol is None:
-        tol = default_tol(s.digits)
+def ppt_verdict(s: Spectrum) -> Verdict:
+    """The PPT criterion on a rounded spectrum: lambda_min < -default_tol,
+    with the margin -lambda_min negated exactly."""
     min_eig = s.min_eigenvalue()
-    margin, witness = -min_eig, {"min_eigenvalue": min_eig}
-    return Verdict(min_eig < -tol, lambda: (margin, witness), exact=False)
+    margin, witness = _negated(min_eig), {"min_eigenvalue": min_eig}
+    return Verdict(min_eig < -default_tol(s.digits),
+                   lambda: (margin, witness), exact=False)

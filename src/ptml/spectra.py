@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
 from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp,
-                          round_nearest)
+                          mpf_sum, round_nearest)
 
 
 DEFAULT_DIGITS = 60
@@ -180,8 +180,9 @@ def ghz_local_moments(n: int, eps, m_max: int,
     term is nonnegative, so nothing cancels.  The powers are formed with
     guard digits (the n-th powers amplify the base's rounding error n-fold,
     and P^s another s-fold); each term is their exact product, and each
-    sum is accumulated over ints (_round_positive_sum) and rounded once to
-    digits.
+    sum is mpmath's mpf_sum, accumulated over ints and rounded once to
+    digits (it drops a term below 2^-(2 prec) of its running sum, worth
+    far less than a unit in the last place of a nonnegative sum).
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -195,18 +196,19 @@ def ghz_local_moments(n: int, eps, m_max: int,
         dp, gp = _binary_powers(d, m_max), _binary_powers(g, m_max)
         p, pt = [], []
         for k in range(1, m_max + 1):
-            terms = []  # (man, exp) pairs
+            terms = []  # exact mpmath tuples
             for t in range(k + 1):
                 s, j = min(t, k - t), abs(k - 2 * t)
-                terms.append((math.comb(k, t) * pw[s][1] * w[j][1],
-                              pw[s][2] + w[j][2] - k))
+                terms.append(from_man_exp(math.comb(k, t) * pw[s][1] * w[j][1],
+                                          pw[s][2] + w[j][2] - k))
             for i in range(2, k + 1, 2):
-                terms.append((2 * math.comb(k, i) * dp[k - i][1] * gp[i][1],
-                              dp[k - i][2] + gp[i][2]))
-            p.append(_round_positive_sum(terms, prec))
+                terms.append(from_man_exp(
+                    2 * math.comb(k, i) * dp[k - i][1] * gp[i][1],
+                    dp[k - i][2] + gp[i][2]))
+            p.append(mp.make_mpf(mpf_sum(terms, prec, round_nearest)))
             if k % 2 and g > d:
-                _, man, exp, _ = _binary(2 * (g - d) ** k)
-                pt.append(_round_positive_sum(terms + [(man, exp)], prec))
+                terms.append(_binary(2 * (g - d) ** k))
+                pt.append(mp.make_mpf(mpf_sum(terms, prec, round_nearest)))
             else:
                 pt.append(p[-1])
     return MomentVector(tuple(p), tuple(pt), digits=digits)
@@ -273,18 +275,6 @@ def _round_dyadic_sum(terms: list, prec: int):
                   for (m1, e1), (m2, e2) in zip(terms[::2], terms[1::2])]
         terms = merged + terms[len(merged) * 2:]
     return round_dyadic(*terms[0], prec)
-
-
-def _round_positive_sum(terms: list, prec: int):
-    """_round_dyadic_sum of nonnegative terms, without those below the
-    largest by more than prec + 64 bits plus the bits of the term count:
-    together they are worth under 2^-64 of a unit in the last place, and
-    shifting them into place would build integers as long as the exponent
-    range (millions of bits for GHZ moments at n = 10^5)."""
-    top = max(e + m.bit_length() for m, e in terms if m)
-    cut = top - prec - 64 - len(terms).bit_length()
-    return _round_dyadic_sum([(m, e) for m, e in terms
-                              if e + m.bit_length() > cut], prec)
 
 
 def round_dyadic(man: int, exp: int, prec: int):

@@ -54,8 +54,8 @@ computed only when read, and the battery reads no moments for it:
                     or 2r = n): stieltjes:5 is PPT for every globally
                     depolarized stabilizer state, at any n and on any cut,
                     the paper's claim that p_1..p_5 suffice.
-  GHZModel          None: its PPT verdict and Cholesky test carry
-                    different tolerances.
+  GHZModel          None: its PPT verdict's tolerance is relative (to
+                    d) and its Hankel test's absolute.
   DenseModel        None: the oracle takes no shortcut.
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
@@ -205,7 +205,7 @@ class GHZModel:
     closed form."""
 
     bell_pairs = 1
-    # its PPT verdict and Cholesky test carry different tolerances
+    # its PPT verdict's tolerance is relative and its Hankel test's absolute
     hankel_rank_bound = None
 
     def __init__(self, n: int, bip: Bipartition = None, digits: int = None):

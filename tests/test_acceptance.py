@@ -229,11 +229,11 @@ def test_criterion_6_soundness_on_random_states():
         if lam.min() >= -1e-9:
             ppt_count += 1
             for m in (3, 5, 7):
-                false_fires += criteria.stieltjes(p, m, tol=1e-9).entangled
+                false_fires += criteria.stieltjes(p, m).entangled
             for m in range(1, 8):
-                false_fires += criteria.descartes(p, m, tol=1e-9).entangled
+                false_fires += criteria.descartes(p, m).entangled
             for t in triples:
-                false_fires += criteria.klm_ppt(p, *t, tol=1e-9).entangled
+                false_fires += criteria.klm_ppt(p, *t).entangled
         en = log_negativity(rho, bip)
         for l, m in [(2, 3), (2, 4), (2, 5)]:
             bound_violations += criteria.negativity_lower_bound(p, l, m) > en + 1e-9

@@ -6,7 +6,6 @@ import math
 import os
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mpf, workdps
 

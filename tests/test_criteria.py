@@ -1,20 +1,17 @@
 """Entanglement criteria on PT moment vectors, checked against oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from ptml.pauli import Bipartition, state_catalog
+from ptml.pauli import Bipartition
 from ptml.dense import (
-    depolarize_local,
     log_negativity,
     maximally_mixed,
+    partial_transpose,
     pt_moments,
-    state_from_group,
 )
 from ptml.spectra import MomentVector, Spectrum, distinct_count, merge_spectrum, moments_from_spectrum
 from ptml.criteria import (
@@ -24,7 +21,6 @@ from ptml.criteria import (
     fidelity_criterion,
     klm_ppt,
     negativity_lower_bound,
-    newton_elementary,
     ppt_verdict,
     purity_criterion,
     stieltjes,
@@ -133,15 +129,20 @@ def test_stieltjes_rejects_even_order():
         stieltjes(BELL, 4)
 
 
+def _elementary_by_poly(lam) -> list:
+    """e_1..e_d of the spectrum: np.poly gives prod (z - lam_i), whose
+    coefficient of z^(d-j) is (-1)^j e_j."""
+    coeffs = np.poly(lam)
+    return [(-1) ** j * coeffs[j] for j in range(1, len(coeffs))]
+
+
 def test_newton_elementary_matches_numpy_poly():
-    # np.poly gives prod (z - lam_i) whose coefficient of z^(d-j) is (-1)^j e_j
     lam = RNG.uniform(-0.5, 1.0, size=6)
     lam /= abs(lam.sum())
     p = MomentVector(tuple(float(np.sum(lam ** k)) for k in range(1, 7)))
-    e = newton_elementary(p, 6)
-    coeffs = np.poly(lam)  # length 7, leading 1
-    want = [(-1) ** j * coeffs[j] for j in range(7)]
-    assert np.allclose(e, want, atol=1e-10)
+    e = descartes(p, 6).witness["elementary"]
+    assert all(isinstance(x, float) for x in e)
+    assert np.allclose(e, _elementary_by_poly(lam), atol=1e-10)
 
 
 def test_descartes_fires_iff_some_elementary_negative():
@@ -149,14 +150,27 @@ def test_descartes_fires_iff_some_elementary_negative():
         s = random_spectrum(5, bool(RNG.integers(2)))
         p = moments_from_spectrum(s, 5)
         pf = MomentVector(tuple(float(p.p(k)) for k in range(1, 6)))
-        e = newton_elementary(pf, 5)
+        e = _elementary_by_poly([lam for lam, _ in s.entries])
         v = descartes(pf, 5)
-        worst = max(-ej for ej in e[1:])
+        assert np.allclose(v.witness["elementary"], e, atol=1e-10)
+        worst = max(-ej for ej in e)
         assert abs(v.margin - worst) < 1e-12
         if worst > 1e-9:
             assert v.entangled
         if worst < -1e-9:
             assert not v.entangled
+
+
+@pytest.mark.parametrize("digits,one", [(None, 1.0), (30, mpf(1))])
+def test_descartes_tolerance_bounds_each_elementary(digits, one):
+    # p = (0, 0, -3c) has e_1 = e_2 = 0 and e_3 = -c: it fires when c
+    # exceeds tau, not tau / 3!
+    tau = default_tol(digits)
+    for c, fires in ((tau / 2, False), (2 * tau, True)):
+        v = descartes(MomentVector((0 * one, 0 * one, -3 * c * one),
+                                   digits=digits), 3)
+        assert v.entangled is fires
+        assert v.margin == pytest.approx(c, rel=1e-12)
 
 
 def test_descartes_witness_identifies_worst_index():
@@ -177,12 +191,11 @@ def test_descartes_full_order_equals_ppt():
         bip = Bipartition(2, frozenset({1}))
         p = pt_moments(rho, bip, 4)
         npt = ppt_verdict(Spectrum(tuple(
-            (v, 1) for v in np.linalg.eigvalsh(
-                __import__("ptml.dense", fromlist=["x"]).partial_transpose(rho, bip))),
-            digits=None), tol=1e-9).entangled
-        fires = descartes(p, 4, tol=1e-9).entangled
-        if abs(descartes(p, 4).margin) > 1e-8:
-            assert fires == npt
+            (v, 1) for v in np.linalg.eigvalsh(partial_transpose(rho, bip))),
+            digits=None)).entangled
+        v = descartes(p, 4)
+        if abs(v.margin) > 1e-8:
+            assert v.entangled == npt
 
 
 def test_negativity_lower_bound_bell_tight():

@@ -24,7 +24,6 @@ from ptml.dense import (
 from ptml import enumerators
 from ptml.enumerators import (
     _power_sum,
-    CWTable,
     SLVector,
     ame_fixture_check,
     character_polys,

@@ -15,11 +15,11 @@ from mpmath.libmp import (dps_to_prec, from_rational, mpf_neg, round_nearest,
 from ptml import criteria
 from ptml.cli import main
 from ptml.criteria import (default_tol, descartes, fidelity_criterion,
-                           is_psd_exact, klm_ppt, purity_criterion,
-                           stieltjes)
+                           is_psd_exact, klm_ppt, ppt_verdict,
+                           purity_criterion, stieltjes)
 from ptml.enumerators import exact_decayed
 from ptml.pauli import Bipartition, enumerate_group, state_catalog
-from ptml.spectra import MomentVector
+from ptml.spectra import MomentVector, ghz_local_spectrum
 from ptml.thresholds import (CriterionSpec, GHZModel, StabilizerModel,
                              epsilon_max, evaluate)
 from stabilizers import random_cut, random_group
@@ -255,6 +255,30 @@ def test_stieltjes_margin_keeps_the_eigenvalue_precision(model):
     w = v.witness["min_eigenvalue"]
     assert v.margin._mpf_ == mpf_neg(w._mpf_)
     assert v.margin._mpf_[3] > 300  # digits + 10, not mpmath's 53 bits
+
+
+@pytest.mark.parametrize("label,n,eps", [("purity", 2, 0.189),
+                                         ("fidelity", 4, 0.3),
+                                         ("descartes:2", 4, 0.9)])
+def test_rounded_margins_keep_the_model_precision(label, n, eps):
+    # a bare minus outside the model's precision would round the margin to
+    # mpmath's default 53 bits, and the CLI would then round it again
+    v = evaluate(CriterionSpec.parse(label), GHZModel(n), eps)
+    assert v.margin._mpf_[3] > 53
+    spectrum = ghz_local_spectrum(n, eps)
+    assert ppt_verdict(spectrum).margin._mpf_ == mpf_neg(
+        spectrum.min_eigenvalue()._mpf_)
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    ("--name purity --state ghz --n 2 --noise local:0.189", 0,
+     "Entangled margin=0.0744476853807"),
+    ("--name descartes:2 --state ghz --n 4 --noise local:0.9", 1,
+     "Inconclusive margin=-0.468731247188"),
+])
+def test_criterion_prints_the_margin_rounded_once(argv, code, line, capsys):
+    assert main(["criterion", *argv.split()]) == code
+    assert capsys.readouterr().out == line + "\n"
 
 
 def _elementary_exactly(p: MomentVector, m: int) -> list:

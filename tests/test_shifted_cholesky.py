@@ -1,6 +1,7 @@
-"""The Hankel test on rounded moments (GHZ, global noise, dense): a Cholesky
-factorisation of H + tau I decides it, checked against the smallest
-eigenvalue, and no threshold on these routes computes an eigenvalue."""
+"""The Hankel test on rounded moments (GHZ, global noise, dense): the grid
+Hankel matrix plus tau 2^b on its diagonal, eliminated exactly, decides it,
+checked against the smallest eigenvalue, and no threshold on these routes
+computes an eigenvalue."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mpmath import mp, mpf, workdps
 
 from ptml import criteria
 from ptml.criteria import (build_hankel, default_tol, hankel_min_eigenvalue,
-                           is_shifted_pd, stieltjes)
+                           is_psd_exact, stieltjes)
 from ptml.dense import state_from_group
 from ptml.pauli import Bipartition, state_catalog
 from ptml.spectra import MomentVector
@@ -19,10 +20,19 @@ from ptml.thresholds import (CriterionSpec, DenseModel, GHZModel,
 from stabilizers import random_cut, random_group
 
 
+def _grid_psd(p: MomentVector, m: int, shift) -> bool:
+    """Whether the grid Hankel of order m plus shift 2^b on its diagonal is
+    PSD: the decision stieltjes takes at shift = tau."""
+    q, b = criteria._grid(p)
+    size, s = (m + 1) // 2, criteria._on_grid(shift, b)
+    return is_psd_exact([[x + s * (i == j) for j, x in enumerate(q[i:i + size])]
+                         for i in range(size)])
+
+
 def _check_against_eigenvalue(p: MomentVector, m: int):
-    """The Cholesky decision is -lambda_min > tau wherever lambda_min + tau
-    clears the precision floor, and resolves the boundary: H + s I is
-    positive definite for s = -lambda_min + floor and not for s =
+    """The grid decision is -lambda_min > tau wherever lambda_min + tau
+    clears the precision floor, and resolves the boundary: the shifted
+    grid Hankel is PSD at shift -lambda_min + floor and not at
     -lambda_min - floor."""
     h = build_hankel(p, m)
     norm = max(1, max(abs(x) for row in h for x in row))
@@ -34,8 +44,8 @@ def _check_against_eigenvalue(p: MomentVector, m: int):
         below, above = -lam - floor, -lam + floor
     if clear:
         assert stieltjes(p, m).entangled == (-lam > tau), (m, lam, tau)
-    assert is_shifted_pd(h, above, p.digits)
-    assert not is_shifted_pd(h, below, p.digits)
+    assert _grid_psd(p, m, above)
+    assert not _grid_psd(p, m, below)
 
 
 orders = st.sampled_from([3, 5, 7, 9, 15])
@@ -44,7 +54,7 @@ orders = st.sampled_from([3, 5, 7, 9, 15])
 @settings(max_examples=60, deadline=None)
 @given(n=st.one_of(st.integers(2, 40), st.sampled_from([180, 1000])),
        cut=st.floats(0, 1), eps=st.floats(0, 1), m=orders)
-def test_cholesky_decision_matches_eigenvalue_on_ghz(n, cut, eps, m):
+def test_grid_decision_matches_eigenvalue_on_ghz(n, cut, eps, m):
     a = min(max(1, int(cut * n)), n - 1)
     model = GHZModel(n, Bipartition(n, frozenset(range(1, a + 1))))
     _check_against_eigenvalue(model.moments(eps, m), m)
@@ -54,7 +64,7 @@ def test_cholesky_decision_matches_eigenvalue_on_ghz(n, cut, eps, m):
 @given(name=st.sampled_from(["ghz", "zero", "bell_pairs", "ame6"]),
        n=st.integers(1, 20), seed=st.integers(0, 10 ** 6),
        eps=st.floats(0, 1), m=orders)
-def test_cholesky_decision_matches_eigenvalue_under_global_noise(
+def test_grid_decision_matches_eigenvalue_under_global_noise(
         name, n, seed, eps, m):
     n = 6 if name == "ame6" else 2 * n if name == "bell_pairs" else n + 1
     model = GlobalNoiseModel(state_catalog(name, n), random_cut(n, seed))
@@ -65,7 +75,7 @@ def test_cholesky_decision_matches_eigenvalue_under_global_noise(
 @given(n=st.integers(2, 4), seed=st.integers(0, 10 ** 6),
        noise=st.sampled_from(["local", "global"]), eps=st.floats(0, 1),
        m=st.sampled_from([3, 5, 7, 9]))
-def test_cholesky_decision_matches_eigenvalue_on_dense_floats(
+def test_grid_decision_matches_eigenvalue_on_dense_floats(
         n, seed, noise, eps, m):
     g = random_group(n, seed)
     model = DenseModel(state_from_group(g), random_cut(n, seed), group=g,

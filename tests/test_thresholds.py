@@ -18,7 +18,6 @@ from ptml.thresholds import (
     GHZModel,
     GlobalNoiseModel,
     StabilizerModel,
-    ThresholdResult,
     _check_dominance,
     epsilon_max,
     epsilon_max_battery,
