@@ -27,8 +27,10 @@ and hankel_rank_bound, see below), and make_model is the one dispatch from
 (state, noise, cut) to model:
 
   GHZModel          local noise, GHZ on any cut and any n: PT moments
-                    and the PPT verdict in closed form, at a cost
-                    independent of n, in extended precision.
+                    and the PPT verdict in closed form, exact integers
+                    while they are no longer than the rounded route's
+                    grid (at small n), else in extended precision at a
+                    cost independent of n.
   StabilizerModel   local noise, any stabilizer state and cut (model
                     "enumerator" for GHZ, as its oracle): exact moments,
                     Schatten sums and verdicts for every criterion, from
@@ -54,8 +56,10 @@ computed only when read, and the battery reads no moments for it:
                     or 2r = n): stieltjes:5 is PPT for every globally
                     depolarized stabilizer state, at any n and on any cut,
                     the paper's claim that p_1..p_5 suffice.
-  GHZModel          None: its PPT verdict's tolerance is relative (to
-                    d) and its Hankel test's absolute.
+  GHZModel          None: past its exact route (large n, deep bisection)
+                    its PPT verdict's tolerance is relative (to d) and
+                    its Hankel test's absolute, and the route varies
+                    with eps.
   DenseModel        None: the oracle takes no shortcut.
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
@@ -67,8 +71,11 @@ for CSV serialization.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -200,12 +207,42 @@ def _check_cut(bip: Bipartition, n: int) -> Bipartition:
     return bip
 
 
+def _sign_verdict(low: int, s: int, digits: int) -> criteria.Verdict:
+    """The PPT verdict from the numerator low over 2^s of the least PT
+    eigenvalue, or of the only one that can be negative: Entangled when
+    low < 0, with the margin -low / 2^s rounded to digits when read."""
+
+    def explain():
+        # -low rounds as itself: negating a rounded mpf would round again,
+        # to the precision in force where the margin is read
+        prec = dps_to_prec(digits)
+        return (round_dyadic(-low, -s, prec),
+                {"min_eigenvalue": round_dyadic(low, -s, prec)})
+
+    return criteria.Verdict(low < 0, explain)
+
+
 class GHZModel:
     """Locally depolarized GHZ state across any cut (default balanced),
-    closed form."""
+    closed form.
+
+    At 1 - eps = a / 2^f (dyadic_one_minus) put U = 2^f + a and V = 2^f - a,
+    so u = 1 - eps/2 = U / 2^(f+1) and v = eps/2 = V / 2^(f+1).  Every
+    eigenvalue of ghz_local_spectrum is then an integer over 2^s, s =
+    n (f+1) + 1 (_pt_spectrum), and so is every moment numerator A_k over
+    2^(s k).  While s is at most the width b = criteria.grid_bits(digits)
+    of the grid the rounded moments would be put on at the same digits,
+    moments and ppt take these integers and decide exactly: A_k, of at
+    most s k bits, is then no longer than the b k bits the rounded route
+    gives the same Newton kernel, and the mpf closed form is skipped.
+    Past it (large n, or a deep bisection at a low order) the moments are
+    ghz_local_moments, in mpf at a cost independent of n, and PPT is
+    decided with a tolerance relative to d.
+    """
 
     bell_pairs = 1
-    # its PPT verdict's tolerance is relative and its Hankel test's absolute
+    # None: at s > b its PPT verdict's tolerance is relative and its
+    # Hankel test's absolute, and s varies with eps
     hankel_rank_bound = None
 
     def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
@@ -219,16 +256,64 @@ class GHZModel:
         cut = "balanced" if 2 * self.a == self.n else _cut_label(self.bip)
         return f"ghz n={self.n} cut={cut}"
 
+    def _dyadic(self, eps) -> tuple:
+        """(U, V, a, s) at 1 - eps = a / 2^f (class docstring)."""
+        a, f = dyadic_one_minus(eps)
+        return (1 << f) + a, (1 << f) - a, a, self.n * (f + 1) + 1
+
+    def _pair(self, u: int, v: int, a: int) -> tuple:
+        """Numerators (D, G) of ghz_pair's d and g over 2^s: D =
+        (UV)^t (U^(n-2t) + V^(n-2t)), t = min(|A|, n-|A|), and G = a^n 2^n."""
+        n, t = self.n, min(self.a, self.n - self.a)
+        d = (u * v) ** t * (u ** (n - 2 * t) + v ** (n - 2 * t))
+        return d, a ** n << n
+
+    def _pt_spectrum(self, eps) -> tuple:
+        """(entries, s): the n + 3 eigenvalues of ghz_local_spectrum as
+        (numerator over 2^s, multiplicity), the band
+        U^(n-j) V^j + U^j V^(n-j) for j = 0..n and the pair D +- G."""
+        u, v, a, s = self._dyadic(eps)
+        n, cut = self.n, self.a
+        d, g = self._pair(u, v, a)
+        band = tuple((u ** (n - j) * v ** j + u ** j * v ** (n - j),
+                      math.comb(n, j) - (j == cut) - (j == n - cut))
+                     for j in range(n + 1))
+        return band + ((d + g, 1), (d - g, 1)), s
+
     def moments(self, eps, m_max: int) -> MomentVector:
-        return ghz_local_moments(self.n, eps, m_max,
-                                 max(self.digits, _order_digits(m_max)),
-                                 a=self.a)
+        """ghz_local_moments' closed form over ints while s <= b:
+        A_k = sum_t C(k,t) P^min(t,k-t) W_|k-2t|
+              + 2 sum_{even i >= 2} C(k,i) D^(k-i) G^i
+        with P = (UV)^n and W_j = (U^j + V^j)^n, m_max + 1 n-th powers."""
+        digits = max(self.digits, _order_digits(m_max))
+        u, v, a, s = self._dyadic(eps)
+        if s > criteria.grid_bits(digits):
+            return ghz_local_moments(self.n, eps, m_max, digits, a=self.a)
+        w = [(u ** j + v ** j) ** self.n for j in range(m_max + 1)]
+        d, g = self._pair(u, v, a)
+        pw = list(accumulate([(u * v) ** self.n] * (m_max // 2), mul,
+                             initial=1))
+        dp = list(accumulate([d] * m_max, mul, initial=1))
+        gp = list(accumulate([g] * m_max, mul, initial=1))
+        nums = tuple(
+            sum(math.comb(k, t) * pw[min(t, k - t)] * w[abs(k - 2 * t)]
+                for t in range(k + 1))
+            + 2 * sum(math.comb(k, i) * dp[k - i] * gp[i]
+                      for i in range(2, k + 1, 2))
+            for k in range(1, m_max + 1))
+        return MomentVector(digits=digits, exact=(nums, s),
+                            spectrum=functools.partial(self._pt_spectrum, eps))
 
     def ppt(self, eps) -> criteria.Verdict:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
-        # verdict rests on the isolated pair d +- g.  Near the threshold at
-        # large n, d - g sits far below any absolute tolerance (about
-        # 1e-63 at n = 200), so the decision is relative to d.
+        # verdict rests on the isolated pair d +- g: G > D while s <= b.
+        u, v, a, s = self._dyadic(eps)
+        if s <= criteria.grid_bits(self.digits):
+            d, g = self._pair(u, v, a)
+            return _sign_verdict(d - g, s, self.digits)
+        # Near the threshold at large n, d - g sits far below any absolute
+        # tolerance (about 1e-63 at n = 200), so the decision is relative
+        # to d.
         with workdps(self.digits):
             d, g = ghz_pair(self.n, self.a, mpf(eps))
             hit = g - d > criteria.default_tol(self.digits) * d
@@ -325,19 +410,8 @@ class StabilizerModel:
                             spectrum=functools.partial(self._pt_spectrum, eps))
 
     def ppt(self, eps) -> criteria.Verdict:
-        """The sign of the least numerator A_i of the PT spectrum decides,
-        and -lambda_min is rounded when read."""
         entries, s = self._pt_spectrum(eps)
-        low = min(a for a, _ in entries)
-
-        def explain():
-            # -low rounds as itself: negating a rounded mpf would round
-            # again, to the precision in force where the margin is read
-            prec = dps_to_prec(self.digits)
-            return (round_dyadic(-low, -s, prec),
-                    {"min_eigenvalue": round_dyadic(low, -s, prec)})
-
-        return criteria.Verdict(low < 0, explain)
+        return _sign_verdict(min(a for a, _ in entries), s, self.digits)
 
     def fidelity(self, eps):
         return exact_decayed(self.sl.values, eps)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,15 @@ def test_criterion_margin_is_rounded_once(capsys):
                        "--noise", "global:0.3")
     assert code == 1
     assert out == "Inconclusive margin=-0.0351606445312\n"
+
+
+def test_criterion_margin_past_the_spectrum_size_is_zero(capsys):
+    # GHZ on 2 qubits has four nonzero PT eigenvalues, so e_5 = 0 exactly,
+    # and the margin is that 0, not an mpf rounding residue near 1e-94
+    code, out, _ = run(capsys, "criterion", "--name", "descartes:5",
+                       "--state", "ghz", "--n", "2", "--noise", "local:0.45")
+    assert code == 1
+    assert out == "Inconclusive margin=0\n"
 
 
 def test_cells_print_values_past_the_double_range(capsys):
@@ -330,6 +340,17 @@ def test_sweep_fig1_restricted_criteria(capsys):
     for r in rows:
         if r["criterion"] == "ppt":
             assert abs(float(r["eps_max"]) - ppt_threshold_ghz(int(r["n"]))) < 1e-7
+
+
+def test_sweep_fig1_matches_the_golden_table(capsys, tmp_path):
+    # tests/golden/fig1.csv is the default fig1 table (n = 2, 4, ..., 12)
+    # as the mpf closed form prints it: a GHZ threshold that moves must
+    # change this file with it
+    out = tmp_path / "fig1.csv"
+    code, _, _ = run(capsys, "sweep", "--preset", "fig1", "--out", str(out))
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "fig1.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_sweep_empty_criteria_is_error(capsys):
