@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sweep", help="threshold tables (figures)")
     sub.add_argument("--preset", required=True, choices=("fig1", "fig2"))
     sub.add_argument("--n-list", default="2,4,6,8,10,12",
-                     help="fig1 qubit numbers, e.g. 2,4,6 or 2:12")
+                     help="even fig1 qubit numbers, e.g. 2,4,6 or 14,20")
     sub.add_argument("--criteria", default=None,
                      help="fig1 criterion labels, comma separated")
     sub.add_argument("--m-range", default="3:30",

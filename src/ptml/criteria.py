@@ -4,18 +4,18 @@ Every criterion here is a relaxation of the PPT test: it may only fire on
 NPT states.  Verdicts carry a signed margin (positive = detected) and fire
 when the margin exceeds a decision tolerance.
 
-Moments with exact dyadic numerators (MomentVector.exact = (A, s), p_k =
-A_k / 2^(s k): the stabilizer models', under local and global noise, and
-the GHZ model's while s is at most the grid width b below) are decided
-exactly, with no tolerance, and so are fidelities and purities given as
-Fractions (the stabilizer models', global noise included).  A margin is
-computed only when read.  The ppt (thresholds.StabilizerModel, and
-GHZModel where exact), fidelity, purity and descartes margins are then the
-exact value rounded once; the klm and stieltjes margins come from the
-rounded moments, and one whose sign contradicts the exact verdict reads 0.
-Elsewhere (GHZ at s > b, and dense) the moments are rounded, float64 or
-mpf, and the Hankel and Descartes tests run on the same integer kernels:
-p_k is rounded once onto the grid 2^-b, b = grid_bits(digits), the
+Moments with exact dyadic numerators (the stabilizer models', under local
+and global noise, GHZ up to the character cap included:
+MomentVector.exact = (A, s), p_k = A_k / 2^(s k)) are decided exactly,
+with no tolerance, and so are fidelities and purities given as Fractions
+(the stabilizer models').  A margin is computed only when read.  The ppt
+(thresholds.StabilizerModel), fidelity, purity and descartes margins are
+then the exact value rounded once; the klm and stieltjes margins come from
+the rounded moments, and one whose sign contradicts the exact verdict
+reads 0.
+Elsewhere (GHZ past the character cap, and dense) the moments are
+rounded, float64 or mpf, and the Hankel and Descartes tests run on the
+same integer kernels: p_k is rounded once onto the grid 2^-b, b the
 moments' precision in bits + 64, and the grid numerators q_k = p_k 2^b
 are decided with a tolerance tau.
 The grid moves the Hankel matrix by at most its size times 2^-b, far
@@ -126,16 +126,11 @@ def _on_grid(x, bits: int) -> int:
     return to_int(mpf_shift(_binary(x), bits), round_nearest)
 
 
-def grid_bits(digits) -> int:
-    """b of the grid 2^-b that rounded moments of `digits` digits are put
-    on: their precision in bits (53 for float64, digits None) + 64."""
-    return (53 if digits is None else dps_to_prec(digits)) + 64
-
-
 def _grid(p: MomentVector) -> tuple:
     """(q, b): the moments rounded once onto the grid 2^-b, q_k the integer
-    nearest p_k 2^b, b = grid_bits(p.digits)."""
-    b = grid_bits(p.digits)
+    nearest p_k 2^b, with b the moments' precision in bits (53 for float64)
+    + 64."""
+    b = (53 if p.digits is None else dps_to_prec(p.digits)) + 64
     return tuple(_on_grid(x, b) for x in p.values), b
 
 
@@ -245,8 +240,9 @@ def stieltjes(p: MomentVector, m: int) -> Verdict:
     serves, since equal or vanishing eigenvalues only lower the count.
     The models declare one as hankel_rank_bound: the number of minus-set
     character polynomials under local noise (4, 5 and 4 on the AME(6,2)
-    cuts 1|5, 2|4 and 3|3), at most 3 under global noise, none for GHZ
-    (thresholds.GHZModel) and dense.
+    cuts 1|5, 2|4 and 3|3; [n/2] + 3 on every cut of GHZ up to the
+    character cap, 2 at n = 2), at most 3 under global noise, none for GHZ
+    past the cap (thresholds.GHZModel) and dense.
     thresholds.evaluate decides such an order by the model's exact PPT
     verdict, with this function's margin."""
     size = _hankel_size(p, m)

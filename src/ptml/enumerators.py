@@ -401,8 +401,15 @@ def _character_set(wt: np.ndarray, signs, n: int) -> tuple:
     size = len(wt)
     table = np.zeros((n + 1, size), dtype=np.int64)
     table[wt, np.arange(size)] = signs
-    polys = collections.Counter(map(tuple, _wht(table).T.tolist()))
-    return tuple(sorted(polys.items(), key=lambda kv: tuple(-c for c in kv[0])))
+    return _sorted_set(collections.Counter(map(tuple,
+                                               _wht(table).T.tolist())))
+
+
+def _sorted_set(polys: collections.Counter) -> tuple:
+    """(coeffs, multiplicity) of the polynomials of nonzero count, sorted by
+    descending coefficients."""
+    return tuple(sorted(((p, m) for p, m in polys.items() if m),
+                        key=lambda kv: tuple(-c for c in kv[0])))
 
 
 def character_polys(g: StabilizerGroup, bip: Bipartition) -> CharacterPolynomials:

@@ -7,11 +7,11 @@ meaningful at large n, where binomial multiplicities around 10^88 multiply
 eigenvalue powers around 10^-100 and float64 would return noise.
 
 The GHZ moments themselves have a closed form with k + 1 binomial terms
-per moment (ghz_local_moments), so GHZModel's rounded route, at large n,
-never builds the n + 3 entry spectrum; ghz_local_spectrum with
-moments_from_spectrum is its oracle.  Its exact route takes the same
-closed form over integers and builds the spectrum, as integer numerators,
-only when its Schatten sums are read.
+per moment (ghz_local_moments), so GHZModel, the GHZ model past the
+character cap, never builds the n + 3 entry spectrum; ghz_local_spectrum
+with moments_from_spectrum is its oracle.  Up to the cap GHZ is a
+stabilizer model (thresholds.GHZStabilizerModel) whose polynomials are this
+spectrum in closed form, exact at any binary eps.
 moments_from_spectrum sums exactly: every entry is a binary number with an
 integer multiplicity, so each power sum is an exact dyadic rational, rounded
 once at the end.  The stabilizer models, under local and global noise,

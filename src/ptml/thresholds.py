@@ -21,20 +21,21 @@ float eps off that grid carries f of about 53.  The exact models' verdicts
 powers) work on integers whose length grows with f, so the dyadic nodes
 keep them short.
 
-Four state models share one protocol (describe, moments, ppt, fidelity,
+Five state models share one protocol (describe, moments, ppt, fidelity,
 purities, bell_pairs, the Bell pairs the pure state holds across the cut,
 and hankel_rank_bound, see below), and make_model is the one dispatch from
 (state, noise, cut) to model:
 
-  GHZModel          local noise, GHZ on any cut and any n: PT moments
-                    and the PPT verdict in closed form, exact integers
-                    while they are no longer than the rounded route's
-                    grid (at small n), else in extended precision at a
-                    cost independent of n.
   StabilizerModel   local noise, any stabilizer state and cut (model
                     "enumerator" for GHZ, as its oracle): exact moments,
                     Schatten sums and verdicts for every criterion, from
                     the minus-set character polynomials in 1 - eps.
+  GHZStabilizerModel local noise, GHZ on any cut up to
+                    CHARACTER_QUBIT_CAP qubits: the stabilizer model with
+                    its polynomials in closed form.
+  GHZModel          local noise, GHZ on any cut past the cap: PT moments
+                    and the PPT verdict in closed form, in extended
+                    precision at a cost independent of n.
   GlobalNoiseModel  global noise: the stabilizer model with one-step
                     weights [S != I], whose polynomials are three linear
                     levels fixed by n and the Bell pair count, exact at
@@ -51,15 +52,14 @@ evaluate takes the model's exact PPT verdict, with the Hankel margin
 computed only when read, and the battery reads no moments for it:
 
   StabilizerModel   D = the number of minus-set character polynomials
-                    (4, 5 and 4 on the AME(6,2) cuts 1|5, 2|4 and 3|3).
+                    (4, 5 and 4 on the AME(6,2) cuts 1|5, 2|4 and 3|3;
+                    [n/2] + 3 on every GHZ cut, 2 at n = 2).
   GlobalNoiseModel  D = the levels of nonzero multiplicity, 3 (2 when r = 0
                     or 2r = n): stieltjes:5 is PPT for every globally
                     depolarized stabilizer state, at any n and on any cut,
                     the paper's claim that p_1..p_5 suffice.
-  GHZModel          None: past its exact route (large n, deep bisection)
-                    its PPT verdict's tolerance is relative (to d) and
-                    its Hankel test's absolute, and the route varies
-                    with eps.
+  GHZModel          None: its PPT verdict's tolerance is relative (to
+                    d) and its Hankel test's absolute.
   DenseModel        None: the oracle takes no shortcut.
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
@@ -70,12 +70,11 @@ for CSV serialization.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -93,8 +92,10 @@ from .dense import (
     state_from_group,
 )
 from .enumerators import (
+    CHARACTER_QUBIT_CAP,
     _mirror_pairs,
     _power_sum,
+    _sorted_set,
     character_polys,
     dyadic_numerator,
     dyadic_one_minus,
@@ -200,6 +201,11 @@ def _cut_label(bip: Bipartition) -> str:
     return ",".join(str(q) for q in sorted(bip.a_set))
 
 
+def _ghz_label(n: int, bip: Bipartition) -> str:
+    cut = "balanced" if 2 * len(bip.a_set) == n else _cut_label(bip)
+    return f"ghz n={n} cut={cut}"
+
+
 def _check_cut(bip: Bipartition, n: int) -> Bipartition:
     """bip, once it is a cut of the n qubits with 1 <= |A| <= n-1."""
     if not 1 <= len(bip.check(n).a_set) <= n - 1:
@@ -207,42 +213,14 @@ def _check_cut(bip: Bipartition, n: int) -> Bipartition:
     return bip
 
 
-def _sign_verdict(low: int, s: int, digits: int) -> criteria.Verdict:
-    """The PPT verdict from the numerator low over 2^s of the least PT
-    eigenvalue, or of the only one that can be negative: Entangled when
-    low < 0, with the margin -low / 2^s rounded to digits when read."""
-
-    def explain():
-        # -low rounds as itself: negating a rounded mpf would round again,
-        # to the precision in force where the margin is read
-        prec = dps_to_prec(digits)
-        return (round_dyadic(-low, -s, prec),
-                {"min_eigenvalue": round_dyadic(low, -s, prec)})
-
-    return criteria.Verdict(low < 0, explain)
-
-
 class GHZModel:
     """Locally depolarized GHZ state across any cut (default balanced),
-    closed form.
-
-    At 1 - eps = a / 2^f (dyadic_one_minus) put U = 2^f + a and V = 2^f - a,
-    so u = 1 - eps/2 = U / 2^(f+1) and v = eps/2 = V / 2^(f+1).  Every
-    eigenvalue of ghz_local_spectrum is then an integer over 2^s, s =
-    n (f+1) + 1 (_pt_spectrum), and so is every moment numerator A_k over
-    2^(s k).  While s is at most the width b = criteria.grid_bits(digits)
-    of the grid the rounded moments would be put on at the same digits,
-    moments and ppt take these integers and decide exactly: A_k, of at
-    most s k bits, is then no longer than the b k bits the rounded route
-    gives the same Newton kernel, and the mpf closed form is skipped.
-    Past it (large n, or a deep bisection at a low order) the moments are
-    ghz_local_moments, in mpf at a cost independent of n, and PPT is
-    decided with a tolerance relative to d.
-    """
+    closed form in extended precision at a cost independent of n:
+    make_model's GHZ model past the character cap, beyond the reach of the
+    character transform that checks GHZStabilizerModel."""
 
     bell_pairs = 1
-    # None: at s > b its PPT verdict's tolerance is relative and its
-    # Hankel test's absolute, and s varies with eps
+    # its PPT verdict's tolerance is relative and its Hankel test's absolute
     hankel_rank_bound = None
 
     def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
@@ -253,71 +231,26 @@ class GHZModel:
         self.digits = DEFAULT_DIGITS if digits is None else digits
 
     def describe(self) -> str:
-        cut = "balanced" if 2 * self.a == self.n else _cut_label(self.bip)
-        return f"ghz n={self.n} cut={cut}"
-
-    def _dyadic(self, eps) -> tuple:
-        """(U, V, a, s) at 1 - eps = a / 2^f (class docstring)."""
-        a, f = dyadic_one_minus(eps)
-        return (1 << f) + a, (1 << f) - a, a, self.n * (f + 1) + 1
-
-    def _pair(self, u: int, v: int, a: int) -> tuple:
-        """Numerators (D, G) of ghz_pair's d and g over 2^s: D =
-        (UV)^t (U^(n-2t) + V^(n-2t)), t = min(|A|, n-|A|), and G = a^n 2^n."""
-        n, t = self.n, min(self.a, self.n - self.a)
-        d = (u * v) ** t * (u ** (n - 2 * t) + v ** (n - 2 * t))
-        return d, a ** n << n
-
-    def _pt_spectrum(self, eps) -> tuple:
-        """(entries, s): the n + 3 eigenvalues of ghz_local_spectrum as
-        (numerator over 2^s, multiplicity), the band
-        U^(n-j) V^j + U^j V^(n-j) for j = 0..n and the pair D +- G."""
-        u, v, a, s = self._dyadic(eps)
-        n, cut = self.n, self.a
-        d, g = self._pair(u, v, a)
-        band = tuple((u ** (n - j) * v ** j + u ** j * v ** (n - j),
-                      math.comb(n, j) - (j == cut) - (j == n - cut))
-                     for j in range(n + 1))
-        return band + ((d + g, 1), (d - g, 1)), s
+        return _ghz_label(self.n, self.bip)
 
     def moments(self, eps, m_max: int) -> MomentVector:
-        """ghz_local_moments' closed form over ints while s <= b:
-        A_k = sum_t C(k,t) P^min(t,k-t) W_|k-2t|
-              + 2 sum_{even i >= 2} C(k,i) D^(k-i) G^i
-        with P = (UV)^n and W_j = (U^j + V^j)^n, m_max + 1 n-th powers."""
-        digits = max(self.digits, _order_digits(m_max))
-        u, v, a, s = self._dyadic(eps)
-        if s > criteria.grid_bits(digits):
-            return ghz_local_moments(self.n, eps, m_max, digits, a=self.a)
-        w = [(u ** j + v ** j) ** self.n for j in range(m_max + 1)]
-        d, g = self._pair(u, v, a)
-        pw = list(accumulate([(u * v) ** self.n] * (m_max // 2), mul,
-                             initial=1))
-        dp = list(accumulate([d] * m_max, mul, initial=1))
-        gp = list(accumulate([g] * m_max, mul, initial=1))
-        nums = tuple(
-            sum(math.comb(k, t) * pw[min(t, k - t)] * w[abs(k - 2 * t)]
-                for t in range(k + 1))
-            + 2 * sum(math.comb(k, i) * dp[k - i] * gp[i]
-                      for i in range(2, k + 1, 2))
-            for k in range(1, m_max + 1))
-        return MomentVector(digits=digits, exact=(nums, s),
-                            spectrum=functools.partial(self._pt_spectrum, eps))
+        return ghz_local_moments(self.n, eps, m_max,
+                                 max(self.digits, _order_digits(m_max)),
+                                 a=self.a)
 
     def ppt(self, eps) -> criteria.Verdict:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
-        # verdict rests on the isolated pair d +- g: G > D while s <= b.
-        u, v, a, s = self._dyadic(eps)
-        if s <= criteria.grid_bits(self.digits):
-            d, g = self._pair(u, v, a)
-            return _sign_verdict(d - g, s, self.digits)
-        # Near the threshold at large n, d - g sits far below any absolute
-        # tolerance (about 1e-63 at n = 200), so the decision is relative
-        # to d.
+        # verdict rests on the isolated pair d +- g.  Near the threshold at
+        # large n, d - g sits far below any absolute tolerance (about
+        # 1e-63 at n = 200), so the decision is relative to d.  The least
+        # eigenvalue is d - g or the least band eigenvalue lambda_[n/2],
+        # which is ghz_pair's d on the cut of [n/2] qubits.
         with workdps(self.digits):
-            d, g = ghz_pair(self.n, self.a, mpf(eps))
+            e = mpf(eps)
+            d, g = ghz_pair(self.n, self.a, e)
             hit = g - d > criteria.default_tol(self.digits) * d
-            margin, low = g - d, d - g
+            low = min(d - g, ghz_pair(self.n, self.n // 2, e)[0])
+            margin = -low
         return criteria.Verdict(
             hit, lambda: (margin, {"min_eigenvalue": low}), exact=False)
 
@@ -410,8 +343,19 @@ class StabilizerModel:
                             spectrum=functools.partial(self._pt_spectrum, eps))
 
     def ppt(self, eps) -> criteria.Verdict:
+        """The sign of the least numerator A_i of the PT spectrum decides,
+        and -lambda_min is rounded when read."""
         entries, s = self._pt_spectrum(eps)
-        return _sign_verdict(min(a for a, _ in entries), s, self.digits)
+        low = min(a for a, _ in entries)
+
+        def explain():
+            # -low rounds as itself: negating a rounded mpf would round
+            # again, to the precision in force where the margin is read
+            prec = dps_to_prec(self.digits)
+            return (round_dyadic(-low, -s, prec),
+                    {"min_eigenvalue": round_dyadic(low, -s, prec)})
+
+        return criteria.Verdict(low < 0, explain)
 
     def fidelity(self, eps):
         return exact_decayed(self.sl.values, eps)
@@ -420,6 +364,38 @@ class StabilizerModel:
         # Size-resolved comparison: the purity of this very marginal.
         return tuple(exact_decayed(a.values, eps, power=2)
                      for a in (self.sl, self._marginal))
+
+
+class GHZStabilizerModel(StabilizerModel):
+    """Locally depolarized GHZ state, one fixed bipartition, as the
+    stabilizer model with its minus-set polynomials in closed form, built
+    in O(n^2) with no walk of the group (model "enumerator" is its oracle).
+
+    The PT eigenvalues of ghz_local_spectrum are E_j(z) / 2^n in z = 1 - eps,
+    E_j the even part of (1+z)^(n-j) (1-z)^j, with multiplicity
+    C(n,j) - [j = |A|] - [j = n-|A|], and the isolated pair
+    (E_|A|(z) +- 2^(n-1) z^n) / 2^n.  The coefficients of (1+z)^(n-j)
+    (1-z)^j are Krawtchouk numbers, (w+1) K_(w+1) = (n-2j) K_w -
+    (n-w+1) K_(w-1).  Equal polynomials merge, as in the character set.
+    """
+
+    def _polys(self) -> tuple:
+        n, cut = self.g.n, len(self.bip.a_set)
+        polys = collections.Counter()
+        for j in range(n + 1):
+            k = [1, n - 2 * j]
+            for w in range(1, n):
+                k.append(((n - 2 * j) * k[w] - (n - w + 1) * k[w - 1])
+                         // (w + 1))
+            even = tuple(c if w % 2 == 0 else 0 for w, c in enumerate(k))
+            polys[even] += math.comb(n, j) - (j == cut) - (j == n - cut)
+            if j == cut:
+                for gap in (1 << n - 1, -(1 << n - 1)):
+                    polys[even[:-1] + (even[-1] + gap,)] += 1
+        return _sorted_set(polys)
+
+    def describe(self) -> str:
+        return _ghz_label(self.g.n, self.bip)
 
 
 class GlobalNoiseModel(StabilizerModel):
@@ -513,13 +489,14 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
                noise: str = "local", digits: int = None):
     """Build the state model for a catalog state, cut and noise channel.
 
-    model None picks by state and noise: under local noise the closed form
-    GHZModel for GHZ on any cut and enumerator tables for everything else,
-    under global noise the closed forms of GlobalNoiseModel.
-    model="enumerator" forces the tables (GHZ's oracle), model="dense" the
-    density-matrix reference.  digits sets the base working precision of
-    the analytic models.  Every model refuses a cut that is not on n
-    qubits with 1 <= |A| <= n-1.
+    model None picks by state and noise: under local noise
+    GHZStabilizerModel for GHZ on any cut up to CHARACTER_QUBIT_CAP qubits,
+    the closed form GHZModel past it, and enumerator tables for everything
+    else; under global noise the closed forms of GlobalNoiseModel.
+    model="enumerator" forces the tables (the oracle of both GHZ models),
+    model="dense" the density-matrix reference.  digits sets the base
+    working precision of the analytic models.  Every model refuses a cut
+    that is not on n qubits with 1 <= |A| <= n-1.
     """
     name = name.lower()
     if noise not in ("local", "global"):
@@ -530,13 +507,15 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
         bip = Bipartition.balanced(n)
     if noise == "global" and model == "enumerator":
         raise ValueError("the enumerator tables model local noise only")
-    if name == "ghz" and noise == "local" and model is None:
+    ghz = name == "ghz" and noise == "local" and model is None
+    if ghz and n > CHARACTER_QUBIT_CAP:
         return GHZModel(n, bip, digits=digits)
     g = state_catalog(name, n)
     if model == "dense":
         return DenseModel(state_from_group(g), bip, group=g, name=name,
                           noise=noise)
-    cls = GlobalNoiseModel if noise == "global" else StabilizerModel
+    cls = (GlobalNoiseModel if noise == "global"
+           else GHZStabilizerModel if ghz else StabilizerModel)
     return cls(g, bip, name=name, digits=digits)
 
 
@@ -747,14 +726,19 @@ def _check_dominance(rows: list, group: str, tol: float):
 def sweep_fig1(n_list, criteria=None, tol: float = BRACKET_TOL) -> list:
     """Threshold vs qubit number for the depolarized GHZ family.
 
-    Returns rows {n, criterion, eps_max, bracket, flags} in canonical
-    order (n, then criterion kind and order).
+    Each n runs on its balanced cut, so every n must be even.  Returns
+    rows {n, criterion, eps_max, bracket, flags} in canonical order (n,
+    then criterion kind and order).
     """
+    odd = sorted(n for n in set(n_list) if n % 2)
+    if odd:
+        raise ValueError(f"fig1 runs GHZ on its balanced cut n/2|n/2, which "
+                         f"n={odd[0]} does not have; pass even n only")
     if criteria is None:
         criteria = fig1_criteria()
     rows = []
     for n in sorted(set(n_list)):
-        results = epsilon_max_battery(criteria, GHZModel(n), tol=tol)
+        results = epsilon_max_battery(criteria, make_model("ghz", n), tol=tol)
         for spec, r in zip(criteria, results):
             rows.append({"n": n, "criterion": r.criterion,
                          "eps_max": r.eps_max, "bracket": r.bracket,

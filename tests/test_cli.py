@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -344,13 +345,33 @@ def test_sweep_fig1_restricted_criteria(capsys):
 
 def test_sweep_fig1_matches_the_golden_table(capsys, tmp_path):
     # tests/golden/fig1.csv is the default fig1 table (n = 2, 4, ..., 12)
-    # as the mpf closed form prints it: a GHZ threshold that moves must
-    # change this file with it
+    # as the mpf closed form printed it, and the exact stabilizer route
+    # prints it alike: a GHZ threshold that moves must change this file
+    # with it
     out = tmp_path / "fig1.csv"
     code, _, _ = run(capsys, "sweep", "--preset", "fig1", "--out", str(out))
     assert code == 0
     golden = pathlib.Path(__file__).parent / "golden" / "fig1.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_sweep_fig1_refuses_odd_n_up_front(capsys):
+    code, out, err = run(capsys, "sweep", "--preset", "fig1",
+                         "--n-list", "2:12")
+    assert code == 2 and out == ""
+    assert "n=3" in err and "balanced cut" in err
+
+
+def test_sweep_fig1_help_examples_run(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    text = " ".join(capsys.readouterr().out.split()).split("--n-list")[-1]
+    examples = re.search(r"e\.g\. ([\d,:]+) or ([\d,:]+)", text).groups()
+    for n_list in examples:
+        code, out, _ = run(capsys, "sweep", "--preset", "fig1", "--n-list",
+                           n_list, "--criteria", "ppt")
+        assert code == 0, n_list
+        assert len(parse_csv(out)) == len(n_list.split(",")), n_list
 
 
 def test_sweep_empty_criteria_is_error(capsys):

@@ -1,6 +1,7 @@
-"""GHZModel's exact route: the moment numerators and PT spectrum over 2^s
-against the enumerator tables (equal as Fractions) and the mpf oracle (to
-its precision), and the rule s <= b that picks the route."""
+"""GHZ up to the character cap is a stabilizer model (GHZStabilizerModel):
+its closed-form polynomials against the character transform, its exact
+moments and PT spectrum against the enumerator tables and the mpf oracles
+(to their precision), and make_model's route by n."""
 
 import random
 from collections import Counter
@@ -10,15 +11,18 @@ import pytest
 from mpmath import mpf, workdps
 from mpmath.libmp import dps_to_prec
 
-from ptml.criteria import grid_bits
-from ptml.enumerators import dyadic_one_minus
-from ptml.pauli import Bipartition
+from ptml.enumerators import (CHARACTER_QUBIT_CAP, character_polys,
+                              dyadic_one_minus, exact_decayed, ghz_sl_vector)
+from ptml.pauli import Bipartition, state_catalog
 from ptml.spectra import (ghz_local_moments, ghz_local_spectrum,
                           moments_from_spectrum)
-from ptml.thresholds import (CriterionSpec, GHZModel, _order_digits,
-                             epsilon_max, make_model)
+from ptml.thresholds import (CriterionSpec, DenseModel, GHZModel,
+                             GHZStabilizerModel, GlobalNoiseModel,
+                             StabilizerModel, _moment_order, epsilon_max,
+                             make_model)
 
-CUTS = [(n, a) for n in range(2, 11) for a in range(1, n)]
+CUTS = [(n, a) for n in range(2, 11) for a in range(1, n)] + [
+    (12, 1), (12, 6), (CHARACTER_QUBIT_CAP, 3)]
 NODES = [i / 64 for i in range(65)]
 
 
@@ -56,28 +60,38 @@ def _spectrum(entries, s):
     return {lam: mu for lam, mu in out.items() if mu}
 
 
+@pytest.mark.parametrize("n", range(2, CHARACTER_QUBIT_CAP + 1))
+def test_closed_form_polys_equal_the_character_transform(n):
+    g = state_catalog("ghz", n)
+    for a in range(1, n):
+        model = make_model("ghz", n, _cut(n, a))
+        assert type(model) is GHZStabilizerModel, a
+        assert model.polys == character_polys(g, _cut(n, a)).minus_set, a
+        assert model.hankel_rank_bound == (2 if n == 2 else n // 2 + 3), a
+
+
 @pytest.mark.parametrize("n,a", CUTS)
 def test_exact_route_equals_enumerator_oracle(n, a):
-    fast = GHZModel(n, _cut(n, a))
+    fast = make_model("ghz", n, _cut(n, a))
     oracle = make_model("ghz", n, _cut(n, a), model="enumerator")
+    assert type(oracle) is StabilizerModel
     for eps in NODES + _deep(random.Random(n * 16 + a)):
         p, q = fast.moments(eps, 9), oracle.moments(eps, 9)
-        assert p.exact is not None, eps
-        assert p.exact[1] == n * (dyadic_one_minus(eps)[1] + 1) + 1
-        assert _fractions(p) == _fractions(q), eps
+        assert p.exact == q.exact, eps
+        assert p.exact[1] == n * (dyadic_one_minus(eps)[1] + 1)
         assert (_spectrum(*fast._pt_spectrum(eps))
                 == _spectrum(*oracle._pt_spectrum(eps))), eps
         assert p.schatten == q.schatten, eps
         v, w = fast.ppt(eps), oracle.ppt(eps)
-        assert v.entangled == w.entangled, eps
-        assert v._exact == (p.exact[1] <= grid_bits(fast.digits)), eps
+        assert v.entangled == w.entangled and v._exact, eps
+        assert v.margin == w.margin, eps
 
 
 @pytest.mark.parametrize("n,a", [(2, 1), (3, 1), (5, 2), (8, 3), (10, 5)])
 def test_mpf_oracle_agrees_to_its_precision(n, a):
     digits = 60
     prec = dps_to_prec(digits)
-    fast = GHZModel(n, _cut(n, a))
+    fast = make_model("ghz", n, _cut(n, a))
     for eps in NODES[::4] + _deep(random.Random(a * 16 + n)):
         p = fast.moments(eps, 9)
         exact, bound = _fractions(p), p.schatten
@@ -95,18 +109,10 @@ def test_mpf_oracle_agrees_to_its_precision(n, a):
                 assert abs(closed.p(k) - want) <= tol, (eps, k)
 
 
-def test_twelve_qubits_at_order_seven_run_exact_to_f_29():
-    model = GHZModel(12)
-    rng = random.Random(7)
-    for f in range(30):
-        odd = [0, 1] if f == 0 else [(1 << f) - 1, rng.randrange(1, 1 << f, 2)]
-        for a in odd:
-            assert model.moments(_eps_of(f, a), 7).exact is not None, (f, a)
-
-
 @pytest.mark.parametrize("n", [180, 100000])
 def test_large_n_stays_on_the_rounded_route(n):
-    model = GHZModel(n)
+    model = make_model("ghz", n)
+    assert type(model) is GHZModel
     for f in (6, 7, 12, 29):
         eps = _eps_of(f, (1 << f) - 3)
         for m in (1, 3, 7, 29):
@@ -114,36 +120,44 @@ def test_large_n_stays_on_the_rounded_route(n):
         assert not model.ppt(eps)._exact, f
 
 
-def test_route_is_s_at_most_the_grid_width():
-    # n = 12, order 3: b = grid_bits(78), and s = 12 (f+1) + 1 <= b
-    # exactly when f <= 26
-    model = GHZModel(12)
-    b = grid_bits(_order_digits(3))
-    assert 12 * 27 + 1 <= b < 12 * 28 + 1
-    assert model.moments(_eps_of(26, 12345), 3).exact is not None
-    assert model.moments(_eps_of(27, 12345), 3).exact is None
-    # ppt compares at the model's own digits
-    b = grid_bits(model.digits)
-    f = (b - 1) // 12 - 1
-    assert model.ppt(_eps_of(f, 5))._exact
-    assert not model.ppt(_eps_of(f + 1, 5))._exact
+def test_make_model_routes_ghz_by_the_character_cap():
+    cap = CHARACTER_QUBIT_CAP
+    for cut in ({1}, {2, 5}, set(range(1, cap // 2 + 1))):
+        bip = Bipartition(cap, frozenset(cut))
+        assert type(make_model("ghz", cap, bip)) is GHZStabilizerModel
+        assert type(make_model("ghz", cap + 1, Bipartition(
+            cap + 1, frozenset(cut)))) is GHZModel
+        assert (make_model("ghz", cap, bip).describe()
+                == GHZModel(cap, bip).describe())
+    # the references and global noise keep their own models at any n
+    assert type(make_model("ghz", 4, model="enumerator")) is StabilizerModel
+    assert type(make_model("ghz", 4, model="dense")) is DenseModel
+    assert type(make_model("ghz", 4, noise="global")) is GlobalNoiseModel
+    assert make_model("ghz", 4).describe() == "ghz n=4 cut=balanced"
 
 
-def test_threshold_that_changes_route_mid_bisection():
-    # descartes:3 at n = 12 bisects to f = 29, past the f <= 26 of its
-    # exact route: the last verdicts are rounded
-    model = GHZModel(12)
-    routes = []
-    moments = model.moments
+def test_high_order_stieltjes_is_the_ppt_verdict_at_twelve_qubits():
+    model = make_model("ghz", 12)
+    spec = CriterionSpec.parse("stieltjes:29")
+    assert _moment_order(spec, model) == 0
+    assert f"{epsilon_max(spec, model).eps_max:.12g}" == "0.531891574152"
 
-    def spy(eps, m_max):
-        p = moments(eps, m_max)
-        routes.append(p.exact is not None)
-        return p
 
-    model.moments = spy
-    spec = CriterionSpec.parse("descartes:3")
-    got = epsilon_max(spec, model)
-    assert True in routes and False in routes
-    want = epsilon_max(spec, make_model("ghz", 12, model="enumerator"))
-    assert abs(got.eps_max - want.eps_max) <= 2 * want.bracket
+@pytest.mark.parametrize("n", [2, 3, 6, 9, CHARACTER_QUBIT_CAP])
+def test_fidelity_and_purities_are_exact_fractions(n):
+    a = n // 2
+    model = make_model("ghz", n, _cut(n, a))
+    closed = GHZModel(n, _cut(n, a))
+    sl = ghz_sl_vector(n).values
+    for eps in NODES[::8] + _deep(random.Random(n)):
+        f = model.fidelity(eps)
+        glob, sub = model.purities(eps)
+        assert all(type(x) is Fraction for x in (f, glob, sub)), eps
+        assert f == exact_decayed(sl, eps)
+        assert glob == exact_decayed(sl, eps, power=2)
+        # the mpf closed forms, to their precision
+        tol = mpf(10) ** -(closed.digits - 2)
+        for got, want in zip((f, glob, sub),
+                             (closed.fidelity(eps), *closed.purities(eps))):
+            with workdps(3 * closed.digits):
+                assert abs(mpf(got.numerator) / got.denominator - want) <= tol

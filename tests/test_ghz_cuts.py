@@ -1,13 +1,16 @@
-"""GHZ on every cut and every n: the closed-form GHZModel against its
-oracles, the enumerator tables (StabilizerModel) and the density matrix."""
+"""GHZ on every cut and every n: the closed-form GHZModel, which
+make_model builds past the character cap, against its oracles, the
+enumerator tables (StabilizerModel) and the density matrix."""
 
 import pytest
-from mpmath import mpf
+from mpmath import mpf, workdps
 
-from ptml.dense import state_from_group
+from ptml.dense import depolarize_local, pt_spectrum, state_from_group
 from ptml.pauli import Bipartition, state_catalog
+from ptml.spectra import ghz_pair
 from ptml.thresholds import (CriterionSpec, DenseModel, GHZModel,
-                             StabilizerModel, epsilon_max, make_model)
+                             StabilizerModel, epsilon_max, evaluate,
+                             make_model)
 
 CUTS = [(n, a) for n in range(2, 10) for a in range(1, n)]
 THRESHOLD_CRITERIA = ("ppt", "stieltjes:7", "klm:5,6,7", "descartes:7",
@@ -20,9 +23,9 @@ def _cut(n, a):
 
 @pytest.mark.parametrize("n,a", CUTS)
 def test_ghz_model_matches_enumerator_oracle(n, a):
-    fast = make_model("ghz", n, _cut(n, a))
+    fast = GHZModel(n, _cut(n, a))
     oracle = make_model("ghz", n, _cut(n, a), model="enumerator")
-    assert isinstance(fast, GHZModel) and isinstance(oracle, StabilizerModel)
+    assert type(oracle) is StabilizerModel
     if 2 * a != n:
         assert fast.describe() == oracle.describe()
     for eps in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
@@ -51,3 +54,26 @@ def test_ghz_model_schatten_sums_match_dense():
             assert abs(p.p(k) - q.p(k)) <= 1e-12, (eps, k)
         assert fast.ppt(eps).entangled == dense.ppt(eps).entangled
 
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_ppt_margin_on_uneven_cuts_is_the_dense_min_eigenvalue(n):
+    # off the balanced cut the least band eigenvalue lambda_[n/2] can lie
+    # below d - g (from n = 4 on), and then -lambda_min is the margin
+    rho = state_from_group(state_catalog("ghz", n))
+    band = 0
+    for i in range(5, 11):
+        eps = i / 10
+        noisy = depolarize_local(rho, eps)
+        for a in range(1, n):
+            if 2 * a == n:
+                continue
+            v = evaluate(CriterionSpec("ppt"), GHZModel(n, _cut(n, a)), eps)
+            low = pt_spectrum(noisy, _cut(n, a)).min_eigenvalue()
+            if v.entangled:
+                continue
+            assert abs(v.margin + low) <= 1e-12, (a, eps)
+            assert v.witness["min_eigenvalue"] + v.margin == 0
+            with workdps(30):
+                d, g = ghz_pair(n, a, mpf(eps))
+            band += abs(low - float(d - g)) > 1e-9
+    assert band or n == 3

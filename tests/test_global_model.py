@@ -19,8 +19,9 @@ from ptml.dense import depolarize_global, pt_spectrum, state_from_group
 from ptml.pauli import Bipartition
 from ptml.spectra import MomentVector
 from ptml.thresholds import (CriterionSpec, DenseModel, GHZModel,
-                             GlobalNoiseModel, StabilizerModel, epsilon_max,
-                             evaluate, make_model)
+                             GHZStabilizerModel, GlobalNoiseModel,
+                             StabilizerModel, epsilon_max, evaluate,
+                             make_model)
 from stabilizers import random_cut, random_group
 
 
@@ -95,7 +96,8 @@ def test_global_rank_bound_counts_the_dense_eigenvalues(n, seed, eps):
 
 
 ROUTES = {
-    "ghz local": lambda: make_model("ghz", 4),
+    "ghz local": lambda: GHZModel(4),
+    "ghz stabilizer": lambda: make_model("ghz", 4),
     "enumerator": lambda: make_model("ghz", 4, model="enumerator"),
     "dense": lambda: make_model("ghz", 4, model="dense"),
     "stabilizer": lambda: make_model("ame6", 6, bip=Bipartition(
@@ -103,7 +105,8 @@ ROUTES = {
     "global": lambda: make_model("ame6", 6, bip=Bipartition(
         6, frozenset({1, 2})), noise="global"),
 }
-ROUTE_TYPES = {"ghz local": GHZModel, "enumerator": StabilizerModel,
+ROUTE_TYPES = {"ghz local": GHZModel, "ghz stabilizer": GHZStabilizerModel,
+               "enumerator": StabilizerModel,
                "dense": DenseModel, "stabilizer": StabilizerModel,
                "global": GlobalNoiseModel}
 

@@ -16,6 +16,7 @@ from ptml.thresholds import (
     CriterionSpec,
     DenseModel,
     GHZModel,
+    GHZStabilizerModel,
     GlobalNoiseModel,
     StabilizerModel,
     _check_dominance,
@@ -85,17 +86,16 @@ def test_p3ppt_equals_stieltjes3_threshold():
 
 
 def test_make_model_routing():
-    assert isinstance(make_model("ghz", 4), GHZModel)
-    assert isinstance(make_model("ame6", 6), StabilizerModel)
+    assert type(make_model("ghz", 4)) is GHZStabilizerModel
+    assert type(make_model("ghz", 40)) is GHZModel
+    assert type(make_model("ame6", 6)) is StabilizerModel
     assert isinstance(make_model("ghz", 4, model="dense"), DenseModel)
-    assert isinstance(make_model("ghz", 4, model="enumerator"),
-                      StabilizerModel)
-    # local-noise GHZ takes the closed form on every cut of every n
+    assert type(make_model("ghz", 4, model="enumerator")) is StabilizerModel
+    # the closed form takes GHZ on every cut of every n
     for n in (2, 3, 5, 8, 15, 40):
         for cut in ({1}, set(range(1, n)), set(range(2, n + 1, 2))):
-            model = make_model("ghz", n, bip=Bipartition(n, frozenset(cut)))
-            assert isinstance(model, GHZModel), (n, cut)
-            assert model.a == len(cut)
+            model = GHZModel(n, Bipartition(n, frozenset(cut)))
+            assert model.a == len(cut), (n, cut)
 
 
 def test_make_model_global_noise_routing():
