@@ -7,12 +7,16 @@ when the margin exceeds a decision tolerance.
 Moments with exact dyadic numerators (the stabilizer models', under local
 and global noise, GHZ up to the character cap included:
 MomentVector.exact = (A, s), p_k = A_k / 2^(s k)) are decided exactly,
-with no tolerance, and so are fidelities and purities given as Fractions
-(the stabilizer models').  A margin is computed only when read.  The ppt
-(thresholds.StabilizerModel), fidelity, purity and descartes margins are
-then the exact value rounded once; the klm and stieltjes margins come from
-the rounded moments, and one whose sign contradicts the exact verdict
-reads 0.
+with no tolerance, and so are least PT eigenvalues, fidelities and
+purities given as Fractions (the stabilizer models').  Every scalar gap,
+ppt (ppt_verdict, for every model), fidelity, purity and klm on rounded
+moments, goes through one decision, _positive: a Fraction exactly, any
+other gap past default_tol, times a scale where the gap's size is known
+(GHZModel's PPT gap is relative to d).  A margin is computed only when
+read.  The Fraction ppt, fidelity and purity margins and the descartes
+margins are then the exact value rounded once; the klm and stieltjes
+margins come from the rounded moments, and one whose sign contradicts the
+exact verdict reads 0.
 Elsewhere (GHZ past the character cap, and dense) the moments are
 rounded, float64 or mpf, and the Hankel and Descartes tests run on the
 same integer kernels: p_k is rounded once onto the grid 2^-b, b the
@@ -209,8 +213,7 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
         return Verdict(
             al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k), explain)
     margin, witness = explain()
-    return Verdict(margin > default_tol(p.digits), lambda: (margin, witness),
-                   exact=False)
+    return _positive(margin, p.digits, witness=lambda _: witness)
 
 
 def hankel_margin(p: MomentVector, m: int) -> tuple:
@@ -332,18 +335,19 @@ def negativity_lower_bound(pt, l: int, m: int):
         return _log2(ptl) / x - ((1 - x) / x) * _log2(ptm)
 
 
-def stieltjes_witness(s: Spectrum, m: int, merge_tol=1e-12) -> list:
+def stieltjes_witness(s: Spectrum, m: int) -> list:
     """Explicit vector violating Hankel positivity, from a known spectrum.
 
     Let lambda_1 < 0 be the most negative of the N distinct eigenvalues and
     f(x) the monic polynomial vanishing on the other N-1.  The coefficient
     vector c of f, zero-padded to length (m+1)/2, gives
         c^T H_m c = mu_1 lambda_1 f(lambda_1)^2 < 0.
-    Requires odd m >= 2N - 1.
+    Requires odd m >= 2N - 1; eigenvalues within 1e-12 count as one
+    (merge_spectrum).
     """
     if m % 2 == 0:
         raise ValueError("Hankel moment matrix requires odd m")
-    merged = merge_spectrum(s, merge_tol)
+    merged = merge_spectrum(s)
     lams = sorted(lam for lam, _ in merged.entries)
     n_distinct = len(lams)
     if lams[0] >= 0:
@@ -368,37 +372,47 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     2^-bell_pairs, so with none the criterion certifies nothing.  digits
     is the precision of mpf input; float input is judged as float64, and a
     Fraction exactly, its margin rounded once to digits."""
-    if isinstance(f, Fraction):
-        return Verdict(
-            bell_pairs >= 1 and 2 * f > 1,
-            lambda: (_round_once(f - Fraction(1, 2), digits), None),
-            exact=bell_pairs >= 1)
     if not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
-    tol = default_tol(None if isinstance(f, float) else digits)
-    margin = _difference(f, 0.5)
-    return Verdict(bell_pairs >= 1 and margin > tol, lambda: (margin, None),
-                   exact=False)
+    return _positive(_difference(f, Fraction(1, 2)), digits,
+                     fires=bell_pairs >= 1)
 
 
 def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
     digits as for fidelity_criterion.  Two Fraction purities are compared
     exactly; an mpf margin is their exact difference, as fidelity's."""
-    if isinstance(global_purity, Fraction):
-        gap = global_purity - subsystem_purity
-        return Verdict(gap > 0, lambda: (_round_once(gap, digits), None))
     if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
-    tol = default_tol(None if isinstance(global_purity, float) else digits)
-    margin = _difference(global_purity, subsystem_purity)
-    return Verdict(margin > tol, lambda: (margin, None), exact=False)
+    return _positive(_difference(global_purity, subsystem_purity), digits)
 
 
-def ppt_verdict(s: Spectrum) -> Verdict:
-    """The PPT criterion on a rounded spectrum: lambda_min < -default_tol,
-    with the margin -lambda_min negated exactly."""
-    min_eig = s.min_eigenvalue()
-    margin, witness = _negated(min_eig), {"min_eigenvalue": min_eig}
-    return Verdict(min_eig < -default_tol(s.digits),
-                   lambda: (margin, witness), exact=False)
+def ppt_verdict(low, digits, scale=1) -> Verdict:
+    """The PPT criterion on the least PT eigenvalue low: the margin is
+    -low, decided by _positive with the tolerance times scale, and the
+    witness is low as the margin reads it (rounded once when exact)."""
+    return _positive(_negated(low), digits, scale=scale,
+                     witness=lambda m: {"min_eigenvalue": _negated(m)})
+
+
+def _positive(gap, digits, fires=True, scale=1,
+              witness=lambda margin: None) -> Verdict:
+    """The one decision on a scalar gap (positive = detected), which fires
+    only if fires.  A Fraction is decided exactly, as gap > 0, and its
+    margin is the gap rounded once to digits.  A float or mpf must exceed
+    default_tol * scale, formed at the gap's precision (float64 for a
+    float, digits otherwise), and is its own margin.  witness(margin)
+    builds the witness when read."""
+    if isinstance(gap, Fraction):
+        hit, margin = gap > 0, functools.partial(_round_once, gap, digits)
+    else:
+        rounded = None if isinstance(gap, float) else digits
+        with _arithmetic(rounded):
+            hit, margin = gap > default_tol(rounded) * scale, lambda: gap
+
+    def explain():
+        m = margin()
+        return m, witness(m)
+
+    exact = fires and isinstance(gap, Fraction)
+    return Verdict(fires and hit, explain, exact=exact)

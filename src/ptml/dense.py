@@ -131,10 +131,10 @@ def partial_transpose(rho: np.ndarray, bip: Bipartition) -> np.ndarray:
     return rho[src_rows, src_cols]
 
 
-def hermitian_eigenvalues(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending."""
     scale = np.max(np.abs(m)) or 1.0
-    if np.max(np.abs(m - m.conj().T)) > rtol * scale:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 
@@ -163,16 +163,16 @@ def fidelity_pure(rho: np.ndarray, g: StabilizerGroup) -> float:
     return float(np.real(np.trace(rho @ psi)))
 
 
-def schmidt_rank(rho_pure: np.ndarray, bip: Bipartition, tol: float = 1e-9) -> int:
+def schmidt_rank(rho_pure: np.ndarray, bip: Bipartition) -> int:
     """Schmidt rank of a pure state across A|B; the oracle of
     pauli.bell_pair_rank.
 
-    Counts eigenvalues of the reduced state on A above tol.
+    Counts eigenvalues of the reduced state on A above 1e-9.
     """
     n = nqubits(rho_pure)
     reduced = _partial_trace_keep(rho_pure, bip.a_mask, n)
     lams = hermitian_eigenvalues(reduced)
-    return int(sum(1 for lam in lams if lam > tol))
+    return int(sum(1 for lam in lams if lam > 1e-9))
 
 
 def _partial_trace_keep(rho: np.ndarray, keep_mask: int, n: int) -> np.ndarray:

@@ -153,15 +153,15 @@ def _solve_exact(mat, rhs):
     return [row[-1] for row in m]
 
 
-def reconstruct_enumerators(known: dict, n: int, type2: bool = False,
-                            residual_rtol: float = 1e-8) -> SLVector:
+def reconstruct_enumerators(known: dict, n: int,
+                            type2: bool = False) -> SLVector:
     """Recover a full enumerator vector from a few known entries.
 
     known maps weight -> value for a pure (type2=False) or type-II
     (type2=True) state.  The vector is expanded in the matching kernel
     basis and the coefficients solved by exact rational normal equations;
-    the fit must reproduce the known entries to residual_rtol relative to
-    their norm.
+    the fit must reproduce the known entries to 1e-8 relative to their
+    norm.
     """
     basis = type2_kernel_basis(n) if type2 else pure_kernel_basis(n)
     dim = len(basis)
@@ -184,7 +184,7 @@ def reconstruct_enumerators(known: dict, n: int, type2: bool = False,
                    for i in range(n + 1))
     res2 = sum((values[w] - bw) ** 2 for w, bw in zip(weights, b))
     b2 = sum(v * v for v in b)
-    if float(res2) > residual_rtol**2 * max(float(b2), 1e-300):
+    if float(res2) > 1e-8**2 * max(float(b2), 1e-300):
         raise ValueError(f"inconsistent data: fit residual "
                          f"{math.sqrt(float(res2)):.3e} exceeds tolerance")
     return SLVector(n, values)

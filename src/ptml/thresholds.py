@@ -59,7 +59,8 @@ computed only when read, and the battery reads no moments for it:
                     depolarized stabilizer state, at any n and on any cut,
                     the paper's claim that p_1..p_5 suffice.
   GHZModel          None: its PPT verdict's tolerance is relative (to
-                    d) and its Hankel test's absolute.
+                    d, criteria.ppt_verdict's scale) and its Hankel
+                    test's absolute.
   DenseModel        None: the oracle takes no shortcut.
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
@@ -75,10 +76,10 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import dps_to_prec
 
 from . import criteria
 from .dense import (
@@ -110,8 +111,6 @@ from .spectra import (
     MomentVector,
     ghz_local_moments,
     ghz_pair,
-    power_sums,
-    round_dyadic,
 )
 
 BRACKET_TOL = 1e-9
@@ -248,11 +247,8 @@ class GHZModel:
         with workdps(self.digits):
             e = mpf(eps)
             d, g = ghz_pair(self.n, self.a, e)
-            hit = g - d > criteria.default_tol(self.digits) * d
             low = min(d - g, ghz_pair(self.n, self.n // 2, e)[0])
-            margin = -low
-        return criteria.Verdict(
-            hit, lambda: (margin, {"min_eigenvalue": low}), exact=False)
+        return criteria.ppt_verdict(low, self.digits, scale=d)
 
     def fidelity(self, eps):
         # sum_i a_i (1-eps)^i: even-weight Z-type binomials plus 2^(n-1)
@@ -344,18 +340,10 @@ class StabilizerModel:
 
     def ppt(self, eps) -> criteria.Verdict:
         """The sign of the least numerator A_i of the PT spectrum decides,
-        and -lambda_min is rounded when read."""
+        exactly, and -lambda_min is rounded when read."""
         entries, s = self._pt_spectrum(eps)
-        low = min(a for a, _ in entries)
-
-        def explain():
-            # -low rounds as itself: negating a rounded mpf would round
-            # again, to the precision in force where the margin is read
-            prec = dps_to_prec(self.digits)
-            return (round_dyadic(-low, -s, prec),
-                    {"min_eigenvalue": round_dyadic(low, -s, prec)})
-
-        return criteria.Verdict(low < 0, explain)
+        return criteria.ppt_verdict(
+            Fraction(min(a for a, _ in entries), 1 << s), self.digits)
 
     def fidelity(self, eps):
         return exact_decayed(self.sl.values, eps)
@@ -432,14 +420,6 @@ class GlobalNoiseModel(StabilizerModel):
     def describe(self) -> str:
         return super().describe() + " noise=global"
 
-    def moments(self, eps, m_max: int) -> MomentVector:
-        # at most three levels: their power sums cost less than Horner
-        # steps through the k-th power polynomials
-        entries, s = self._pt_spectrum(eps)
-        return MomentVector(digits=max(self.digits, _order_digits(m_max)),
-                            exact=(power_sums(entries, m_max), s),
-                            spectrum=lambda: (entries, s))
-
 
 class DenseModel:
     """Reference model: everything computed from the density matrix, under
@@ -470,7 +450,8 @@ class DenseModel:
         return pt_moments(self._noisy(eps), self.bip, m_max)
 
     def ppt(self, eps) -> criteria.Verdict:
-        return criteria.ppt_verdict(pt_spectrum(self._noisy(eps), self.bip))
+        s = pt_spectrum(self._noisy(eps), self.bip)
+        return criteria.ppt_verdict(s.min_eigenvalue(), s.digits)
 
     def fidelity(self, eps):
         if self.group is None:
@@ -746,9 +727,10 @@ def sweep_fig1(n_list, criteria=None, tol: float = BRACKET_TOL) -> list:
     return _finish_rows(rows, "n", tol)
 
 
-def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3), name: str = "ame6",
-               n: int = 6, tol: float = BRACKET_TOL) -> list:
-    """Threshold vs moment order for one stabilizer state, per cut size.
+def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3),
+               tol: float = BRACKET_TOL) -> list:
+    """Threshold vs moment order for the six-qubit perfect state AME(6,2),
+    per cut size.
 
     For each cut |A| = s the battery is fig2_criteria over m_range; the
     order-independent ppt / fidelity / purity rows leave m empty.  Purity
@@ -761,8 +743,9 @@ def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3), name: str = "ame6",
         raise ValueError("moment orders must lie in 3..30")
     specs, rows = fig2_criteria(m_list), []
     for s in cut_sizes:
-        model = make_model(name, n, Bipartition(n, frozenset(range(1, s + 1))))
-        cut = f"{s}|{n - s}"
+        model = make_model("ame6", 6,
+                           Bipartition(6, frozenset(range(1, s + 1))))
+        cut = f"{s}|{6 - s}"
         for spec, r in zip(specs, epsilon_max_battery(specs, model, tol=tol)):
             rows.append({"cut": cut, "criterion": r.criterion,
                          "m": spec.max_order or "",

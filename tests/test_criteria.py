@@ -190,9 +190,10 @@ def test_descartes_full_order_equals_ppt():
         rho = random_state(2)
         bip = Bipartition(2, frozenset({1}))
         p = pt_moments(rho, bip, 4)
-        npt = ppt_verdict(Spectrum(tuple(
+        s = Spectrum(tuple(
             (v, 1) for v in np.linalg.eigvalsh(partial_transpose(rho, bip))),
-            digits=None)).entangled
+            digits=None)
+        npt = ppt_verdict(s.min_eigenvalue(), s.digits).entangled
         v = descartes(p, 4)
         if abs(v.margin) > 1e-8:
             assert v.entangled == npt
@@ -296,10 +297,11 @@ def test_purity_criterion():
 
 def test_ppt_verdict():
     npt = Spectrum(((0.5, 3), (-0.5, 1)))
-    v = ppt_verdict(npt)
+    v = ppt_verdict(npt.min_eigenvalue(), npt.digits)
     assert v.entangled and v.margin == pytest.approx(0.5)
     assert v.witness["min_eigenvalue"] == pytest.approx(-0.5)
-    assert not ppt_verdict(Spectrum(((0.25, 4),))).entangled
+    ppt = Spectrum(((0.25, 4),))
+    assert not ppt_verdict(ppt.min_eigenvalue(), ppt.digits).entangled
 
 
 def test_mpf_moment_path():

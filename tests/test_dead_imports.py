@@ -1,11 +1,14 @@
-"""Every name a test module imports is used there: a dead import hides
-which helpers a test really exercises, and keeps deleted names looking
-alive.  The benchmark's own files (bench/) are not scanned."""
+"""Every name a test or library module imports is used there: a dead
+import hides which helpers a test really exercises, and keeps deleted
+names looking alive.  The benchmark's own files (bench/) are not
+scanned."""
 
 import ast
 import pathlib
 
-SOURCES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+TESTS = pathlib.Path(__file__).parent
+SOURCES = sorted([*TESTS.glob("*.py"),
+                  *(TESTS.parent / "src" / "ptml").glob("*.py")])
 
 
 def _unused_imports(path: pathlib.Path) -> list:

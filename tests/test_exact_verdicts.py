@@ -266,8 +266,9 @@ def test_rounded_margins_keep_the_model_precision(label, n, eps):
     v = evaluate(CriterionSpec.parse(label), GHZModel(n), eps)
     assert v.margin._mpf_[3] > 53
     spectrum = ghz_local_spectrum(n, eps)
-    assert ppt_verdict(spectrum).margin._mpf_ == mpf_neg(
-        spectrum.min_eigenvalue()._mpf_)
+    low = spectrum.min_eigenvalue()
+    assert ppt_verdict(low, spectrum.digits).margin._mpf_ == mpf_neg(
+        low._mpf_)
 
 
 @pytest.mark.parametrize("argv,code,line", [
@@ -354,6 +355,45 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
         assert v.margin == -v.witness["min_eigenvalue"]
     assert not AME6_33.ppt(above).entangled
     assert abs(star - thr) <= 1e-9
+
+
+def test_ppt_verdict_decides_fraction_float_and_mpf_lows():
+    # a Fraction low is decided exactly, its margin -low rounded once
+    for low in (Fraction(-1, 3), Fraction(-1, 2 ** 400)):
+        v = ppt_verdict(low, 60)
+        assert v.entangled and v._exact
+        assert v.margin._mpf_ == from_rational(
+            -low.numerator, low.denominator, dps_to_prec(60), round_nearest)
+        assert v.witness["min_eigenvalue"]._mpf_ == mpf_neg(v.margin._mpf_)
+    assert ppt_verdict(Fraction(-1, 3), None).margin == 1 / 3
+    for low in (Fraction(0), Fraction(1, 5)):
+        v = ppt_verdict(low, 60)
+        assert not v.entangled and v._exact and v.margin <= 0
+    # a float low against the float64 tolerance, whatever the digits say
+    for digits in (None, 60):
+        v = ppt_verdict(-2e-10, digits)
+        assert v.entangled and not v._exact
+        assert v.margin == 2e-10 and isinstance(v.margin, float)
+        assert v.witness["min_eigenvalue"] == -2e-10
+        assert not ppt_verdict(-0.5e-10, digits).entangled
+    # an mpf low against 10^-(digits - 10), its margin negated exactly
+    with workdps(100):
+        low = -mpf(1) / 3 * mpf(10) ** -45
+    v = ppt_verdict(low, 60)
+    assert v.entangled and not v._exact
+    assert v.margin._mpf_ == mpf_neg(low._mpf_)
+    assert v.witness["min_eigenvalue"]._mpf_ == low._mpf_
+    assert not ppt_verdict(low * mpf(10) ** -10, 60).entangled
+    # scale: the tolerance times d, formed at the verdict's precision
+    with workdps(60):
+        d = mpf(10) ** -30
+    with workdps(100):
+        tau_d = default_tol(60) * d
+        above = -tau_d * (1 + mpf(10) ** -40)
+        below = -tau_d * (1 - mpf(10) ** -40)
+    assert ppt_verdict(above, 60, scale=d).entangled
+    assert not ppt_verdict(below, 60, scale=d).entangled
+    assert not ppt_verdict(above, 60).entangled  # |low| < 10^-50
 
 
 # ------------------------------------------------ scalar criteria digits

@@ -7,6 +7,7 @@ fidelity and purities are exact Fractions like StabilizerModel's, and its
 hankel_rank_bound counts the levels it keeps.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, to_rational
 
-from ptml.criteria import Verdict
+from ptml import criteria
+from ptml.criteria import Verdict, ppt_verdict
 from ptml.dense import depolarize_global, pt_spectrum, state_from_group
 from ptml.pauli import Bipartition
-from ptml.spectra import MomentVector
+from ptml.spectra import MomentVector, power_sums
 from ptml.thresholds import (CriterionSpec, DenseModel, GHZModel,
                              GHZStabilizerModel, GlobalNoiseModel,
                              StabilizerModel, epsilon_max, evaluate,
@@ -143,4 +145,36 @@ def test_every_route_exposes_the_model_protocol(route):
             v = evaluate(CriterionSpec.parse(kind), model, eps)
             assert isinstance(v.entangled, bool)
             float(v.margin)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_decides_ppt_through_ppt_verdict(route, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(ppt_verdict(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(criteria, "ppt_verdict", counted)
+    model = ROUTES[route]()
+    for eps in (0.0, 0.3, 0.8125):
+        assert model.ppt(eps) is calls[-1]
+    assert len(calls) == 3
+
+
+# ------------------------------------------------ global moments
+
+
+@pytest.mark.parametrize("name,n,cut", [
+    ("zero", 5, {1, 2}), ("ghz", 12, {1}), ("bell_pairs", 10, None),
+    ("ame6", 6, {1, 2, 3}), ("ghz", 300, None)])
+def test_global_moments_are_the_power_sums_of_the_levels(name, n, cut):
+    # the three levels' power sums are the oracle of the Horner route
+    bip = None if cut is None else Bipartition(n, frozenset(cut))
+    model = make_model(name, n, bip, noise="global")
+    rng = random.Random(n)
+    deep = [rng.randrange(1, 2 ** f, 2) / 2 ** f for f in (7, 17, 29)]
+    for eps in [i / 64 for i in range(65)] + deep:
+        entries, s = model._pt_spectrum(eps)
+        assert model.moments(eps, 15).exact == (power_sums(entries, 15), s)
 

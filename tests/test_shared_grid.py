@@ -6,7 +6,7 @@ import functools
 
 import pytest
 
-from ptml import enumerators, spectra, thresholds
+from ptml import criteria, enumerators, spectra
 from ptml.criteria import Verdict
 from ptml.pauli import Bipartition
 from ptml.thresholds import (GRID_POINTS, CriterionSpec, GHZModel,
@@ -124,8 +124,9 @@ def test_exact_thresholds_round_no_moment(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact moment was rounded")
 
-    for module in (spectra, thresholds, enumerators):
+    for module in (spectra, enumerators):
         monkeypatch.setattr(module, "round_dyadic", forbidden)
+    monkeypatch.setattr(criteria, "_round_once", forbidden)
     model = _ame6(3)
     assert [epsilon_max(spec, model) for spec in specs] == want
     assert epsilon_max_battery(specs, model) == want

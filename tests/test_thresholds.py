@@ -392,7 +392,8 @@ def test_ghz_closed_form_ppt_matches_spectrum_oracle():
         for i in range(41):
             eps = i / 40
             got = model.ppt(eps)
-            want = ppt_verdict(ghz_local_spectrum(n, eps))
+            s = ghz_local_spectrum(n, eps)
+            want = ppt_verdict(s.min_eigenvalue(), s.digits)
             assert got.entangled == want.entangled, (n, eps)
             if want.entangled:
                 assert abs(got.witness["min_eigenvalue"]
