@@ -72,7 +72,7 @@ class RunConfig:
 
     name: str
     n: int
-    bip: Bipartition
+    bip: Bipartition  # None: the balanced cut
     noise_kind: str  # "local" or "global"
     eps: float
     digits: int
@@ -98,7 +98,7 @@ def _parse_bip(n: int, bip: str, bip_size: int) -> Bipartition:
         if not 1 <= bip_size <= n - 1:
             raise ValueError("--bip-size must lie in 1..n-1")
         return Bipartition(n, frozenset(range(1, bip_size + 1)))
-    return Bipartition.balanced(n)
+    return None  # the balanced cut, built by make_model only where needed
 
 
 def _parse_noise(text: str) -> tuple:
@@ -306,13 +306,14 @@ def cmd_enumerators(args) -> int:
         raise ValueError("--state is required unless --fixtures is given")
     cfg = _config(args)
     g = state_catalog(cfg.name, cfg.n)
+    bip = cfg.bip or Bipartition.balanced(cfg.n)
     tables = {}
     if args.method in ("fourier", "both"):
-        tables["fourier"] = cw_fourier(g, cfg.bip, args.k)
+        tables["fourier"] = cw_fourier(g, bip, args.k)
     if args.method in ("brute", "both"):
         extra = {} if args.budget is None else {"budget": args.budget}
         try:
-            tables["brute"] = cw_bruteforce(g, cfg.bip, args.k, **extra)
+            tables["brute"] = cw_bruteforce(g, bip, args.k, **extra)
         except ValueError as exc:
             if "budget" in str(exc):
                 raise ValueError(f"{exc}; use --method fourier") from exc

@@ -1,39 +1,44 @@
 """Entanglement criteria as pure verdict functions on moment data.
 
 Every criterion here is a relaxation of the PPT test: it may only fire on
-NPT states.  Verdicts carry a signed margin (positive = detected) and fire
-when the margin exceeds a decision tolerance.
+NPT states.  Verdicts carry a signed margin (positive = detected), computed
+only when read.
 
-Moments with exact dyadic numerators (the stabilizer models', under local
-and global noise, GHZ up to the character cap included:
-MomentVector.exact = (A, s), p_k = A_k / 2^(s k)) are decided exactly,
-with no tolerance, and so are least PT eigenvalues, fidelities and
-purities given as Fractions (the stabilizer models').  Every scalar gap,
-ppt (ppt_verdict, for every model), fidelity, purity and klm on rounded
-moments, goes through one decision, _positive: a Fraction exactly, any
-other gap past default_tol, times a scale where the gap's size is known
-(GHZModel's PPT gap is relative to d).  A margin is computed only when
-read.  The Fraction ppt, fidelity and purity margins and the descartes
-margins are then the exact value rounded once; the klm and stieltjes
-margins come from the rounded moments, and one whose sign contradicts the
-exact verdict reads 0.
-Elsewhere (GHZ past the character cap, and dense) the moments are
-rounded, float64 or mpf, and the Hankel and Descartes tests run on the
-same integer kernels: p_k is rounded once onto the grid 2^-b, b the
-moments' precision in bits + 64, and the grid numerators q_k = p_k 2^b
-are decided with a tolerance tau.
-The grid moves the Hankel matrix by at most its size times 2^-b, far
-below tau.  stieltjes fires when the grid Hankel plus tau 2^b on its
-diagonal is not PSD, i.e. when -lambda_min > tau up to the grid; the
-smallest eigenvalue behind the margin is computed only when read.
-descartes fires when some e_j < -tau, from the Newton numerators of the
-q_k << b(k-1); its margin is the exact route's, rounded once.  The
-default decision tolerance there is 1e-10 for float input and
-10^-(d-10) for d-digit input: near a threshold the decisive quantities
-(e.g. the smallest Hankel eigenvalue) can sit twelve or more orders below
-the moment scale, so a fixed 1e-10 cutoff would blind the high-precision
-path exactly where it is needed.  klm compares fractional powers of the
-rounded moments: the grid would round a tiny positive p_k to 0.
+Every verdict is certified except on float64 input.  Moments with exact
+dyadic numerators (the stabilizer models', under local and global noise,
+GHZ up to the character cap included: MomentVector.exact = (A, s),
+p_k = A_k / 2^(s k)) are decided exactly on the integers, and so is an
+mpf moment vector or scalar handed in directly, as the binary number it
+is.  Moments known by bounds (GHZ past the cap, thresholds.GHZModel:
+MomentVector.bounds, lo_k <= p_k <= hi_k) and scalar Enclosures (its
+least PT eigenvalue, fidelity and purities) are decided by the same
+kernels with a radius: a verdict fires when every value within the
+bounds fires, does not when none does, and is otherwise taken again at
+twice the precision by _certified, the one place precision rises, which
+refuses past MAX_PREC bits with RuntimeError.
+  klm        compares p_l^(m-k) with p_k^(m-l) p_m^(l-k) exactly, on the
+             binary values of the numerators (whose powers of 2 cancel)
+             or of the bounds.
+  stieltjes  on exact numerators, congruence by diag(2^(s i)) makes H_m a
+             positive multiple of the A_k's Hankel, decided by
+             is_psd_exact.  Bounds are scaled by diag(2^c_i), which brings
+             the diagonal to about 2^prec, and put on integers A + [0, R];
+             by Weyl's inequality, with rho = size max R, A + rho I not
+             PSD proves a negative eigenvalue and A - rho I PSD proves
+             none (Yu, Imai and Guehne, PRL 127, 060504 (2021)).
+  descartes  the Newton numerators F_j = j! 2^(s j) e_j over ints; bounds
+             go on the grid 2^-(s k) with s = prec, and the error of each
+             F_j is bounded by the same recurrence on (|A|, R).
+  ppt, fidelity, purity  one decision on a scalar gap, _positive.
+Only float64 input (the dense oracle) keeps a tolerance, FLOAT_TOL:
+stieltjes fires when -lambda_min > FLOAT_TOL max(1, max|H|) and
+descartes when some e_j < -FLOAT_TOL, both decided exactly on the floats'
+binary values, and a float gap must exceed FLOAT_TOL; klm compares the
+fractional powers of float moments.  The Fraction ppt, fidelity and
+purity margins, the enclosures' midpoints and the descartes margins are
+the exact value rounded once to the moments' digits; the klm and
+stieltjes margins come from the rounded values (the Hankel one at 6 m
+more digits), and one whose sign contradicts a certified verdict reads 0.
 """
 
 from __future__ import annotations
@@ -45,12 +50,16 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import (dps_to_prec, from_rational, mpf_shift, round_nearest,
-                          to_int)
+from mpmath.libmp import (dps_to_prec, from_rational,
+                          mpf_cmp, mpf_mul, mpf_shift, mpf_sign, round_ceiling,
+                          round_floor, round_nearest, to_int)
 
-from .spectra import MomentVector, Spectrum, _binary, merge_spectrum
+from .spectra import (Enclosure, MomentVector, Spectrum, _binary,
+                      _exact_power, _midpoint, merge_spectrum)
 
 FLOAT_TOL = 1e-10
+# the precision past which a verdict its bounds leave open is refused
+MAX_PREC = 1 << 16
 
 
 class Verdict:
@@ -94,12 +103,6 @@ def _round_once(x: Fraction, digits: int):
                                      dps_to_prec(digits), round_nearest))
 
 
-def default_tol(digits):
-    if digits is None:
-        return FLOAT_TOL
-    return mpf(10) ** (-(digits - 10))
-
-
 @contextmanager
 def _arithmetic(digits):
     """Unit of the scalar type for `digits` (None = float64), with mpmath
@@ -130,12 +133,50 @@ def _on_grid(x, bits: int) -> int:
     return to_int(mpf_shift(_binary(x), bits), round_nearest)
 
 
+def _certified(test, x) -> tuple:
+    """(test(x), x) for the first of x, x.refine(2 prec), ... that test
+    decides: test gives True or False, or None while the bounds of x (a
+    MomentVector or an Enclosure) leave the verdict open.  This is the one
+    place a verdict raises its precision (Ziv, ACM TOMS 17(3), 1991), and
+    it refuses past MAX_PREC bits."""
+    while (hit := test(x)) is None:
+        if 2 * x.prec > MAX_PREC:
+            raise RuntimeError(f"verdict still undecided at {x.prec} bits")
+        x = x.refine(2 * x.prec)
+    return hit, x
+
+
+def _exact(p: MomentVector) -> tuple:
+    """(A, s) with p_k = A_k / 2^(s k) exactly: the moments' numerators,
+    or their float or mpf values' binary form over the least such s, at
+    least 117 for float64 values so that the grid 2^-s holds FLOAT_TOL to
+    84 bits."""
+    if p.exact is not None:
+        return p.exact
+    xs = [_binary(x) for x in p.values]
+    s = max([117 * (p.digits is None)] + [-(e // k) for k, (_, m, e, _)
+                                          in enumerate(xs, 1) if m])
+    return tuple((-m if sign else m) << e + s * k
+                 for k, (sign, m, e, _) in enumerate(xs, 1)), s
+
+
+def _outward(lo, hi, shift: int) -> tuple:
+    """(A, R): integers with [lo, hi] 2^shift inside [A, A + R]."""
+    low = to_int(mpf_shift(lo, shift), round_floor)
+    return low, to_int(mpf_shift(hi, shift), round_ceiling) - low
+
+
 def _grid(p: MomentVector) -> tuple:
-    """(q, b): the moments rounded once onto the grid 2^-b, q_k the integer
-    nearest p_k 2^b, with b the moments' precision in bits (53 for float64)
-    + 64."""
-    b = (53 if p.digits is None else dps_to_prec(p.digits)) + 64
-    return tuple(_on_grid(x, b) for x in p.values), b
+    """(A, s, R): bounds on the grid 2^-(s k), s = prec, with p_k 2^(s k)
+    in [A_k, A_k + R_k]."""
+    a, r = zip(*(_outward(lo, hi, p.prec * k)
+                 for k, (lo, hi) in enumerate(zip(*p.bounds), 1)))
+    return a, p.prec, r
+
+
+def _shifted(rows, t) -> list:
+    return [[x + t[i] * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def _log2(v):
@@ -193,15 +234,10 @@ def is_psd_exact(rows) -> bool:
 
 def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
     """Three-moment test: p_l > p_k^x p_m^(1-x) with x = (m-l)/(m-k)
-    certifies a negative PT eigenvalue.  On exact numerators this is
-    A_l > 0 and A_l^(m-k) > A_k^(m-l) A_m^(l-k): the powers of 2 cancel."""
+    certifies a negative PT eigenvalue.  Certified, this is p_l > 0 and
+    p_l^(m-k) > p_k^(m-l) p_m^(l-k) (_klm_fires)."""
     if not 1 <= k < l < m <= len(p):
         raise ValueError(f"need 1 <= k < l < m <= {len(p)}, got {(k, l, m)}")
-    # A_k > 0 exactly when p_k > 0
-    ak, al, am = (p.p(i) if p.exact is None else p.exact[0][i - 1]
-                  for i in (k, l, m))
-    if ak <= 0 or am <= 0:
-        raise ValueError("fractional powers need positive p_k and p_m")
 
     def explain():
         pk, pl, pm = p.p(k), p.p(l), p.p(m)
@@ -209,17 +245,49 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
             x = one * (m - l) / (m - k)
             return pl - pk ** x * pm ** (1 - x), {"triple": (k, l, m), "x": x}
 
-    if p.exact is not None:
-        return Verdict(
-            al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k), explain)
+    if p.digits is not None:
+        test = functools.partial(_klm_fires, triple=(k, l, m))
+        return Verdict(_certified(test, p)[0], explain)
+    if p.p(k) <= 0 or p.p(m) <= 0:
+        raise ValueError("fractional powers need positive p_k and p_m")
     margin, witness = explain()
-    return _positive(margin, p.digits, witness=lambda _: witness)
+    return _positive(margin, None, witness=lambda _: witness)
+
+
+def _klm_fires(p: MomentVector, triple: tuple):
+    """klm's decision on exact binary values: the numerators A_k (the
+    powers of 2 cancel, l (m-k) = k (m-l) + m (l-k)) or the bounds.  It
+    fires when p_l^(m-k) > p_k^(m-l) p_m^(l-k) at the lower bound of p_l
+    and the upper ones of p_k and p_m, and not when it fails the other
+    way round."""
+    k, l, m = triple
+    if p.bounds is None:
+        ak, al, am = (_exact(p)[0][i - 1] for i in triple)
+        if ak <= 0 or am <= 0:
+            raise ValueError("fractional powers need positive p_k and p_m")
+        return al > 0 and al ** (m - k) > ak ** (m - l) * am ** (l - k)
+    lo, hi = ([x[i - 1] for i in triple] for x in p.bounds)
+    if mpf_sign(hi[0]) <= 0 or mpf_sign(hi[2]) <= 0:
+        raise ValueError("fractional powers need positive p_k and p_m")
+
+    def beats(x, y):  # x_l^(m-k) > y_k^(m-l) y_m^(l-k)
+        return mpf_cmp(_exact_power(x[1], m - k), mpf_mul(
+            _exact_power(y[0], m - l), _exact_power(y[2], l - k))) > 0
+
+    return True if beats(lo, hi) else None if beats(hi, lo) else False
 
 
 def hankel_margin(p: MomentVector, m: int) -> tuple:
     """(margin, witness) of stieltjes(p, m): the margin is -lambda_min of
     the Hankel matrix, at the precision of hankel_min_eigenvalue (an mpf
-    is negated exactly, not rounded to the caller's mp.prec)."""
+    is negated exactly, not rounded to the caller's mp.prec).  Near a
+    threshold lambda_min sinks exponentially in the matrix size, so exact
+    and bounded moments are first taken to 6 m more digits."""
+    if p.digits is not None and (p.exact or p.bounds) is not None:
+        digits = p.digits + 6 * m
+        p = (MomentVector(exact=p.exact, digits=digits) if p.bounds is None
+             else MomentVector(bounds=p.refine(dps_to_prec(digits)).bounds,
+                               digits=digits))
     min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
     return _negated(min_eig), {"m": m, "min_eigenvalue": min_eig}
 
@@ -227,12 +295,10 @@ def hankel_margin(p: MomentVector, m: int) -> tuple:
 def stieltjes(p: MomentVector, m: int) -> Verdict:
     """Hankel positivity test: a PPT state's moment matrix H_m is PSD, so a
     negative eigenvalue certifies entanglement.  For m=3 this reduces to
-    the p_2^2 > p_3 test.  On exact numerators, congruence by
-    diag(2^(s i)) makes H_m a positive multiple of the A_k's Hankel.
-    Otherwise it fires when -lambda_min > tau = default_tol max(1, max|H|),
-    decided exactly on the grid: the Hankel of the q_k plus tau 2^b on its
-    diagonal is not PSD.  The margin -lambda_min is computed only when
-    read.
+    the p_2^2 > p_3 test.  Certified on exact numerators and on bounds
+    (_hankel_fires); on float64 moments it fires when the Hankel plus tau
+    on its diagonal is not PSD, tau = FLOAT_TOL max(1, max|H|), i.e. when
+    -lambda_min > tau.  The margin -lambda_min is computed only when read.
 
     Past a rank bound the test is PPT itself.  With D distinct nonzero PT
     eigenvalues lambda_i of multiplicity mu_i, H_s = V^T diag(mu_i
@@ -243,22 +309,40 @@ def stieltjes(p: MomentVector, m: int) -> Verdict:
     serves, since equal or vanishing eigenvalues only lower the count.
     The models declare one as hankel_rank_bound: the number of minus-set
     character polynomials under local noise (4, 5 and 4 on the AME(6,2)
-    cuts 1|5, 2|4 and 3|3; [n/2] + 3 on every cut of GHZ up to the
-    character cap, 2 at n = 2), at most 3 under global noise, none for GHZ
-    past the cap (thresholds.GHZModel) and dense.
-    thresholds.evaluate decides such an order by the model's exact PPT
-    verdict, with this function's margin."""
-    size = _hankel_size(p, m)
-    explain = functools.partial(hankel_margin, p, m)
-    if p.exact is not None:
-        a, shift = p.exact[0], 0
-    else:
-        a, b = _grid(p)
-        norm = max(abs(x) for x in p.values[:m])
-        shift = _on_grid(default_tol(p.digits) * max(1, norm), b)
-    rows = [[x + shift * (i == j) for j, x in enumerate(a[i:i + size])]
-            for i in range(size)]
-    return Verdict(not is_psd_exact(rows), explain, exact=p.exact is not None)
+    cuts 1|5, 2|4 and 3|3; [n/2] + 3 on every cut of GHZ, 2 at n = 2 up to
+    the character cap), at most 3 under global noise, none for dense.
+    thresholds.evaluate decides such an order by the model's PPT verdict,
+    with this function's margin."""
+    _hankel_size(p, m)
+    return Verdict(_certified(functools.partial(_hankel_fires, m=m), p)[0],
+                   functools.partial(hankel_margin, p, m),
+                   exact=p.digits is not None)
+
+
+def _hankel_fires(p: MomentVector, m: int):
+    """stieltjes's decision.  Exactly on the numerators A_k = p_k 2^(s k),
+    plus tau 2^(s(2i+1)) on diagonal entry i for float64 moments.  On
+    bounds, entry (i, j) is scaled by 2^(c_i + c_j), c_i bringing the
+    diagonal to about 2^prec, and put on integers in [A, A + R]:
+    every matrix within the bounds is A + E with ||E||_2 <= rho = size
+    max R (Weyl), so A + rho I not PSD proves a negative eigenvalue and
+    A - rho I PSD proves none; in between the bounds leave it open."""
+    size = (m + 1) // 2
+    if p.bounds is None:
+        a, s = _exact(p)
+        tau = 0 if p.digits else FLOAT_TOL * max(1, *map(abs, p.values[:m]))
+        shift = [tau and _on_grid(tau, s * (2 * i + 1)) for i in range(size)]
+        return not is_psd_exact(_shifted([a[i:i + size] for i in range(size)],
+                                         shift))
+    lo, hi = p.bounds
+    c = [(p.prec - hi[2 * i][2] - hi[2 * i][3]) // 2 for i in range(size)]
+    cells = [[_outward(lo[i + j], hi[i + j], c[i] + c[j]) for j in range(size)]
+             for i in range(size)]
+    rows = [[a for a, _ in row] for row in cells]
+    rho = size * max(r for row in cells for _, r in row)
+    if not is_psd_exact(_shifted(rows, [rho] * size)):
+        return True
+    return False if is_psd_exact(_shifted(rows, [-rho] * size)) else None
 
 
 def descartes(p: MomentVector, m: int) -> Verdict:
@@ -266,50 +350,68 @@ def descartes(p: MomentVector, m: int) -> Verdict:
 
     e_1..e_m follow from the power sums by Newton's identities
         e_j = (1/j) sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i;
-    any e_j < 0 certifies a negative eigenvalue.  On exact numerators the
-    integers F_j = j! 2^(s j) e_j follow the same recurrence over ints, and
-    a negative F_j decides.  Rounded moments are put on the grid first,
-    A_k = q_k 2^(b(k-1)) with s = b, and it fires when some
-    F_j < -tau j! 2^(b j), tau = default_tol, i.e. e_j < -tau.  The margin
-    is max_j -e_j, each e_j rounded once, and read only when asked.
+    any e_j < 0 certifies a negative eigenvalue.  The integers
+    F_j = j! 2^(s j) e_j follow the same recurrence over ints from
+    A_k = p_k 2^(s k) (_descartes_fires): exact numerators decide by the
+    sign of F_j, bounds by F_j +- E_j, and float64 moments fire when some
+    F_j < -FLOAT_TOL j! 2^(s j), i.e. e_j < -FLOAT_TOL.  The margin is
+    max_j -e_j from the same numerators (the bounds' lower ends), each e_j
+    rounded once, read only when asked.
     """
     if not 1 <= m <= len(p):
         raise ValueError(f"need 1 <= m <= {len(p)}")
 
-    def explain(es):
-        margin = max(-e for e in es[1:])
-        worst = min(range(1, m + 1), key=lambda j: es[j])
-        return margin, {"elementary": tuple(es[1:]), "worst_j": worst}
-
-    if p.exact is not None:
-        (nums, s), tau = p.exact, 0
-    else:
-        q, s = _grid(p)
-        nums, tau = [x << s * k for k, x in enumerate(q)], default_tol(p.digits)
-    fs = _newton_numerators(tuple(nums))[:m + 1]
-
     def rounded():
+        nums, s = _exact(p) if p.bounds is None else _grid(p)[:2]
+        fs = _newton_numerators(nums)[1:m + 1]
         with _arithmetic(p.digits):
-            return explain([_round_once(Fraction(f, math.factorial(j)
-                                                 << s * j), p.digits)
-                            for j, f in enumerate(fs)])
+            es = tuple(_round_once(Fraction(f, math.factorial(j) << s * j),
+                                   p.digits) for j, f in enumerate(fs, 1))
+            return max(-e for e in es), {"elementary": es,
+                                         "worst_j": 1 + es.index(min(es))}
 
-    return Verdict(any(f < -_on_grid(tau, s * j) * math.factorial(j)
-                       for j, f in enumerate(fs) if j),
-                   rounded, exact=p.exact is not None)
+    return Verdict(_certified(functools.partial(_descartes_fires, m=m), p)[0],
+                   rounded, exact=p.digits is not None)
 
 
-# One entry: a battery judges descartes at every order on one moment
-# vector in turn, and F_j reads only A_1..A_j, so each reuses the first
-# call's sequence.
-@functools.lru_cache(maxsize=1)
-def _newton_numerators(nums: tuple) -> tuple:
+def _descartes_fires(p: MomentVector, m: int):
+    """Whether some e_j < 0, j <= m.  With A' within [A, A + R] of the
+    bounds on the grid 2^-(s k), s = prec, |F_j(A') - F_j(A)| <= E_j =
+    G_j(|A| + R) - G_j(|A|), G_j the recurrence with every sign +, whose
+    monomials are those of F_j with their coefficients' absolute values:
+    it fires when some F_j + E_j < 0, not when every F_j >= E_j."""
+    if p.bounds is None:
+        nums, s = _exact(p)
+        fs = _newton_numerators(nums)[1:m + 1]
+        if p.digits is not None:
+            return any(f < 0 for f in fs)
+        return any(f < -_on_grid(FLOAT_TOL, s * j) * math.factorial(j)
+                   for j, f in enumerate(fs, 1))
+    a, s, r = _grid(p)
+    fs, base, wide = (_newton_numerators(*args)[1:m + 1] for args in (
+        (a,), (tuple(map(abs, a)), 1),
+        (tuple(abs(x) + y for x, y in zip(a, r)), 1)))
+    errs = [x - y for x, y in zip(wide, base)]
+    if any(f + e < 0 for f, e in zip(fs, errs)):
+        return True
+    return False if all(f >= e for f, e in zip(fs, errs)) else None
+
+
+# A battery judges descartes at every order on one moment vector in turn,
+# and F_j reads only A_1..A_j, so each reuses the first call's sequence;
+# bounds add the two majorant sequences.
+@functools.lru_cache(maxsize=3)
+def _newton_numerators(nums: tuple, sign: int = -1) -> tuple:
     """F_0..F_len(nums) with F_j = j! 2^(s j) e_j, by Newton's
-    identities over ints from p_i = A_i / 2^(s i)."""
+    identities over ints from p_i = A_i / 2^(s i); sign=1 adds every
+    term."""
     fs = [1]
     for j in range(1, len(nums) + 1):
-        fs.append(sum((-1) ** (i - 1) * math.perm(j - 1, i - 1) * fs[j - i]
-                      * nums[i - 1] for i in range(1, j + 1)))
+        acc, c = 0, 1  # c = sign^(i-1) (j-1)! / (j-i)!
+        for i in range(1, j + 1):
+            acc += c * fs[j - i] * nums[i - 1]
+            c *= sign * (j - i)
+        fs.append(acc)
     return tuple(fs)
 
 
@@ -369,10 +471,10 @@ def stieltjes_witness(s: Spectrum, m: int) -> list:
 def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
-    2^-bell_pairs, so with none the criterion certifies nothing.  digits
-    is the precision of mpf input; float input is judged as float64, and a
-    Fraction exactly, its margin rounded once to digits."""
-    if not 0 <= f <= 1:
+    2^-bell_pairs, so with none the criterion certifies nothing.  f is a
+    Fraction, an mpf or an Enclosure, decided exactly (_positive), or a
+    float, judged as float64; digits is the precision of the margin."""
+    if not isinstance(f, Enclosure) and not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
     return _positive(_difference(f, Fraction(1, 2)), digits,
                      fires=bell_pairs >= 1)
@@ -380,39 +482,44 @@ def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
 
 def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
-    digits as for fidelity_criterion.  Two Fraction purities are compared
-    exactly; an mpf margin is their exact difference, as fidelity's."""
-    if not (0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
+    input and digits as for fidelity_criterion.  An mpf margin is the exact
+    difference of two mpf purities."""
+    if not isinstance(global_purity, Enclosure) and not (
+            0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
     return _positive(_difference(global_purity, subsystem_purity), digits)
 
 
-def ppt_verdict(low, digits, scale=1) -> Verdict:
+def ppt_verdict(low, digits) -> Verdict:
     """The PPT criterion on the least PT eigenvalue low: the margin is
-    -low, decided by _positive with the tolerance times scale, and the
-    witness is low as the margin reads it (rounded once when exact)."""
-    return _positive(_negated(low), digits, scale=scale,
+    -low, decided by _positive, and the witness is low as the margin reads
+    it (rounded once when exact)."""
+    return _positive(_negated(low), digits,
                      witness=lambda m: {"min_eigenvalue": _negated(m)})
 
 
-def _positive(gap, digits, fires=True, scale=1,
+def _positive(gap, digits, fires=True,
               witness=lambda margin: None) -> Verdict:
     """The one decision on a scalar gap (positive = detected), which fires
-    only if fires.  A Fraction is decided exactly, as gap > 0, and its
-    margin is the gap rounded once to digits.  A float or mpf must exceed
-    default_tol * scale, formed at the gap's precision (float64 for a
-    float, digits otherwise), and is its own margin.  witness(margin)
-    builds the witness when read."""
-    if isinstance(gap, Fraction):
+    only if fires.  A Fraction or an mpf is an exact binary number, decided
+    as gap > 0; an Enclosure once its bounds agree (_certified); a float
+    must exceed FLOAT_TOL.  An mpf or float gap is its own margin; else
+    the margin is the exact gap, or the enclosure's midpoint, rounded once
+    to digits.  witness(margin) builds the witness when read."""
+    if isinstance(gap, Enclosure):
+        hit, gap = _certified(lambda x: mpf_sign(x.lo) > 0 or (
+            None if mpf_sign(x.hi) > 0 else False), gap)
+        margin = functools.partial(_midpoint, gap.lo, gap.hi, digits)
+    elif isinstance(gap, Fraction):
         hit, margin = gap > 0, functools.partial(_round_once, gap, digits)
     else:
-        rounded = None if isinstance(gap, float) else digits
-        with _arithmetic(rounded):
-            hit, margin = gap > default_tol(rounded) * scale, lambda: gap
+        hit = gap > (FLOAT_TOL if isinstance(gap, float) else 0)
+        margin = lambda: gap  # noqa: E731
 
     def explain():
         m = margin()
         return m, witness(m)
 
-    exact = fires and isinstance(gap, Fraction)
+    exact = fires and not isinstance(gap, float)
     return Verdict(fires and hit, explain, exact=exact)
+

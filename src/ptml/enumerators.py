@@ -46,7 +46,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .pauli import Bipartition, StabilizerGroup, state_catalog
-from .spectra import _binary, round_dyadic
+from .spectra import dyadic_one_minus, round_dyadic
 
 BRUTEFORCE_BUDGET = 1 << 26
 BRUTEFORCE_BLOCK = 1 << 14
@@ -507,15 +507,6 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
         if cm:
             cminus[w] = cm
     return CWTable(n, k, bip, cplus, cminus)
-
-
-def dyadic_one_minus(eps) -> tuple:
-    """(a, f) with 1 - eps = a / 2^f exactly, from eps's binary form."""
-    if not 0 <= eps <= 1:
-        raise ValueError("eps must lie in [0, 1]")
-    _, man, exp, _ = _binary(eps)
-    f = max(0, -exp)
-    return (1 << f) - (man << (exp + f)), f
 
 
 def dyadic_numerator(coeffs, a: int, f: int) -> int:

@@ -9,7 +9,13 @@ eigenvalue powers around 10^-100 and float64 would return noise.
 The GHZ moments themselves have a closed form with k + 1 binomial terms
 per moment (ghz_local_moments), so GHZModel, the GHZ model past the
 character cap, never builds the n + 3 entry spectrum; ghz_local_spectrum
-with moments_from_spectrum is its oracle.  Up to the cap GHZ is a
+with moments_from_spectrum is its oracle.  Every term of that closed
+form, as of the least eigenvalue, fidelity and purities, is a product of
+powers of exact binary numbers, so evaluating it once with every
+operation rounded down and once rounded up (mpmath.libmp's directed
+rounding) encloses it: MomentVector.bounds and Enclosure carry such
+bounds with a refine(prec) that bounds them again at another precision,
+and the criteria decide on them (criteria._certified).  Up to the cap GHZ is a
 stabilizer model (thresholds.GHZStabilizerModel) whose polynomials are this
 spectrum in closed form, exact at any binary eps.
 moments_from_spectrum sums exactly: every entry is a binary number with an
@@ -33,8 +39,11 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp,
-                          mpf_sum, round_nearest)
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, fzero,
+                          from_man_exp, mpf_add, mpf_mul,
+                          mpf_le, mpf_neg, mpf_pow_int, mpf_shift,
+                          mpf_sub, round_ceiling, round_floor, round_nearest,
+                          to_float)
 
 
 DEFAULT_DIGITS = 60
@@ -63,40 +72,52 @@ class MomentVector:
 
     digits records the working precision (None means float64 arithmetic).
     exact holds (A, s) for dyadic p_k = A_k / 2^(s k), s the exponent of the
-    exact PT spectrum the moments sum.  Given exact and no values, the
-    values are the A_k rounded to digits, computed on first read: exact
-    verdicts never read them.  spectrum() returns that spectrum (entries,
-    s), eigenvalues A_i / 2^s over (A_i, mu_i), whose Schatten sums are
-    rounded on first read likewise.
+    exact PT spectrum the moments sum.  bounds holds (lo, hi), binary
+    numbers (libmp tuples) with lo_k <= p_k <= hi_k, bounded at prec bits,
+    and refine(prec) bounds the same moments at another precision.  Given
+    exact or bounds and no values, the values are the A_k, or the
+    midpoints of the bounds, rounded once to digits on first read:
+    verdicts never read them.  spectrum() returns the exact spectrum
+    (entries, s), eigenvalues A_i / 2^s over (A_i, mu_i), whose Schatten
+    sums are rounded on first read likewise.
     """
 
     def __init__(self, values: tuple = None, schatten: tuple = None,
-                 digits: int = None, exact: tuple = None, spectrum=None):
-        if values is None and exact is None:
-            raise ValueError("a moment vector needs values or numerators")
+                 digits: int = None, exact: tuple = None, spectrum=None,
+                 bounds: tuple = None, prec: int = None, refine=None):
+        if values is None and exact is None and bounds is None:
+            raise ValueError("a moment vector needs values, numerators or "
+                             "bounds")
         if values is not None:
             self.values = values  # shadows the rounding below
-        if schatten is not None or spectrum is None:
+        if callable(schatten):
+            self._schatten = schatten
+        elif schatten is not None or spectrum is None:
             self.schatten = schatten  # shadows the spectrum's sums
         self.digits = digits
         self.exact = exact
         self._spectrum = spectrum
+        self.bounds, self.prec, self.refine = bounds, prec, refine
 
     @functools.cached_property
     def values(self) -> tuple:
+        if self.bounds is not None:
+            return tuple(_midpoint(lo, hi, self.digits)
+                         for lo, hi in zip(*self.bounds))
         nums, s = self.exact
-        prec = dps_to_prec(self.digits)
-        return tuple(round_dyadic(a, -s * k, prec)
+        return tuple(round_dyadic(a, -s * k, dps_to_prec(self.digits))
                      for k, a in enumerate(nums, 1))
 
     @functools.cached_property
     def schatten(self) -> tuple:
+        if self._spectrum is None:
+            return self._schatten()
         entries, s = self._spectrum()
         sums = power_sums([(abs(a), mu) for a, mu in entries], len(self))
         return MomentVector(exact=(sums, s), digits=self.digits).values
 
     def __len__(self):
-        return len(self.values if self.exact is None else self.exact[0])
+        return len((self.exact or self.bounds or (self.values,))[0])
 
     def p(self, k: int):
         if not 1 <= k <= len(self):
@@ -118,24 +139,6 @@ def power_sums(entries, m_max: int) -> tuple:
                  for k in range(1, m_max + 1))
 
 
-def ghz_pair(n: int, a: int, e) -> tuple:
-    """(d, g) of the isolated PT eigenvalue pair d +- g of the locally
-    depolarized GHZ state, a = |A| qubits on side A, at mpf noise rate e.
-
-    The PT moves the coherence g = (1-e)^n / 2 onto 1_A 0_B and 0_A 1_B,
-    whose population is d = (u^(n-a) v^a + u^a v^(n-a)) / 2, u = 1 - e/2,
-    v = e/2, formed as (uv)^s (u^(n-2s) + v^(n-2s)) / 2, s = min(a, n - a):
-    at s = n/2 the bracket is exactly 2, so d is exactly (uv)^(n/2).
-    """
-    if n < 2 or not 0 <= a <= n:
-        raise ValueError(f"GHZ needs n >= 2 and a cut size in 0..{n}")
-    if not 0 <= e <= 1:
-        raise ValueError("eps must lie in [0, 1]")
-    u, v, s = 1 - e / 2, e / 2, min(a, n - a)
-    return ((u * v) ** s * (u ** (n - 2 * s) + v ** (n - 2 * s)) / 2,
-            (1 - e) ** n / 2)
-
-
 def ghz_local_spectrum(n: int, eps, digits: int = DEFAULT_DIGITS,
                        a: int = None) -> Spectrum:
     """PT spectrum of the locally depolarized n-qubit GHZ state across a cut
@@ -144,32 +147,35 @@ def ghz_local_spectrum(n: int, eps, digits: int = DEFAULT_DIGITS,
     With u = 1-e/2 and v = e/2 the eigenvalues are, for j = 0..n,
         lambda_j = (u^(n-j) v^j + u^j v^(n-j)) / 2
     with multiplicity C(n,j) - delta_{j,a} - delta_{j,n-a}, plus the
-    isolated pair d +- g of ghz_pair (d = lambda_a), multiplicity 1 each.
+    isolated pair d +- g, multiplicity 1 each: the PT moves the coherence
+    g = (1-e)^n / 2 onto 1_A 0_B and 0_A 1_B, whose population is
+    d = lambda_a.
     """
     a = n // 2 if a is None else a
+    if n < 2 or not 0 <= a <= n:
+        raise ValueError(f"GHZ needs n >= 2 and a cut size in 0..{n}")
     with workdps(digits):
-        e = mpf(eps)
-        cross, gap = ghz_pair(n, a, e)
-        u, v = 1 - e / 2, e / 2
-        entries = []
-        for j in range(n + 1):
-            lam = (u ** (n - j) * v ** j + u ** j * v ** (n - j)) / 2
-            mu = math.comb(n, j) - (j == a) - (j == n - a)
-            entries.append((lam, mu))
-        entries += [(cross + gap, 1), (cross - gap, 1)]
+        u, v, q = (mp.make_mpf(x) for x in _ghz_bases(eps))
+        entries = [((u ** (n - j) * v ** j + u ** j * v ** (n - j)) / 2,
+                    math.comb(n, j) - (j == a) - (j == n - a))
+                   for j in range(n + 1)]
+        d, g = entries[a][0], q ** n / 2
+        entries += [(d + g, 1), (d - g, 1)]
     return Spectrum(tuple(entries), digits=digits)
 
 
 def ghz_local_moments(n: int, eps, m_max: int,
-                      digits: int = DEFAULT_DIGITS,
-                      a: int = None) -> MomentVector:
+                      digits: int = DEFAULT_DIGITS, a: int = None,
+                      prec: int = None) -> MomentVector:
     """PT moments of the locally depolarized GHZ state across a cut with
-    a = |A| qubits on side A (default n // 2), in closed form: m_max + 1
-    n-th powers, O(m_max) further mpf operations and O(m_max^2) integer
-    products, independent of n.
+    a = |A| qubits on side A (default n // 2), in closed form and enclosed:
+    bounds lo_k <= p_k <= hi_k at prec bits (default: digits' bits), and
+    refine(prec) encloses them again at another precision.  The cost is
+    m_max + 1 n-th powers and O(m_max^2) further operations, independent
+    of n.
 
     Expanding the spectrum of ghz_local_spectrum binomially, with
-    u = 1 - e/2, v = e/2 and the isolated pair d +- g of ghz_pair,
+    u = 1 - e/2, v = e/2 and the isolated pair d +- g,
 
         p_k = 2^-k sum_{t=0..k} C(k,t) (u^t v^(k-t) + u^(k-t) v^t)^n
               + 2 sum_{even i >= 2} C(k,i) d^(k-i) g^i.
@@ -177,52 +183,154 @@ def ghz_local_moments(n: int, eps, m_max: int,
     With s = min(t, k-t) and j = k - 2s the band bracket is (uv)^s (u^j +
     v^j), so its n-th power is P^s W_j with P = (uv)^n and W_j = (u^j +
     v^j)^n: the band sums take the n-th powers W_0..W_m_max once.  The cut
-    moves only d; the band sum is the same on every cut.  Only the isolated
-    eigenvalue d - g can be negative, so the Schatten sum is
-    ptilde_k = p_k + 2 (g - d)^k for odd k when g > d, else p_k.  Every
-    term is nonnegative, so nothing cancels.  The powers are formed with
-    guard digits (the n-th powers amplify the base's rounding error n-fold,
-    and P^s another s-fold); each term is their exact product, and each
-    sum is mpmath's mpf_sum, accumulated over ints and rounded once to
-    digits (it drops a term below 2^-(2 prec) of its running sum, worth
-    far less than a unit in the last place of a nonnegative sum).
+    moves only d = (uv)^s (u^(n-2s) + v^(n-2s)) / 2, s = min(a, n - a);
+    the band sum is the same on every cut.  Every term is a product of
+    powers of the exact binary numbers u, v and 1 - e, so _ghz_forms
+    rounds every operation down for lo and up for hi.  The values are the
+    midpoints rounded once to digits.  Only the isolated eigenvalue d - g
+    can be negative, so the Schatten sum is ptilde_k = p_k + 2 (g - d)^k
+    for odd k when g > d, else p_k, formed from the values for display.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    prec = dps_to_prec(digits)
-    with workdps(digits + 12 + len(str(n))):
-        e = mpf(eps)
-        d, g = ghz_pair(n, n // 2 if a is None else a, e)
-        u, v = 1 - e / 2, e / 2
-        w = [_binary((u ** j + v ** j) ** n) for j in range(m_max + 1)]
-        pw = _binary_powers((u * v) ** n, m_max // 2)
-        dp, gp = _binary_powers(d, m_max), _binary_powers(g, m_max)
-        p, pt = [], []
-        for k in range(1, m_max + 1):
-            terms = []  # exact mpmath tuples
-            for t in range(k + 1):
-                s, j = min(t, k - t), abs(k - 2 * t)
-                terms.append(from_man_exp(math.comb(k, t) * pw[s][1] * w[j][1],
-                                          pw[s][2] + w[j][2] - k))
-            for i in range(2, k + 1, 2):
-                terms.append(from_man_exp(
-                    2 * math.comb(k, i) * dp[k - i][1] * gp[i][1],
-                    dp[k - i][2] + gp[i][2]))
-            p.append(mp.make_mpf(mpf_sum(terms, prec, round_nearest)))
-            if k % 2 and g > d:
-                terms.append(_binary(2 * (g - d) ** k))
-                pt.append(mp.make_mpf(mpf_sum(terms, prec, round_nearest)))
-            else:
-                pt.append(p[-1])
-    return MomentVector(tuple(p), tuple(pt), digits=digits)
+    a = n // 2 if a is None else a
+    prec = dps_to_prec(digits) if prec is None else prec
+    lo, hi = (_ghz_forms(n, a, eps, m_max, prec, rnd)
+              for rnd in (round_floor, round_ceiling))
+
+    def schatten():  # g - d > 0 exactly when the least eigenvalue is < 0
+        with workdps(digits):
+            gap = max(-mp.make_mpf(lo[0]), 0)
+            return tuple(x + 2 * gap ** k if k % 2 else x
+                         for k, x in enumerate(p.values, 1))
+
+    p = MomentVector(digits=digits, bounds=(lo[1:], hi[1:]), prec=prec,
+                     schatten=schatten, refine=functools.partial(
+                         ghz_local_moments, n, eps, m_max, digits, a))
+    return p
 
 
-def _binary_powers(x, top: int) -> list:
-    """x^0..x^top by running products, as exact mpmath tuples."""
-    out = [mpf(1)]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return [_binary(y) for y in out]
+def _ghz_forms(n: int, a: int, eps, m_max: int, prec: int, rnd) -> list:
+    """The least PT eigenvalue min(d - g, lambda_[n/2]) of
+    ghz_local_spectrum (lambda_[n/2] is d on the cut of [n/2] qubits) and
+    p_1..p_m_max of ghz_local_moments, binary numbers (libmp tuples)
+    rounded toward rnd at prec bits.  Every term is a product of powers of
+    the exact u, v and 1 - eps (_ghz_bases), so rounding every step down
+    (round_floor) bounds each value below and rounding up (round_ceiling)
+    above; the g subtracted from d is rounded the other way."""
+    if n < 2 or not 0 <= a <= n:
+        raise ValueError(f"GHZ needs n >= 2 and a cut size in 0..{n}")
+    u, v, q = _ghz_bases(eps)
+    uv = mpf_mul(u, v)
+
+    def power(x, k):
+        return mpf_pow_int(x, k, prec, rnd)
+
+    def times(x, y):
+        return mpf_mul(x, y, prec, rnd)
+
+    def pair(s):  # (uv)^s (u^(n-2s) + v^(n-2s)) / 2 with s = min(s, n-s)
+        s = min(s, n - s)
+        return times(power(uv, s),
+                     _sum_of_powers((u, v), n - 2 * s, 1, prec, rnd))
+
+    d, g = pair(a), _sum_of_powers((q,), n, 1, prec, rnd)
+    other = round_floor if rnd == round_ceiling else round_ceiling
+    low = mpf_sub(d, _sum_of_powers((q,), n, 1, prec, other), prec, rnd)
+    band = d if min(a, n - a) == n // 2 else pair(n // 2)
+    w = [power(mpf_add(_exact_power(u, j), _exact_power(v, j)), n)
+         for j in range(m_max + 1)]
+    # P = (uv)^n, which is d^2 on the balanced cut
+    big = times(d, d) if 2 * a == n else power(uv, n)
+    pw, dp, gp = [fone], [fone], [fone]
+    for i in range(m_max):
+        if i < m_max // 2:
+            pw.append(times(pw[-1], big))
+        dp.append(times(dp[-1], d))
+        gp.append(times(gp[-1], g))
+    out = [low if mpf_le(low, band) else band]
+    for k in range(1, m_max + 1):  # exact products, sums rounded toward rnd
+        terms = [_product(pw[t], w[k - 2 * t], math.comb(k, t) << (2 * t != k))
+                 for t in range(k // 2 + 1)]
+        terms += [_product(dp[k - i], gp[i], math.comb(k, i) << k + 1)
+                  for i in range(2, k + 1, 2)]
+        out.append(mpf_shift(_total(terms, prec, rnd), -k))
+    return out
+
+
+def _ghz_bases(eps) -> tuple:
+    """u = 1 - eps/2, v = eps/2 and 1 - eps as exact binary numbers (libmp
+    tuples): with 1 - eps = q / 2^f, u = (2^f + q) / 2^(f+1) and
+    v = (2^f - q) / 2^(f+1)."""
+    q, f = dyadic_one_minus(eps)
+    return (from_man_exp((1 << f) + q, -f - 1),
+            from_man_exp((1 << f) - q, -f - 1), from_man_exp(q, -f))
+
+
+def _sum_of_powers(xs, k: int, shift: int, prec: int, rnd) -> tuple:
+    """(sum_x x^k) / 2^shift over nonnegative binary numbers (libmp tuples),
+    every step rounded toward rnd at prec bits."""
+    return mpf_shift(_total([mpf_pow_int(x, k, prec, rnd) for x in xs], prec,
+                            rnd), -shift)
+
+
+def _total(xs, prec: int, rnd) -> tuple:
+    return functools.reduce(lambda x, y: mpf_add(x, y, prec, rnd), xs)
+
+
+def _product(x: tuple, y: tuple, c: int) -> tuple:
+    """x y c exactly, for nonnegative binary numbers x, y and integer c."""
+    man = x[1] * y[1] * c
+    return (0, man, x[2] + y[2], man.bit_length()) if man else fzero
+
+
+def _exact_power(x: tuple, e: int) -> tuple:
+    """max(x, 0)^e exactly, for a binary number x (libmp tuple), e >= 1
+    (e = 0 too when x >= 0)."""
+    sign, man, exp, _ = x
+    return from_man_exp(0 if sign else man ** e, exp * e)
+
+
+class Enclosure:
+    """A real number known to lie in [lo, hi], exact binary numbers
+    (libmp tuples) bounded at prec bits; refine(prec) encloses it again at
+    another precision.  Negation and differences round outward."""
+
+    def __init__(self, lo: tuple, hi: tuple, prec: int, refine):
+        self.lo, self.hi, self.prec, self.refine = lo, hi, prec, refine
+
+    def __neg__(self):
+        return Enclosure(mpf_neg(self.hi), mpf_neg(self.lo), self.prec,
+                         lambda prec: -self.refine(prec))
+
+    def __sub__(self, y):
+        """self - y for an Enclosure or a binary number y."""
+        if not isinstance(y, Enclosure):
+            y = Enclosure(_binary(y), _binary(y), self.prec, lambda prec: y)
+        return Enclosure(mpf_sub(self.lo, y.hi, self.prec, round_floor),
+                         mpf_sub(self.hi, y.lo, self.prec, round_ceiling),
+                         self.prec,
+                         lambda prec: self.refine(prec) - y.refine(prec))
+
+    def __float__(self):
+        return to_float(mpf_add(self.lo, self.hi, 53)) / 2
+
+
+def enclose(value, prec: int) -> Enclosure:
+    """The Enclosure of value(prec, rnd), a binary number computed with
+    every operation rounded toward rnd, so that round_floor gives a lower
+    bound and round_ceiling an upper one (see _ghz_forms)."""
+    return Enclosure(value(prec, round_floor), value(prec, round_ceiling),
+                     prec, functools.partial(enclose, value))
+
+
+def dyadic_one_minus(eps) -> tuple:
+    """(a, f) with 1 - eps = a / 2^f exactly, from eps's binary form."""
+    if not 0 <= eps <= 1:
+        raise ValueError("eps must lie in [0, 1]")
+    _, man, exp, _ = _binary(eps)
+    f = max(0, -exp)
+    return (1 << f) - (man << (exp + f)), f
 
 
 def moments_from_spectrum(s: Spectrum, m_max: int) -> MomentVector:
@@ -278,6 +386,12 @@ def _round_dyadic_sum(terms: list, prec: int):
                   for (m1, e1), (m2, e2) in zip(terms[::2], terms[1::2])]
         terms = merged + terms[len(merged) * 2:]
     return round_dyadic(*terms[0], prec)
+
+
+def _midpoint(lo: tuple, hi: tuple, digits: int):
+    """(lo + hi) / 2 of two binary numbers, rounded once to digits."""
+    return mp.make_mpf(mpf_shift(mpf_add(lo, hi, dps_to_prec(digits),
+                                         round_nearest), -1))
 
 
 def round_dyadic(man: int, exp: int, prec: int):

@@ -33,9 +33,10 @@ and hankel_rank_bound, see below), and make_model is the one dispatch from
   GHZStabilizerModel local noise, GHZ on any cut up to
                     CHARACTER_QUBIT_CAP qubits: the stabilizer model with
                     its polynomials in closed form.
-  GHZModel          local noise, GHZ on any cut past the cap: PT moments
-                    and the PPT verdict in closed form, in extended
-                    precision at a cost independent of n.
+  GHZModel          local noise, GHZ on any cut past the cap: PT moments,
+                    the least PT eigenvalue, fidelity and purities in
+                    closed form, enclosed by directed rounding at a cost
+                    independent of n, so every verdict is certified.
   GlobalNoiseModel  global noise: the stabilizer model with one-step
                     weights [S != I], whose polynomials are three linear
                     levels fixed by n and the Bell pair count, exact at
@@ -58,9 +59,9 @@ computed only when read, and the battery reads no moments for it:
                     or 2r = n): stieltjes:5 is PPT for every globally
                     depolarized stabilizer state, at any n and on any cut,
                     the paper's claim that p_1..p_5 suffice.
-  GHZModel          None: its PPT verdict's tolerance is relative (to
-                    d, criteria.ppt_verdict's scale) and its Hankel
-                    test's absolute.
+  GHZModel          [n/2] + 3 on every cut, as GHZStabilizerModel:
+                    the n + 1 band eigenvalues pair up as lambda_j =
+                    lambda_(n-j), plus the isolated pair.
   DenseModel        None: the oracle takes no shortcut.
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
@@ -79,7 +80,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf, workdps
+from mpmath.libmp import (dps_to_prec, fone, mpf_add, mpf_mul, mpf_shift,
+                          mpf_sub)
 
 from . import criteria
 from .dense import (
@@ -108,25 +110,18 @@ from .enumerators import (
 from .pauli import Bipartition, StabilizerGroup, bell_pair_rank, state_catalog
 from .spectra import (
     DEFAULT_DIGITS,
+    Enclosure,
     MomentVector,
+    _ghz_bases,
+    _ghz_forms,
+    _sum_of_powers,
+    enclose,
     ghz_local_moments,
-    ghz_pair,
 )
 
 BRACKET_TOL = 1e-9
 GRID_POINTS = 65
 
-
-def _order_digits(m_max: int) -> int:
-    """Working precision for moment criteria of order m_max.
-
-    Near a threshold the smallest Hankel eigenvalue scales like
-    lambda_min * prod_i (lambda_min - lambda_i)^2, which sinks exponentially
-    in the matrix size; a precision (and with it a decision tolerance,
-    10^-(digits-10)) that grows linearly in the order keeps the decisive
-    sign above the noise floor.
-    """
-    return DEFAULT_DIGITS + 6 * m_max
 
 # The moment orders and klm triples of the GHZ-family sweep's battery.
 FIG1_KLM_TRIPLES = ((1, 2, 3), (3, 4, 5), (5, 6, 7), (3, 6, 7))
@@ -200,8 +195,8 @@ def _cut_label(bip: Bipartition) -> str:
     return ",".join(str(q) for q in sorted(bip.a_set))
 
 
-def _ghz_label(n: int, bip: Bipartition) -> str:
-    cut = "balanced" if 2 * len(bip.a_set) == n else _cut_label(bip)
+def _ghz_label(n: int, a: int, bip: Bipartition) -> str:
+    cut = "balanced" if 2 * a == n else _cut_label(bip)
     return f"ghz n={n} cut={cut}"
 
 
@@ -213,65 +208,58 @@ def _check_cut(bip: Bipartition, n: int) -> Bipartition:
 
 
 class GHZModel:
-    """Locally depolarized GHZ state across any cut (default balanced),
-    closed form in extended precision at a cost independent of n:
-    make_model's GHZ model past the character cap, beyond the reach of the
-    character transform that checks GHZStabilizerModel."""
+    """Locally depolarized GHZ state across any cut (default balanced, given
+    by its size alone: at n = 10^8 its label set would take gigabytes),
+    closed form at a cost independent of n: make_model's GHZ model past
+    the character cap, beyond the reach of the character transform that
+    checks GHZStabilizerModel.  Its moments come as bounds and its PPT
+    eigenvalue, fidelity and purities as Enclosures at prec bits (the
+    digits' bits), every one refined on demand, so every verdict is
+    certified (criteria._certified) and hankel_rank_bound, the [n/2] + 3
+    distinct PT eigenvalues, is sound."""
 
     bell_pairs = 1
-    # its PPT verdict's tolerance is relative and its Hankel test's absolute
-    hankel_rank_bound = None
 
     def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
-        self.bip = _check_cut(Bipartition.balanced(n) if bip is None else bip,
-                              n)
-        self.a = len(self.bip.a_set)
-        self.n = n
+        if bip is None and n % 2:
+            raise ValueError("no default bipartition for odd n; pass a cut")
+        self.a = n // 2 if bip is None else len(_check_cut(bip, n).a_set)
+        self.n, self._bip = n, bip
         self.digits = DEFAULT_DIGITS if digits is None else digits
+        self.prec = dps_to_prec(self.digits)
+        self.hankel_rank_bound = n // 2 + 3
 
     def describe(self) -> str:
-        return _ghz_label(self.n, self.bip)
+        return _ghz_label(self.n, self.a, self._bip)
 
     def moments(self, eps, m_max: int) -> MomentVector:
-        return ghz_local_moments(self.n, eps, m_max,
-                                 max(self.digits, _order_digits(m_max)),
-                                 a=self.a)
+        return ghz_local_moments(self.n, eps, m_max, self.digits, self.a)
 
     def ppt(self, eps) -> criteria.Verdict:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
-        # verdict rests on the isolated pair d +- g.  Near the threshold at
-        # large n, d - g sits far below any absolute tolerance (about
-        # 1e-63 at n = 200), so the decision is relative to d.  The least
-        # eigenvalue is d - g or the least band eigenvalue lambda_[n/2],
-        # which is ghz_pair's d on the cut of [n/2] qubits.
-        with workdps(self.digits):
-            e = mpf(eps)
-            d, g = ghz_pair(self.n, self.a, e)
-            low = min(d - g, ghz_pair(self.n, self.n // 2, e)[0])
-        return criteria.ppt_verdict(low, self.digits, scale=d)
+        # least one is d - g or the least band eigenvalue lambda_[n/2].
+        return criteria.ppt_verdict(enclose(
+            lambda prec, rnd: _ghz_forms(self.n, self.a, eps, 0, prec, rnd)[0],
+            self.prec), self.digits)
 
-    def fidelity(self, eps):
-        # sum_i a_i (1-eps)^i: even-weight Z-type binomials plus 2^(n-1)
-        # X-type elements of full weight, halved so no power overflows; in
-        # mpf with guard digits for the n-th powers, as purities
-        n = self.n
-        with workdps(self.digits + 10 + len(str(n))):
-            q = 1 - mpf(eps)
-            f = (((1 + q) / 2) ** n + ((1 - q) / 2) ** n + q ** n) / 2
-        with workdps(self.digits):
-            return +f
+    def fidelity(self, eps) -> Enclosure:
+        # sum_i a_i (1-eps)^i = (u^n + v^n + (1-eps)^n) / 2: even-weight
+        # Z-type binomials plus 2^(n-1) X-type elements of full weight
+        u, v, q = _ghz_bases(eps)
+        return enclose(functools.partial(_sum_of_powers, (u, v, q), self.n, 1),
+                       self.prec)
 
-    def purities(self, eps):
-        # Global and |A|-qubit marginal purity in closed form, r = (1-eps)^2;
-        # mpf, as the former reaches 2^-n.  For 1 <= |A| <= n-1 the marginal
-        # is the dephased mixture of 0..0 and 1..1.
-        n, s = self.n, self.a
-        with workdps(self.digits + 10 + len(str(n))):
-            r = (1 - mpf(eps)) ** 2
-            pair = (mp.ldexp((1 + r) ** n + (1 - r) ** n + (2 * r) ** n, -n - 1),
-                    mp.ldexp((1 + r) ** s + (1 - r) ** s, -s - 1))
-        with workdps(self.digits):
-            return tuple(+v for v in pair)
+    def purities(self, eps) -> tuple:
+        # Global and |A|-qubit marginal purity in closed form, r = (1-eps)^2:
+        # ((1+r)^n + (1-r)^n + (2r)^n) / 2^(n+1) and, the marginal being the
+        # dephased mixture of 0..0 and 1..1, ((1+r)^s + (1-r)^s) / 2^(s+1)
+        q = _ghz_bases(eps)[2]
+        r = mpf_mul(q, q)
+        plus, minus = mpf_add(fone, r), mpf_sub(fone, r)
+        return tuple(enclose(functools.partial(_sum_of_powers, xs, k, k + 1),
+                             self.prec)
+                     for xs, k in (((plus, minus, mpf_shift(r, 1)), self.n),
+                                   ((plus, minus), self.a)))
 
 
 class StabilizerModel:
@@ -334,7 +322,7 @@ class StabilizerModel:
         a, f = dyadic_one_minus(eps)
         nums = tuple(dyadic_numerator(self._power(k), a, f)
                      for k in range(1, m_max + 1))
-        return MomentVector(digits=max(self.digits, _order_digits(m_max)),
+        return MomentVector(digits=self.digits,
                             exact=(nums, f * self._degree + self.g.n),
                             spectrum=functools.partial(self._pt_spectrum, eps))
 
@@ -383,7 +371,7 @@ class GHZStabilizerModel(StabilizerModel):
         return _sorted_set(polys)
 
     def describe(self) -> str:
-        return _ghz_label(self.g.n, self.bip)
+        return _ghz_label(self.g.n, len(self.bip.a_set), self.bip)
 
 
 class GlobalNoiseModel(StabilizerModel):
@@ -484,13 +472,13 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
         raise ValueError(f"unknown noise {noise!r}; use local or global")
     if model not in (None, "dense", "enumerator"):
         raise ValueError(f"unknown model {model!r}; use dense or enumerator")
-    if bip is None:
-        bip = Bipartition.balanced(n)
     if noise == "global" and model == "enumerator":
         raise ValueError("the enumerator tables model local noise only")
     ghz = name == "ghz" and noise == "local" and model is None
     if ghz and n > CHARACTER_QUBIT_CAP:
         return GHZModel(n, bip, digits=digits)
+    if bip is None:
+        bip = Bipartition.balanced(n)
     g = state_catalog(name, n)
     if model == "dense":
         return DenseModel(state_from_group(g), bip, group=g, name=name,
@@ -583,10 +571,8 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
     verdicts stay cheap (module docstring).  At each
     grid point the model's moments are computed once, up to the highest
     order the battery reads (stieltjes past the model's hankel_rank_bound
-    reads none), and every spec is judged on that one vector; rounded
-    moments are then at the top order's precision, so a lower-order
-    criterion's grid verdict is judged at that precision and its smaller
-    tolerance.  Bisection then tightens each spec's final True -> False
+    reads none), and every spec is judged on that one vector.  Bisection
+    then tightens each spec's final True -> False
     crossing on its own, at its own order, until its bracket is below tol;
     a tol below the float64 spacing at the crossing is refused there, with
     the narrowest bracket available.  With strict=True a grid whose verdict flips more than once is an error

@@ -1,8 +1,17 @@
-"""Random stabilizer groups for the tests (imported, not collected)."""
+"""Random stabilizer groups for the tests (imported, not collected), and
+the containment check of enclosed values."""
 
 import random
+from fractions import Fraction
+
+from mpmath.libmp import to_rational
 
 from ptml.pauli import Bipartition, PauliString, StabilizerGroup
+
+
+def encloses(lo, hi, x) -> bool:
+    """Whether binary bounds lo and hi (libmp tuples) hold the number x."""
+    return Fraction(*to_rational(lo)) <= x <= Fraction(*to_rational(hi))
 
 
 def random_group(n: int, seed: int) -> StabilizerGroup:

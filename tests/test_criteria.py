@@ -15,8 +15,8 @@ from ptml.dense import (
 )
 from ptml.spectra import MomentVector, Spectrum, distinct_count, merge_spectrum, moments_from_spectrum
 from ptml.criteria import (
+    FLOAT_TOL,
     build_hankel,
-    default_tol,
     descartes,
     fidelity_criterion,
     klm_ppt,
@@ -47,11 +47,6 @@ def random_spectrum(dim, force_negative):
         lam[0] = -RNG.uniform(0.1, 0.5)
     lam /= abs(lam.sum())
     return Spectrum(tuple((v, 1) for v in lam))
-
-
-def test_default_tol():
-    assert default_tol(None) == 1e-10
-    assert default_tol(40) == mpf(10) ** -30
 
 
 def test_klm_bell_margin():
@@ -163,14 +158,15 @@ def test_descartes_fires_iff_some_elementary_negative():
 
 @pytest.mark.parametrize("digits,one", [(None, 1.0), (30, mpf(1))])
 def test_descartes_tolerance_bounds_each_elementary(digits, one):
-    # p = (0, 0, -3c) has e_1 = e_2 = 0 and e_3 = -c: it fires when c
-    # exceeds tau, not tau / 3!
-    tau = default_tol(digits)
-    for c, fires in ((tau / 2, False), (2 * tau, True)):
+    # p = (0, 0, -3c) has e_1 = e_2 = 0 and e_3 = -c: float input fires
+    # when c exceeds FLOAT_TOL, not FLOAT_TOL / 3!; mpf input is an exact
+    # binary number and fires for any c > 0
+    for c, fires in ((0, False), (FLOAT_TOL / 2, digits is not None),
+                     (2 * FLOAT_TOL, True)):
         v = descartes(MomentVector((0 * one, 0 * one, -3 * c * one),
                                    digits=digits), 3)
         assert v.entangled is fires
-        assert v.margin == pytest.approx(c, rel=1e-12)
+        assert v.margin == pytest.approx(c, rel=1e-12, abs=0)
 
 
 def test_descartes_witness_identifies_worst_index():

@@ -1,6 +1,7 @@
 """Exact verdicts on dyadic moment numerators (the stabilizer model's route),
 checked against brute-force minors, the mpf route and the PPT verdict."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -12,14 +13,14 @@ from mpmath import mp, mpf, workdps
 from mpmath.libmp import (dps_to_prec, from_rational, mpf_neg, round_nearest,
                           to_rational)
 
-from ptml import criteria
+from ptml import criteria, thresholds
 from ptml.cli import main
-from ptml.criteria import (default_tol, descartes, fidelity_criterion,
+from ptml.criteria import (FLOAT_TOL, descartes, fidelity_criterion,
                            is_psd_exact, klm_ppt, ppt_verdict,
                            purity_criterion, stieltjes)
 from ptml.enumerators import exact_decayed
 from ptml.pauli import Bipartition, enumerate_group, state_catalog
-from ptml.spectra import MomentVector, ghz_local_spectrum
+from ptml.spectra import Enclosure, MomentVector, ghz_local_spectrum
 from ptml.thresholds import (CriterionSpec, GHZModel, StabilizerModel,
                              epsilon_max, evaluate)
 from stabilizers import random_cut, random_group
@@ -143,7 +144,8 @@ def test_is_psd_exact_random_large_entries():
 
 
 def _rounded(p: MomentVector) -> MomentVector:
-    """The same moments without their numerators: the mpf route."""
+    """The same moments without their numerators: the mpf route, decided
+    exactly on the rounded values."""
     return MomentVector(p.values, digits=p.digits)
 
 
@@ -151,41 +153,34 @@ def _clears(margin, tol):
     return abs(margin) > 10 * tol
 
 
-def _agreeing(margin, entangled):
-    """The margin a deferred verdict reports for a raw rounded margin: the
-    raw one, or 0 where its sign contradicts the exact verdict."""
-    return margin if (margin > 0) == entangled else 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
        eps=st.floats(0, 1))
 def test_exact_verdicts_match_mpf_where_decisive(n, seed, eps):
+    # the rounded values move every margin by far less than tol
     model = StabilizerModel(random_group(n, seed), random_cut(n, seed))
     p = model.moments(eps, 9)
     q = _rounded(p)
     assert p.exact is not None and q.exact is None
-    tol = default_tol(p.digits)
+    tol = mpf(10) ** -(p.digits - 10)
     for m in (3, 5, 7, 9):
         exact, approx = stieltjes(p, m), stieltjes(q, m)
-        norm = max(abs(x) for x in p.values[:m])
-        if _clears(approx.margin, tol * max(1, norm)):
+        scale = tol * max(1, max(abs(x) for x in p.values[:m]))
+        if _clears(approx.margin, scale):
             assert exact.entangled == approx.entangled, ("stieltjes", m, eps)
-        assert exact.margin == _agreeing(approx.margin, exact.entangled)
-        assert exact.witness == approx.witness
+            assert abs(exact.margin - approx.margin) <= scale
     for m in range(1, 10):
         exact, approx = descartes(p, m), descartes(q, m)
         if _clears(approx.margin, tol):
             assert exact.entangled == approx.entangled, ("descartes", m, eps)
-        # the mpf route rounds its margin to the ambient 53 bits
-        assert (abs(exact.margin - approx.margin)
-                <= 1e-15 * max(1, abs(approx.margin)))
+        assert abs(exact.margin - approx.margin) <= tol
     if all(v > 0 for v in p.values):
         for k, l, m in ((1, 2, 3), (3, 4, 5), (7, 8, 9), (3, 6, 7)):
             exact, approx = klm_ppt(p, k, l, m), klm_ppt(q, k, l, m)
             if _clears(approx.margin, tol):
                 assert exact.entangled == approx.entangled, ("klm", k, l, m)
-            assert exact.margin == _agreeing(approx.margin, exact.entangled)
+            # the same rounded values, the same raw margin
+            assert exact._explained == approx._explained
 
 
 @pytest.mark.parametrize("name,n,eps", [("ame6", 6, 1.0), ("ghz", 5, 1.0),
@@ -350,7 +345,7 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
         below, above = star - mpf("1e-70"), star + mpf("1e-70")
     v = AME6_33.ppt(below)
     assert v.entangled
-    assert 0 < -v.witness["min_eigenvalue"] < default_tol(AME6_33.digits)
+    assert 0 < -v.witness["min_eigenvalue"] < mpf(10) ** -50
     with workdps(AME6_33.digits):  # negation rounds to the working precision
         assert v.margin == -v.witness["min_eigenvalue"]
     assert not AME6_33.ppt(above).entangled
@@ -371,29 +366,49 @@ def test_ppt_verdict_decides_fraction_float_and_mpf_lows():
         assert not v.entangled and v._exact and v.margin <= 0
     # a float low against the float64 tolerance, whatever the digits say
     for digits in (None, 60):
-        v = ppt_verdict(-2e-10, digits)
+        v = ppt_verdict(-2 * FLOAT_TOL, digits)
         assert v.entangled and not v._exact
         assert v.margin == 2e-10 and isinstance(v.margin, float)
         assert v.witness["min_eigenvalue"] == -2e-10
         assert not ppt_verdict(-0.5e-10, digits).entangled
-    # an mpf low against 10^-(digits - 10), its margin negated exactly
+    # an mpf low is the binary number it is, decided exactly at any size,
+    # its margin negated exactly
     with workdps(100):
         low = -mpf(1) / 3 * mpf(10) ** -45
-    v = ppt_verdict(low, 60)
-    assert v.entangled and not v._exact
-    assert v.margin._mpf_ == mpf_neg(low._mpf_)
-    assert v.witness["min_eigenvalue"]._mpf_ == low._mpf_
-    assert not ppt_verdict(low * mpf(10) ** -10, 60).entangled
-    # scale: the tolerance times d, formed at the verdict's precision
-    with workdps(60):
-        d = mpf(10) ** -30
-    with workdps(100):
-        tau_d = default_tol(60) * d
-        above = -tau_d * (1 + mpf(10) ** -40)
-        below = -tau_d * (1 - mpf(10) ** -40)
-    assert ppt_verdict(above, 60, scale=d).entangled
-    assert not ppt_verdict(below, 60, scale=d).entangled
-    assert not ppt_verdict(above, 60).entangled  # |low| < 10^-50
+    for x in (low, low * mpf(10) ** -300):
+        v = ppt_verdict(x, 60)
+        assert v.entangled and v._exact
+        assert v.margin._mpf_ == mpf_neg(x._mpf_)
+        assert v.witness["min_eigenvalue"]._mpf_ == x._mpf_
+    assert not ppt_verdict(mpf(0), 60).entangled
+    assert not ppt_verdict(-low, 60).entangled
+
+
+def _low(prec, settle_at, calls):
+    """An Enclosure of a least eigenvalue at or below -2^-202 whose bounds
+    straddle 0 below settle_at bits."""
+    calls.append(prec)
+    hi = 2.0 ** -200 if prec < settle_at else -(2.0 ** -202)
+    return Enclosure(mpf(-(2.0 ** -200))._mpf_, mpf(hi)._mpf_, prec,
+                     functools.partial(_low, settle_at=settle_at, calls=calls))
+
+
+def test_an_open_enclosure_doubles_its_precision_until_decided(
+        monkeypatch, capsys):
+    calls = []
+    v = ppt_verdict(_low(200, 800, calls), 60)
+    assert v.entangled and v._exact and calls == [200, 400, 800]
+    assert v.margin == (mpf(2) ** -200 + mpf(2) ** -202) / 2
+    # a verdict the bounds never settle is refused, not guessed
+    calls = []
+    with pytest.raises(RuntimeError, match="still undecided at 51200 bits"):
+        ppt_verdict(_low(200, 10 ** 9, calls), 60)
+    assert calls == [200 << i for i in range(9)]
+    monkeypatch.setattr(thresholds, "enclose",
+                        lambda value, prec: _low(prec, 10 ** 9, []))
+    assert main(["criterion", "--name", "ppt", "--state", "ghz", "--n", "16",
+                 "--noise", "local:0.5"]) == 2
+    assert "still undecided" in capsys.readouterr().err
 
 
 # ------------------------------------------------ scalar criteria digits
@@ -423,9 +438,12 @@ def _root(f, guess):
 def test_enumerator_purity_threshold_brackets_the_true_root():
     # the root of the closed-form purity gap; a 1e-10 tolerance on the
     # float gap put the threshold 1.08e-9 from it, outside its bracket
-    bip = GHZ8_FULL_MINUS_ONE.bip
-    star = _root(lambda e: mp.fsub(*GHZModel(8, bip, digits=50).purities(e)),
-                 0.17)
+    def gap(e):  # global minus 7-qubit marginal purity, r = (1-e)^2
+        r = (1 - e) ** 2
+        return (((1 + r) ** 8 + (1 - r) ** 8 + (2 * r) ** 8) / 2 ** 9
+                - ((1 + r) ** 7 + (1 - r) ** 7) / 2 ** 8)
+
+    star = _root(gap, 0.17)
     assert abs(star - mpf("0.17355381131")) < 1e-10
     res = epsilon_max(CriterionSpec("purity"), GHZ8_FULL_MINUS_ONE)
     assert abs(res.eps_max - star) <= res.bracket

@@ -2,15 +2,17 @@
 make_model builds past the character cap, against its oracles, the
 enumerator tables (StabilizerModel) and the density matrix."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mpf, workdps
 
 from ptml.dense import depolarize_local, pt_spectrum, state_from_group
 from ptml.pauli import Bipartition, state_catalog
-from ptml.spectra import ghz_pair
 from ptml.thresholds import (CriterionSpec, DenseModel, GHZModel,
                              StabilizerModel, epsilon_max, evaluate,
                              make_model)
+from stabilizers import encloses
 
 CUTS = [(n, a) for n in range(2, 10) for a in range(1, n)]
 THRESHOLD_CRITERIA = ("ppt", "stieltjes:7", "klm:5,6,7", "descartes:7",
@@ -29,9 +31,9 @@ def test_ghz_model_matches_enumerator_oracle(n, a):
     if 2 * a != n:
         assert fast.describe() == oracle.describe()
     for eps in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
-        p, q = fast.moments(eps, 9), oracle.moments(eps, 9)
-        for k in range(1, 10):
-            assert abs(p.p(k) - q.p(k)) <= mpf(10) ** -100 * abs(q.p(k)), k
+        p, (nums, s) = fast.moments(eps, 9), oracle.moments(eps, 9).exact
+        for k, (lo, hi) in enumerate(zip(*p.bounds), 1):
+            assert encloses(lo, hi, Fraction(nums[k - 1], 1 << s * k)), k
     for i in range(101):
         eps = i / 100
         assert fast.ppt(eps).entangled == oracle.ppt(eps).entangled, eps
@@ -74,6 +76,7 @@ def test_ppt_margin_on_uneven_cuts_is_the_dense_min_eigenvalue(n):
             assert abs(v.margin + low) <= 1e-12, (a, eps)
             assert v.witness["min_eigenvalue"] + v.margin == 0
             with workdps(30):
-                d, g = ghz_pair(n, a, mpf(eps))
-            band += abs(low - float(d - g)) > 1e-9
+                u, v = 1 - mpf(eps) / 2, mpf(eps) / 2
+                d = (u ** (n - a) * v ** a + u ** a * v ** (n - a)) / 2
+                band += abs(low - float(d - (1 - mpf(eps)) ** n / 2)) > 1e-9
     assert band or n == 3

@@ -40,7 +40,7 @@ def _hankel_fires(model, eps, m):
 def test_rank_bounds_per_model():
     assert [_ame6(s).hankel_rank_bound for s in (1, 2, 3)] == [4, 5, 4]
     assert _ame6(2, noise="global").hankel_rank_bound == 3
-    assert GHZModel(6).hankel_rank_bound is None
+    assert GHZModel(6).hankel_rank_bound == 6
     assert make_model("ghz", 4, model="enumerator").hankel_rank_bound == 5
     assert make_model("ghz", 4, model="dense").hankel_rank_bound is None
 

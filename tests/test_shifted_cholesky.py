@@ -1,7 +1,9 @@
-"""The Hankel test on rounded moments (GHZ, global noise, dense): the grid
-Hankel matrix plus tau 2^b on its diagonal, eliminated exactly, decides it,
-checked against the smallest eigenvalue, and no threshold on these routes
-computes an eigenvalue."""
+"""The Hankel test on rounded and bounded moments (dense floats, GHZ past
+the character cap) and on exact ones (global noise): checked against the
+smallest eigenvalue, and no threshold on these routes computes an
+eigenvalue.  Float moments are decided exactly on their binary values,
+the Hankel plus FLOAT_TOL on its diagonal eliminated exactly; the others
+are certified, so the verdict is the sign of the smallest eigenvalue."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
 from ptml import criteria
-from ptml.criteria import (build_hankel, default_tol, hankel_min_eigenvalue,
+from ptml.criteria import (FLOAT_TOL, build_hankel, hankel_min_eigenvalue,
                            is_psd_exact, stieltjes)
 from ptml.dense import state_from_group
 from ptml.pauli import Bipartition, state_catalog
@@ -21,31 +23,36 @@ from stabilizers import random_cut, random_group
 
 
 def _grid_psd(p: MomentVector, m: int, shift) -> bool:
-    """Whether the grid Hankel of order m plus shift 2^b on its diagonal is
-    PSD: the decision stieltjes takes at shift = tau."""
-    q, b = criteria._grid(p)
-    size, s = (m + 1) // 2, criteria._on_grid(shift, b)
-    return is_psd_exact([[x + s * (i == j) for j, x in enumerate(q[i:i + size])]
+    """Whether the Hankel of order m plus shift on its diagonal is PSD,
+    decided exactly on the moments' binary values A_k / 2^(s k): the
+    decision stieltjes takes on floats at shift = tau."""
+    a, s = criteria._exact(p)
+    size = (m + 1) // 2
+    return is_psd_exact([[x + (i == j) * criteria._on_grid(shift, s * (2 * i + 1))
+                          for j, x in enumerate(a[i:i + size])]
                          for i in range(size)])
 
 
 def _check_against_eigenvalue(p: MomentVector, m: int):
-    """The grid decision is -lambda_min > tau wherever lambda_min + tau
+    """On floats the decision is -lambda_min > tau wherever lambda_min + tau
     clears the precision floor, and resolves the boundary: the shifted
-    grid Hankel is PSD at shift -lambda_min + floor and not at
-    -lambda_min - floor."""
+    Hankel is PSD at shift -lambda_min + floor and not at -lambda_min -
+    floor.  Elsewhere the verdict is lambda_min < 0 wherever
+    lambda_min clears the noise of the values it is computed from."""
     h = build_hankel(p, m)
     norm = max(1, max(abs(x) for row in h for x in row))
-    tau = default_tol(p.digits) * norm
-    floor = (1e-13 if p.digits is None else mpf(10) ** -p.digits) * norm
-    with workdps(p.digits + 10 if p.digits else 15):
-        lam = hankel_min_eigenvalue(h, p.digits)
-        clear = abs(lam + tau) > floor
-        below, above = -lam - floor, -lam + floor
-    if clear:
+    if p.digits is not None:
+        with workdps(p.digits + 10):
+            lam = hankel_min_eigenvalue(h, p.digits)
+            if abs(lam) > mpf(10) ** -(p.digits - 2) * norm:
+                assert stieltjes(p, m).entangled == (lam < 0), (m, lam)
+        return
+    tau, floor = FLOAT_TOL * norm, 1e-13 * norm
+    lam = hankel_min_eigenvalue(h, None)
+    if abs(lam + tau) > floor:
         assert stieltjes(p, m).entangled == (-lam > tau), (m, lam, tau)
-    assert _grid_psd(p, m, above)
-    assert not _grid_psd(p, m, below)
+    assert _grid_psd(p, m, -lam + floor)
+    assert not _grid_psd(p, m, -lam - floor)
 
 
 orders = st.sampled_from([3, 5, 7, 9, 15])

@@ -29,7 +29,7 @@ from ptml.thresholds import (
     sweep_fig1,
     sweep_fig2,
 )
-from stabilizers import random_cut, random_group
+from stabilizers import encloses, random_cut, random_group
 
 
 def balanced(n):
@@ -210,10 +210,11 @@ def test_ghz_closed_forms_match_enumerator_sums(n):
                 == marginal
         model = GHZModel(n, bip)
         for eps in (0.0, 0.1, 0.37, 0.8, 1.0):
-            assert abs(model.fidelity(eps) - exact_decayed(a, eps)) < 1e-15
-            glob, marg = model.purities(eps)
-            assert abs(glob - exact_decayed(a, eps, power=2)) < 1e-15
-            assert abs(marg - exact_decayed(marginal, eps, power=2)) < 1e-15
+            for got, want in zip((model.fidelity(eps), *model.purities(eps)),
+                                 (exact_decayed(a, eps),
+                                  exact_decayed(a, eps, power=2),
+                                  exact_decayed(marginal, eps, power=2))):
+                assert encloses(got.lo, got.hi, want), eps
 
 
 def test_ghz_vs_dense_model_thresholds():
