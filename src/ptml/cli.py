@@ -14,9 +14,8 @@ Table output is deterministic: fixed column order, a `# schema=1` header,
 12 significant digits (an exact moment rounded once), "\n" line endings,
 CSV cells holding commas (klm labels) double-quoted.  Files are written to
 a temp path and atomically renamed, so a failed run leaves nothing behind.
-PTML_PRECISION_DIGITS overrides the base working precision of the
-analytic models.  Every state-taking subcommand builds its model through
-thresholds.make_model, the one dispatch from state, noise and cut.
+Every state-taking subcommand builds its model through make_model, the
+one dispatch from state, noise and cut; no setting chooses a precision.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from mpmath import mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import to_digits_exp, to_rational
 
 from .enumerators import (
     ame_fixture_check,
@@ -50,7 +49,6 @@ from .gleason import (
     type2_kernel_basis,
 )
 from .pauli import Bipartition, state_catalog
-from .spectra import DEFAULT_DIGITS
 from .thresholds import (
     BRACKET_TOL,
     CriterionSpec,
@@ -75,19 +73,8 @@ class RunConfig:
     bip: Bipartition  # None: the balanced cut
     noise_kind: str  # "local" or "global"
     eps: float
-    digits: int
     fmt: str
     out: str
-
-
-def _default_digits() -> int:
-    raw = os.environ.get("PTML_PRECISION_DIGITS", "")
-    if not raw:
-        return DEFAULT_DIGITS
-    digits = int(raw)
-    if digits < 15:
-        raise ValueError("PTML_PRECISION_DIGITS must be at least 15")
-    return digits
 
 
 def _parse_bip(n: int, bip: str, bip_size: int) -> Bipartition:
@@ -120,28 +107,42 @@ def _config(args) -> RunConfig:
     bip = _parse_bip(n, getattr(args, "bip", None),
                      getattr(args, "bip_size", None))
     kind, eps = _parse_noise(getattr(args, "noise", None) or "local:0")
-    return RunConfig(args.state, n, bip, kind, eps, _default_digits(),
+    return RunConfig(args.state, n, bip, kind, eps,
                      getattr(args, "format", "csv"),
                      getattr(args, "out", None))
 
 
-_TWELVE_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
+# no least exponent: a margin far below 1e-999999 keeps its digits
+_TWELVE_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN)
+
+
+def _twelve_digits(x) -> Decimal:
+    """A Fraction or an mpf rounded once to 12 digits, half to even.  An
+    mpf's come from to_digits_exp at 24 digits (error below 1e-20 x), and
+    from an exact Decimal division, as a Fraction's, within 1e-6 of a
+    last-place unit of a tie."""
+    if isinstance(x, mpf):
+        sign, digits, exp = to_digits_exp(x._mpf_, 24)
+        tail = digits[12:]
+        half = 5 * 10 ** (len(tail) - 1)
+        if len(tail) >= 6 and abs(int(tail) - half) >= 10 ** (len(tail) - 6):
+            head = int(digits[:12]) + (int(tail) > half)
+            return Decimal(f"{sign}{head}E{exp - 11}")
+        x = Fraction(*to_rational(x._mpf_))
+    return _TWELVE_DIGITS.divide(x.numerator, x.denominator)
 
 
 def _fmt_cell(v) -> str:
     """One table cell; numbers print as 12 significant digits.  An exact
-    value (a Fraction, or an mpf's binary value) is rounded once, by a
-    correctly rounded Decimal division.  A double holds the 12-digit result
-    exactly enough to print it back unchanged, in float style; below the
-    normal double range the Decimal prints itself, in the same style."""
+    value is rounded once (_twelve_digits).  A double holds the 12-digit
+    result exactly enough to print it back unchanged, in float style;
+    below the normal double range the Decimal prints itself, likewise."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, mpf):
-        v = Fraction(*to_rational(v._mpf_))
-    if isinstance(v, Fraction):
-        v = _TWELVE_DIGITS.divide(v.numerator, v.denominator)
-    if isinstance(v, Decimal) and 0 < abs(v) < sys.float_info.min:
-        return f"{v.normalize():g}"
+    if isinstance(v, (mpf, Fraction)):
+        v = _twelve_digits(v)
+    if isinstance(v, Decimal) and 0 < v.copy_abs() < sys.float_info.min:
+        return f"{v.normalize(_TWELVE_DIGITS):g}"
     if isinstance(v, (float, Decimal)):
         return f"{float(v):.12g}"
     return str(v)
@@ -207,8 +208,8 @@ def cmd_moments(args) -> int:
     cfg = _config(args)
     if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    p = make_model(cfg.name, cfg.n, cfg.bip, noise=cfg.noise_kind,
-                   digits=cfg.digits).moments(cfg.eps, args.k_max)
+    p = make_model(cfg.name, cfg.n, cfg.bip,
+                   noise=cfg.noise_kind).moments(cfg.eps, args.k_max)
     rows = [{"k": k, "p_k": p.p(k), "ptilde_k": p.ptilde(k)}
             for k in range(1, args.k_max + 1)]
     _emit_table(("k", "p_k", "ptilde_k"), rows, cfg.fmt, cfg.out)
@@ -222,8 +223,7 @@ def cmd_criterion(args) -> int:
     cfg = _config(args)
     spec = CriterionSpec.parse(args.name)
     v = evaluate(spec, make_model(cfg.name, cfg.n, cfg.bip,
-                                  noise=cfg.noise_kind, digits=cfg.digits),
-                 cfg.eps)
+                                  noise=cfg.noise_kind), cfg.eps)
     print(f"{v.status} margin={_fmt_cell(v.margin)}")
     return EXIT_ENTANGLED if v.entangled else EXIT_INCONCLUSIVE
 
@@ -234,8 +234,7 @@ def cmd_criterion(args) -> int:
 def cmd_threshold(args) -> int:
     cfg = _config(args)
     spec = CriterionSpec.parse(args.criterion)
-    model = make_model(cfg.name, cfg.n, cfg.bip, model=args.model,
-                       digits=cfg.digits)
+    model = make_model(cfg.name, cfg.n, cfg.bip, model=args.model)
     r = epsilon_max(spec, model, tol=args.tol, strict=args.strict)
     print(f"eps_max={r.eps_max:.12g} bracket={r.bracket:.3g} "
           f"iterations={r.iterations} flags={r.flags or '-'} "
@@ -311,9 +310,8 @@ def cmd_enumerators(args) -> int:
     if args.method in ("fourier", "both"):
         tables["fourier"] = cw_fourier(g, bip, args.k)
     if args.method in ("brute", "both"):
-        extra = {} if args.budget is None else {"budget": args.budget}
         try:
-            tables["brute"] = cw_bruteforce(g, bip, args.k, **extra)
+            tables["brute"] = cw_bruteforce(g, bip, args.k)
         except ValueError as exc:
             if "budget" in str(exc):
                 raise ValueError(f"{exc}; use --method fourier") from exc
@@ -442,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=2)
     sub.add_argument("--method", choices=("brute", "fourier", "both"),
                      default="fourier")
-    sub.add_argument("--budget", type=int, default=None)
     _add_output_opts(sub)
     sub.set_defaults(fn=cmd_enumerators)
 

@@ -35,10 +35,11 @@ stieltjes fires when -lambda_min > FLOAT_TOL max(1, max|H|) and
 descartes when some e_j < -FLOAT_TOL, both decided exactly on the floats'
 binary values, and a float gap must exceed FLOAT_TOL; klm compares the
 fractional powers of float moments.  The Fraction ppt, fidelity and
-purity margins, the enclosures' midpoints and the descartes margins are
-the exact value rounded once to the moments' digits; the klm and
-stieltjes margins come from the rounded values (the Hankel one at 6 m
-more digits), and one whose sign contradicts a certified verdict reads 0.
+purity margins and the enclosures' midpoints are the exact value rounded
+once to DEFAULT_DIGITS, the descartes margins to the moments' digits;
+the klm and stieltjes margins come from the rounded values (the Hankel
+one at 6 m more digits, 0 on a singular PSD Hankel of exact moments),
+and one whose sign contradicts a certified verdict reads 0.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from mpmath.libmp import (dps_to_prec, from_rational,
                           mpf_cmp, mpf_mul, mpf_shift, mpf_sign, round_ceiling,
                           round_floor, round_nearest, to_int)
 
-from .spectra import (Enclosure, MomentVector, Spectrum, _binary,
-                      _exact_power, _midpoint, merge_spectrum)
+from .spectra import (DEFAULT_DIGITS, Enclosure, MomentVector, Spectrum,
+                      _binary, _exact_power, _midpoint, merge_spectrum)
 
 FLOAT_TOL = 1e-10
 # the precision past which a verdict its bounds leave open is refused
@@ -207,21 +208,26 @@ def hankel_min_eigenvalue(h: tuple, digits=None):
 
 
 def is_psd_exact(rows) -> bool:
-    """Whether a symmetric integer matrix is positive semidefinite, exactly.
+    """Whether a symmetric integer matrix is PSD, exactly (_psd_nullity)."""
+    return _psd_nullity(rows) is not None
 
-    Fraction-free (Bareiss) symmetric elimination with diagonal pivoting:
+
+def _psd_nullity(rows):
+    """The nullity of a symmetric integer matrix if it is PSD, else None,
+    by fraction-free (Bareiss) symmetric elimination with diagonal pivoting:
     the remaining block is the Schur complement times det M_K > 0 (K the
     pivots so far), so divisions are exact and a negative diagonal entry
-    rules PSD out; with a zero diagonal, PSD means a zero block.
-    """
+    rules PSD out; with a zero diagonal, PSD means a zero block: the
+    nullity."""
     m = [list(row) for row in rows]
     live, prev = list(range(len(m))), 1
     while live:
         if any(m[i][i] < 0 for i in live):
-            return False
+            return None
         k = next((i for i in live if m[i][i]), None)
         if k is None:
-            return not any(m[i][j] for i in live for j in live)
+            zero = not any(m[i][j] for i in live for j in live)
+            return len(live) if zero else None
         live.remove(k)
         piv, pivot_row = m[k][k], m[k]
         for x, i in enumerate(live):
@@ -229,7 +235,7 @@ def is_psd_exact(rows) -> bool:
             for j in live[x:]:
                 row[j] = m[j][i] = (piv * row[j] - rik * pivot_row[j]) // prev
         prev = piv
-    return True
+    return 0
 
 
 def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
@@ -251,7 +257,7 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
     if p.p(k) <= 0 or p.p(m) <= 0:
         raise ValueError("fractional powers need positive p_k and p_m")
     margin, witness = explain()
-    return _positive(margin, None, witness=lambda _: witness)
+    return _positive(margin, witness=lambda _: witness)
 
 
 def _klm_fires(p: MomentVector, triple: tuple):
@@ -282,7 +288,13 @@ def hankel_margin(p: MomentVector, m: int) -> tuple:
     the Hankel matrix, at the precision of hankel_min_eigenvalue (an mpf
     is negated exactly, not rounded to the caller's mp.prec).  Near a
     threshold lambda_min sinks exponentially in the matrix size, so exact
-    and bounded moments are first taken to 6 m more digits."""
+    and bounded moments are first taken to 6 m more digits.  It is exactly
+    0 where exact or mpf moments' integer Hankel is PSD and singular, as a
+    PPT state's is past the rank bound."""
+    if p.digits is not None and p.bounds is None:
+        a, size = _exact(p)[0], _hankel_size(p, m)
+        if _psd_nullity([a[i:i + size] for i in range(size)]):
+            return mpf(0), {"m": m, "min_eigenvalue": mpf(0)}
     if p.digits is not None and (p.exact or p.bounds) is not None:
         digits = p.digits + 6 * m
         p = (MomentVector(exact=p.exact, digits=digits) if p.bounds is None
@@ -307,10 +319,7 @@ def stieltjes(p: MomentVector, m: int) -> Verdict:
     every lambda_i >= 0 (Yu, Imai and Guehne, PRL 127, 060504 (2021);
     Curto and Fialkow, Houston J. Math. 17 (1991)).  Any upper bound on D
     serves, since equal or vanishing eigenvalues only lower the count.
-    The models declare one as hankel_rank_bound: the number of minus-set
-    character polynomials under local noise (4, 5 and 4 on the AME(6,2)
-    cuts 1|5, 2|4 and 3|3; [n/2] + 3 on every cut of GHZ, 2 at n = 2 up to
-    the character cap), at most 3 under global noise, none for dense.
+    The models declare one as hankel_rank_bound (thresholds), and
     thresholds.evaluate decides such an order by the model's PPT verdict,
     with this function's margin."""
     _hankel_size(p, m)
@@ -468,50 +477,49 @@ def stieltjes_witness(s: Spectrum, m: int) -> list:
     return coeffs + [0] * (size - len(coeffs))
 
 
-def fidelity_criterion(f, bell_pairs: int, digits=None) -> Verdict:
+def fidelity_criterion(f, bell_pairs: int) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
     2^-bell_pairs, so with none the criterion certifies nothing.  f is a
     Fraction, an mpf or an Enclosure, decided exactly (_positive), or a
-    float, judged as float64; digits is the precision of the margin."""
+    float, judged as float64."""
     if not isinstance(f, Enclosure) and not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
-    return _positive(_difference(f, Fraction(1, 2)), digits,
-                     fires=bell_pairs >= 1)
+    return _positive(_difference(f, Fraction(1, 2)), fires=bell_pairs >= 1)
 
 
-def purity_criterion(global_purity, subsystem_purity, digits=None) -> Verdict:
+def purity_criterion(global_purity, subsystem_purity) -> Verdict:
     """Global purity exceeding a marginal's purity rules out separability;
-    input and digits as for fidelity_criterion.  An mpf margin is the exact
+    input as for fidelity_criterion.  An mpf margin is the exact
     difference of two mpf purities."""
     if not isinstance(global_purity, Enclosure) and not (
             0 < global_purity <= 1 and 0 < subsystem_purity <= 1):
         raise ValueError("purities must lie in (0, 1]")
-    return _positive(_difference(global_purity, subsystem_purity), digits)
+    return _positive(_difference(global_purity, subsystem_purity))
 
 
-def ppt_verdict(low, digits) -> Verdict:
+def ppt_verdict(low) -> Verdict:
     """The PPT criterion on the least PT eigenvalue low: the margin is
     -low, decided by _positive, and the witness is low as the margin reads
     it (rounded once when exact)."""
-    return _positive(_negated(low), digits,
+    return _positive(_negated(low),
                      witness=lambda m: {"min_eigenvalue": _negated(m)})
 
 
-def _positive(gap, digits, fires=True,
-              witness=lambda margin: None) -> Verdict:
+def _positive(gap, fires=True, witness=lambda margin: None) -> Verdict:
     """The one decision on a scalar gap (positive = detected), which fires
     only if fires.  A Fraction or an mpf is an exact binary number, decided
     as gap > 0; an Enclosure once its bounds agree (_certified); a float
     must exceed FLOAT_TOL.  An mpf or float gap is its own margin; else
     the margin is the exact gap, or the enclosure's midpoint, rounded once
-    to digits.  witness(margin) builds the witness when read."""
+    to DEFAULT_DIGITS.  witness(margin) builds the witness when read."""
     if isinstance(gap, Enclosure):
         hit, gap = _certified(lambda x: mpf_sign(x.lo) > 0 or (
             None if mpf_sign(x.hi) > 0 else False), gap)
-        margin = functools.partial(_midpoint, gap.lo, gap.hi, digits)
+        margin = functools.partial(_midpoint, gap.lo, gap.hi, DEFAULT_DIGITS)
     elif isinstance(gap, Fraction):
-        hit, margin = gap > 0, functools.partial(_round_once, gap, digits)
+        hit = gap > 0
+        margin = functools.partial(_round_once, gap, DEFAULT_DIGITS)
     else:
         hit = gap > (FLOAT_TOL if isinstance(gap, float) else 0)
         margin = lambda: gap  # noqa: E731

@@ -213,34 +213,33 @@ class GHZModel:
     closed form at a cost independent of n: make_model's GHZ model past
     the character cap, beyond the reach of the character transform that
     checks GHZStabilizerModel.  Its moments come as bounds and its PPT
-    eigenvalue, fidelity and purities as Enclosures at prec bits (the
-    digits' bits), every one refined on demand, so every verdict is
-    certified (criteria._certified) and hankel_rank_bound, the [n/2] + 3
+    eigenvalue, fidelity and purities as Enclosures at prec bits
+    (DEFAULT_DIGITS' bits), every one refined on demand, so every verdict
+    is certified (criteria._certified) and hankel_rank_bound, the [n/2] + 3
     distinct PT eigenvalues, is sound."""
 
     bell_pairs = 1
+    prec = dps_to_prec(DEFAULT_DIGITS)
 
-    def __init__(self, n: int, bip: Bipartition = None, digits: int = None):
+    def __init__(self, n: int, bip: Bipartition = None):
         if bip is None and n % 2:
             raise ValueError("no default bipartition for odd n; pass a cut")
         self.a = n // 2 if bip is None else len(_check_cut(bip, n).a_set)
         self.n, self._bip = n, bip
-        self.digits = DEFAULT_DIGITS if digits is None else digits
-        self.prec = dps_to_prec(self.digits)
         self.hankel_rank_bound = n // 2 + 3
 
     def describe(self) -> str:
         return _ghz_label(self.n, self.a, self._bip)
 
     def moments(self, eps, m_max: int) -> MomentVector:
-        return ghz_local_moments(self.n, eps, m_max, self.digits, self.a)
+        return ghz_local_moments(self.n, eps, m_max, a=self.a)
 
     def ppt(self, eps) -> criteria.Verdict:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
         # least one is d - g or the least band eigenvalue lambda_[n/2].
         return criteria.ppt_verdict(enclose(
             lambda prec, rnd: _ghz_forms(self.n, self.a, eps, 0, prec, rnd)[0],
-            self.prec), self.digits)
+            self.prec))
 
     def fidelity(self, eps) -> Enclosure:
         # sum_i a_i (1-eps)^i = (u^n + v^n + (1-eps)^n) / 2: even-weight
@@ -280,12 +279,10 @@ class StabilizerModel:
     only the data.
     """
 
-    def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None,
-                 digits: int = None):
+    def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None):
         self.g = g
         self.bip = _check_cut(bip, g.n)
         self.name = name or "stabilizer"
-        self.digits = DEFAULT_DIGITS if digits is None else digits
         self.bell_pairs = bell_pair_rank(g, bip)
         self.polys = self._polys()
         self.hankel_rank_bound = len(self.polys)
@@ -322,7 +319,7 @@ class StabilizerModel:
         a, f = dyadic_one_minus(eps)
         nums = tuple(dyadic_numerator(self._power(k), a, f)
                      for k in range(1, m_max + 1))
-        return MomentVector(digits=self.digits,
+        return MomentVector(digits=DEFAULT_DIGITS,
                             exact=(nums, f * self._degree + self.g.n),
                             spectrum=functools.partial(self._pt_spectrum, eps))
 
@@ -331,7 +328,7 @@ class StabilizerModel:
         exactly, and -lambda_min is rounded when read."""
         entries, s = self._pt_spectrum(eps)
         return criteria.ppt_verdict(
-            Fraction(min(a for a, _ in entries), 1 << s), self.digits)
+            Fraction(min(a for a, _ in entries), 1 << s))
 
     def fidelity(self, eps):
         return exact_decayed(self.sl.values, eps)
@@ -413,7 +410,6 @@ class DenseModel:
     """Reference model: everything computed from the density matrix, under
     local or global depolarizing noise."""
 
-    digits = None  # float64 arithmetic
     hankel_rank_bound = None  # the oracle takes no shortcut
 
     def __init__(self, rho: np.ndarray, bip: Bipartition,
@@ -439,7 +435,7 @@ class DenseModel:
 
     def ppt(self, eps) -> criteria.Verdict:
         s = pt_spectrum(self._noisy(eps), self.bip)
-        return criteria.ppt_verdict(s.min_eigenvalue(), s.digits)
+        return criteria.ppt_verdict(s.min_eigenvalue())
 
     def fidelity(self, eps):
         if self.group is None:
@@ -455,7 +451,7 @@ class DenseModel:
 
 
 def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
-               noise: str = "local", digits: int = None):
+               noise: str = "local"):
     """Build the state model for a catalog state, cut and noise channel.
 
     model None picks by state and noise: under local noise
@@ -463,8 +459,7 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     the closed form GHZModel past it, and enumerator tables for everything
     else; under global noise the closed forms of GlobalNoiseModel.
     model="enumerator" forces the tables (the oracle of both GHZ models),
-    model="dense" the density-matrix reference.  digits sets the base
-    working precision of the analytic models.  Every model refuses a cut
+    model="dense" the density-matrix reference.  Every model refuses a cut
     that is not on n qubits with 1 <= |A| <= n-1.
     """
     name = name.lower()
@@ -476,7 +471,7 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
         raise ValueError("the enumerator tables model local noise only")
     ghz = name == "ghz" and noise == "local" and model is None
     if ghz and n > CHARACTER_QUBIT_CAP:
-        return GHZModel(n, bip, digits=digits)
+        return GHZModel(n, bip)
     if bip is None:
         bip = Bipartition.balanced(n)
     g = state_catalog(name, n)
@@ -485,7 +480,7 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
                           noise=noise)
     cls = (GlobalNoiseModel if noise == "global"
            else GHZStabilizerModel if ghz else StabilizerModel)
-    return cls(g, bip, name=name, digits=digits)
+    return cls(g, bip, name=name)
 
 
 def _moment_order(spec: CriterionSpec, model) -> int:
@@ -512,11 +507,10 @@ def evaluate(spec: CriterionSpec, model, eps,
             model.ppt(eps).entangled,
             lambda: criteria.hankel_margin(model.moments(eps, spec.m), spec.m))
     if spec.kind == "fidelity":
-        return criteria.fidelity_criterion(
-            model.fidelity(eps), model.bell_pairs, digits=model.digits)
+        return criteria.fidelity_criterion(model.fidelity(eps),
+                                           model.bell_pairs)
     if spec.kind == "purity":
-        return criteria.purity_criterion(*model.purities(eps),
-                                         digits=model.digits)
+        return criteria.purity_criterion(*model.purities(eps))
     if p is None:
         p = model.moments(eps, spec.max_order)
     if spec.kind == "stieltjes":

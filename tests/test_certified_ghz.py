@@ -17,7 +17,7 @@ from ptml.criteria import build_hankel, hankel_min_eigenvalue
 from ptml.pauli import Bipartition
 from ptml.spectra import ghz_local_spectrum, moments_from_spectrum
 from ptml.thresholds import (CriterionSpec, GHZModel, GHZStabilizerModel,
-                             evaluate, make_model)
+                             epsilon_max, evaluate, make_model)
 from stabilizers import encloses
 
 LABELS = (["ppt", "fidelity", "purity"]
@@ -87,14 +87,18 @@ N8_LINE = ("eps_max=3.66009771824e-07 bracket=9.31e-10 iterations=23 "
            "cut=balanced\n")
 
 
-@pytest.mark.parametrize("digits", [None, "150"])
-def test_large_n_threshold_does_not_depend_on_the_precision(
-        digits, monkeypatch, capsys):
-    if digits:
-        monkeypatch.setenv("PTML_PRECISION_DIGITS", digits)
+def test_large_n_threshold_does_not_depend_on_the_precision(capsys):
     assert main(["threshold", "--criterion", "stieltjes:7", "--state", "ghz",
                  "--n", "100000000"]) == 0
     assert capsys.readouterr().out == N8_LINE
+    # the verdicts at the bracket ends hold on bounds four times as precise
+    model = GHZModel(10 ** 8)
+    r = epsilon_max(CriterionSpec.parse("stieltjes:7"), model)
+    for eps, fires in ((r.eps_max - r.bracket, True),
+                       (r.eps_max + r.bracket, False)):
+        p = model.moments(eps, 7)
+        for q in (p, p.refine(4 * p.prec)):
+            assert criteria.stieltjes(q, 7).entangled is fires, (eps, q.prec)
 
 
 def test_the_default_cut_is_not_built_past_the_cap(monkeypatch, capsys):

@@ -6,12 +6,15 @@ import math
 import os
 import pathlib
 import re
+import time
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf, workdps
+from mpmath.libmp import to_rational
 
-from ptml.cli import _fmt_cell, main
+from ptml.cli import _fmt_cell, _twelve_digits, main
 from ptml.spectra import ppt_threshold_ghz
 
 
@@ -152,6 +155,18 @@ def test_criterion_margin_is_rounded_once(capsys):
     assert out == "Inconclusive margin=-0.0351606445312\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("stieltjes:9", "--state", "ame6", "--bip-size", "1",
+     "--noise", "local:0.6"),
+    ("stieltjes:5", "--state", "zero", "--n", "4", "--noise", "global:0.05")])
+def test_a_singular_psd_hankel_margin_is_zero(capsys, argv):
+    # past the rank bound a PPT state's Hankel is PSD and singular, so
+    # lambda_min is exactly 0, not the eigensolver's residue near 1e-125
+    code, out, _ = run(capsys, "criterion", "--name", *argv)
+    assert code == 1
+    assert out == "Inconclusive margin=0\n"
+
+
 def test_criterion_margin_past_the_spectrum_size_is_zero(capsys):
     # GHZ on 2 qubits has four nonzero PT eigenvalues, so e_5 = 0 exactly,
     # and the margin is that 0, not an mpf rounding residue near 1e-94
@@ -179,6 +194,28 @@ def test_cells_print_values_past_the_double_range(capsys):
         Fraction(1, 2 ** 1022))] == [
         "-1e-400", "7.41098468762e-324", "2.22507385851e-308",
         "2.22507385851e-308"]
+
+
+def test_a_margin_far_below_the_decimal_range_prints_quickly(capsys):
+    # the purity gap, about -2^-(3.4e7), lies far below both the double
+    # range and 1e-999999; its 12 digits come from its leading bits
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "criterion", "--name", "purity", "--state",
+                       "ghz", "--n", "100000000", "--noise", "local:0.5")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == "Inconclusive margin=-3.68276294966e-10206000\n"
+
+
+@pytest.mark.parametrize("x", [
+    mpf(2) ** -18, -mpf(10) ** 12 + mpf("0.5"), mpf(10) ** 12 - mpf("0.5"),
+    mpf(1) / 3, mpf(2) ** -3000, -mpf(2) ** 900 / 7, mpf("0.999999999999499"),
+    mpf("0.9999999999995")])
+def test_cells_from_leading_digits_match_the_exact_quotient(x):
+    # 2^-18 is a tie, and 0.9999999999995 a binary number within 1e-16 of one
+    exact = Context(prec=12, rounding=ROUND_HALF_EVEN).divide(
+        *to_rational(x._mpf_))
+    assert _twelve_digits(x) == exact
 
 
 def test_criterion_bell_klm(capsys):
@@ -438,6 +475,10 @@ def test_enumerators_budget_error_suggests_fourier(capsys):
                        "--bip-size", "3", "--k", "9", "--method", "brute")
     assert code == 2
     assert "--method fourier" in err
+    # the budget is the library's default; the CLI has no option for it
+    with pytest.raises(SystemExit):
+        run(capsys, "enumerators", "--state", "ame6", "--n", "6", "--k", "2",
+            "--method", "brute", "--budget", "10")
 
 
 def test_gleason_checks(capsys):
@@ -480,18 +521,18 @@ def test_full_cut_is_refused(capsys):
     assert "cut" in err
 
 
-def test_precision_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PTML_PRECISION_DIGITS", "5")
-    code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "2", "--k-max", "2")
-    assert code == 2
-    assert "PTML_PRECISION_DIGITS" in err
-
-
-def test_precision_env_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("PTML_PRECISION_DIGITS", "40")
-    code, out, _ = run(capsys, "moments", "--state", "ghz", "--n", "2", "--k-max", "3")
-    assert code == 0
-    assert parse_csv(out)[2]["p_k"] == "0.25"
+def test_the_environment_sets_no_precision(capsys, monkeypatch):
+    # a purity margin of GHZ past the character cap is an enclosure's
+    # midpoint; it and the moments print the same whatever the environment
+    argvs = [("criterion", "--name", "purity", "--state", "ghz", "--n", "40",
+              "--noise", "local:0.05"),
+             ("moments", "--state", "ghz", "--n", "2", "--k-max", "3")]
+    want = [run(capsys, *argv) for argv in argvs]
+    assert want[0][:2] == (1, "Inconclusive margin=-0.108035410122\n")
+    assert parse_csv(want[1][1])[2]["p_k"] == "0.25"
+    for digits in ("5", "150"):
+        monkeypatch.setenv("PTML_PRECISION_DIGITS", digits)
+        assert [run(capsys, *argv) for argv in argvs] == want
 
 
 def test_bip_parsing(capsys):

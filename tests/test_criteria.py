@@ -189,7 +189,7 @@ def test_descartes_full_order_equals_ppt():
         s = Spectrum(tuple(
             (v, 1) for v in np.linalg.eigvalsh(partial_transpose(rho, bip))),
             digits=None)
-        npt = ppt_verdict(s.min_eigenvalue(), s.digits).entangled
+        npt = ppt_verdict(s.min_eigenvalue()).entangled
         v = descartes(p, 4)
         if abs(v.margin) > 1e-8:
             assert v.entangled == npt
@@ -293,11 +293,11 @@ def test_purity_criterion():
 
 def test_ppt_verdict():
     npt = Spectrum(((0.5, 3), (-0.5, 1)))
-    v = ppt_verdict(npt.min_eigenvalue(), npt.digits)
+    v = ppt_verdict(npt.min_eigenvalue())
     assert v.entangled and v.margin == pytest.approx(0.5)
     assert v.witness["min_eigenvalue"] == pytest.approx(-0.5)
     ppt = Spectrum(((0.25, 4),))
-    assert not ppt_verdict(ppt.min_eigenvalue(), ppt.digits).entangled
+    assert not ppt_verdict(ppt.min_eigenvalue()).entangled
 
 
 def test_mpf_moment_path():

@@ -47,7 +47,7 @@ def test_global_ppt_decides_exactly_at_300_qubits(capsys):
 def test_global_stieltjes_on_a_singular_hankel_matrix_reads_zero(
         capsys, argv):
     # H has more rows than the spectrum has levels, so it is singular and
-    # PSD; a rounded -lambda_min of either sign contradicts nothing but 0
+    # PSD, and lambda_min is exactly 0
     code = main(["criterion"] + argv.split())
     out, _ = capsys.readouterr()
     assert code == 1

@@ -20,7 +20,8 @@ from ptml.criteria import (FLOAT_TOL, descartes, fidelity_criterion,
                            purity_criterion, stieltjes)
 from ptml.enumerators import exact_decayed
 from ptml.pauli import Bipartition, enumerate_group, state_catalog
-from ptml.spectra import Enclosure, MomentVector, ghz_local_spectrum
+from ptml.spectra import (DEFAULT_DIGITS, Enclosure, MomentVector,
+                          ghz_local_spectrum)
 from ptml.thresholds import (CriterionSpec, GHZModel, StabilizerModel,
                              epsilon_max, evaluate)
 from stabilizers import random_cut, random_group
@@ -262,7 +263,7 @@ def test_rounded_margins_keep_the_model_precision(label, n, eps):
     assert v.margin._mpf_[3] > 53
     spectrum = ghz_local_spectrum(n, eps)
     low = spectrum.min_eigenvalue()
-    assert ppt_verdict(low, spectrum.digits).margin._mpf_ == mpf_neg(
+    assert ppt_verdict(low).margin._mpf_ == mpf_neg(
         low._mpf_)
 
 
@@ -318,15 +319,19 @@ def test_criterion_cli_prints_the_mpf_margin(capsys):
 
 
 def test_deferred_margin_never_contradicts_its_verdict(capsys):
-    # H_15 is singular and PSD here; the mp.eigsy margin's sign is rounding
-    # noise, so the margin reads 0 and the witness keeps the raw value
+    # H_15 is singular and PSD here, so lambda_min is exactly 0, and the
+    # margin is not mp.eigsy's rounding noise
     code = main(["criterion", "--name", "stieltjes:15", "--state", "ame6",
                  "--bip-size", "3", "--noise", "local:0.45"])
     out, _ = capsys.readouterr()
     assert code == 1
     assert out.strip() == "Inconclusive margin=0"
     v = stieltjes(AME6_33.moments(0.45, 15), 15)
-    assert v.margin == 0 and v.witness["min_eigenvalue"] != 0
+    assert v.margin == 0 and v.witness["min_eigenvalue"] == 0
+    # a rounded margin whose sign contradicts its verdict reads 0, and the
+    # witness keeps the raw value
+    v = criteria.Verdict(False, lambda: (mpf(2) ** -400, {"raw": 2 ** -400}))
+    assert v.margin == 0 and v.witness["raw"] > 0
 
 
 def test_ppt_verdict_is_exact_below_any_tolerance():
@@ -346,7 +351,7 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
     v = AME6_33.ppt(below)
     assert v.entangled
     assert 0 < -v.witness["min_eigenvalue"] < mpf(10) ** -50
-    with workdps(AME6_33.digits):  # negation rounds to the working precision
+    with workdps(DEFAULT_DIGITS):  # negation rounds to the working precision
         assert v.margin == -v.witness["min_eigenvalue"]
     assert not AME6_33.ppt(above).entangled
     assert abs(star - thr) <= 1e-9
@@ -355,33 +360,32 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
 def test_ppt_verdict_decides_fraction_float_and_mpf_lows():
     # a Fraction low is decided exactly, its margin -low rounded once
     for low in (Fraction(-1, 3), Fraction(-1, 2 ** 400)):
-        v = ppt_verdict(low, 60)
+        v = ppt_verdict(low)
         assert v.entangled and v._exact
         assert v.margin._mpf_ == from_rational(
-            -low.numerator, low.denominator, dps_to_prec(60), round_nearest)
+            -low.numerator, low.denominator, dps_to_prec(DEFAULT_DIGITS),
+            round_nearest)
         assert v.witness["min_eigenvalue"]._mpf_ == mpf_neg(v.margin._mpf_)
-    assert ppt_verdict(Fraction(-1, 3), None).margin == 1 / 3
     for low in (Fraction(0), Fraction(1, 5)):
-        v = ppt_verdict(low, 60)
+        v = ppt_verdict(low)
         assert not v.entangled and v._exact and v.margin <= 0
-    # a float low against the float64 tolerance, whatever the digits say
-    for digits in (None, 60):
-        v = ppt_verdict(-2 * FLOAT_TOL, digits)
-        assert v.entangled and not v._exact
-        assert v.margin == 2e-10 and isinstance(v.margin, float)
-        assert v.witness["min_eigenvalue"] == -2e-10
-        assert not ppt_verdict(-0.5e-10, digits).entangled
+    # a float low against the float64 tolerance
+    v = ppt_verdict(-2 * FLOAT_TOL)
+    assert v.entangled and not v._exact
+    assert v.margin == 2e-10 and isinstance(v.margin, float)
+    assert v.witness["min_eigenvalue"] == -2e-10
+    assert not ppt_verdict(-0.5e-10).entangled
     # an mpf low is the binary number it is, decided exactly at any size,
     # its margin negated exactly
     with workdps(100):
         low = -mpf(1) / 3 * mpf(10) ** -45
     for x in (low, low * mpf(10) ** -300):
-        v = ppt_verdict(x, 60)
+        v = ppt_verdict(x)
         assert v.entangled and v._exact
         assert v.margin._mpf_ == mpf_neg(x._mpf_)
         assert v.witness["min_eigenvalue"]._mpf_ == x._mpf_
-    assert not ppt_verdict(mpf(0), 60).entangled
-    assert not ppt_verdict(-low, 60).entangled
+    assert not ppt_verdict(mpf(0)).entangled
+    assert not ppt_verdict(-low).entangled
 
 
 def _low(prec, settle_at, calls):
@@ -396,13 +400,13 @@ def _low(prec, settle_at, calls):
 def test_an_open_enclosure_doubles_its_precision_until_decided(
         monkeypatch, capsys):
     calls = []
-    v = ppt_verdict(_low(200, 800, calls), 60)
+    v = ppt_verdict(_low(200, 800, calls))
     assert v.entangled and v._exact and calls == [200, 400, 800]
     assert v.margin == (mpf(2) ** -200 + mpf(2) ** -202) / 2
     # a verdict the bounds never settle is refused, not guessed
     calls = []
     with pytest.raises(RuntimeError, match="still undecided at 51200 bits"):
-        ppt_verdict(_low(200, 10 ** 9, calls), 60)
+        ppt_verdict(_low(200, 10 ** 9, calls))
     assert calls == [200 << i for i in range(9)]
     monkeypatch.setattr(thresholds, "enclose",
                         lambda value, prec: _low(prec, 10 ** 9, []))
@@ -411,16 +415,20 @@ def test_an_open_enclosure_doubles_its_precision_until_decided(
     assert "still undecided" in capsys.readouterr().err
 
 
-# ------------------------------------------------ scalar criteria digits
+# ------------------------------------------------ scalar criteria input
 
 
-def test_scalar_criteria_take_their_precision_as_an_argument():
+def test_scalar_criteria_decide_mpf_exactly_and_floats_with_the_tolerance():
     g, s = mpf("0.5") + mpf("1e-7"), mpf("0.5")
     assert purity_criterion(float(g), float(s)).entangled
-    assert purity_criterion(g, s, digits=60).entangled
-    assert fidelity_criterion(g, 1, digits=60).entangled
-    # float input keeps the float64 tolerance whatever the digits say
-    assert not purity_criterion(0.5 + 1e-12, 0.5, digits=60).entangled
+    assert purity_criterion(g, s).entangled
+    assert fidelity_criterion(g, 1).entangled
+    # an mpf gap is the binary number it is, its own margin
+    with workdps(200):
+        tiny = mpf("0.5") + mpf(2) ** -400
+    assert fidelity_criterion(tiny, 1).margin == mpf(2) ** -400
+    # float input keeps the float64 tolerance
+    assert not purity_criterion(0.5 + 1e-12, 0.5).entangled
 
 
 # ------------------------------------------------ exact fidelity and purity
@@ -488,7 +496,7 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     v = evaluate(CriterionSpec("fidelity"), model, eps)
     assert v.entangled == (model.bell_pairs >= 1 and f > Fraction(1, 2))
     # the margin is the exact gap rounded once, with no Bell pair too
-    assert _rounded_once(v.margin, f - Fraction(1, 2), model.digits)
+    assert _rounded_once(v.margin, f - Fraction(1, 2), DEFAULT_DIGITS)
     # the marginal's enumerators count the group elements inside side A
     a_mask, size = model.bip.a_mask, len(model.bip.a_set)
     inside = [0] * (size + 1)
@@ -500,7 +508,7 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     glob = _decayed_exactly(model.sl, eps, 2)
     v = evaluate(CriterionSpec("purity"), model, eps)
     assert v.entangled == (glob > sub)
-    assert _rounded_once(v.margin, glob - sub, model.digits)
+    assert _rounded_once(v.margin, glob - sub, DEFAULT_DIGITS)
 
 
 def test_ppt_margin_is_the_exact_value_rounded_once():
@@ -509,8 +517,8 @@ def test_ppt_margin_is_the_exact_value_rounded_once():
         entries, s = AME6_33._pt_spectrum(eps)
         low = Fraction(min(a for a, _ in entries), 1 << s)
         v = AME6_33.ppt(eps)
-        assert _rounded_once(v.margin, -low, AME6_33.digits), eps
-        assert _rounded_once(v.witness["min_eigenvalue"], low, AME6_33.digits)
+        assert _rounded_once(v.margin, -low, DEFAULT_DIGITS), eps
+        assert _rounded_once(v.witness["min_eigenvalue"], low, DEFAULT_DIGITS)
 
 
 # Printed before the integer Horner pass; the lines may not move.

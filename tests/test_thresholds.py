@@ -106,9 +106,12 @@ def test_make_model_global_noise_routing():
     # the dense reference applies the global channel: at eps = 1 every
     # cut sees the maximally mixed state
     assert dense.moments(1.0, 2).p(2) == pytest.approx(1 / 16)
-    assert make_model("ghz", 4, noise="global", digits=90).digits == 90
-    assert make_model("ame6", 6, digits=90).digits == 90
-    assert make_model("ghz", 4, digits=90).digits == 90
+    # no model takes or carries a working precision
+    for model in (make_model("ghz", 4, noise="global"), make_model("ame6", 6),
+                  make_model("ghz", 4), make_model("ghz", 16), dense):
+        assert not hasattr(model, "digits")
+    with pytest.raises(TypeError):
+        make_model("ghz", 4, digits=90)
 
 
 def test_make_model_errors():
@@ -394,7 +397,7 @@ def test_ghz_closed_form_ppt_matches_spectrum_oracle():
             eps = i / 40
             got = model.ppt(eps)
             s = ghz_local_spectrum(n, eps)
-            want = ppt_verdict(s.min_eigenvalue(), s.digits)
+            want = ppt_verdict(s.min_eigenvalue())
             assert got.entangled == want.entangled, (n, eps)
             if want.entangled:
                 assert abs(got.witness["min_eigenvalue"]
