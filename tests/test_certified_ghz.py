@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps, workprec
+from mpmath.libmp import dps_to_prec
 
 from ptml import criteria
 from ptml.cli import main
@@ -87,18 +88,22 @@ N8_LINE = ("eps_max=3.66009771824e-07 bracket=9.31e-10 iterations=23 "
            "cut=balanced\n")
 
 
-def test_large_n_threshold_does_not_depend_on_the_precision(capsys):
+@pytest.mark.parametrize("digits", [None, 150])
+def test_large_n_threshold_does_not_depend_on_the_precision(digits, capsys):
     assert main(["threshold", "--criterion", "stieltjes:7", "--state", "ghz",
                  "--n", "100000000"]) == 0
     assert capsys.readouterr().out == N8_LINE
-    # the verdicts at the bracket ends hold on bounds four times as precise
+    # the verdicts at the bracket ends hold on the model's bounds (None) and
+    # on the same bounds refined to the given number of digits
     model = GHZModel(10 ** 8)
     r = epsilon_max(CriterionSpec.parse("stieltjes:7"), model)
     for eps, fires in ((r.eps_max - r.bracket, True),
                        (r.eps_max + r.bracket, False)):
         p = model.moments(eps, 7)
-        for q in (p, p.refine(4 * p.prec)):
-            assert criteria.stieltjes(q, 7).entangled is fires, (eps, q.prec)
+        if digits:
+            p = p.refine(dps_to_prec(digits))
+            assert p.prec > 2 * model.prec
+        assert criteria.stieltjes(p, 7).entangled is fires, (eps, p.prec)
 
 
 def test_the_default_cut_is_not_built_past_the_cap(monkeypatch, capsys):
