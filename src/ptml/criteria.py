@@ -1,8 +1,9 @@
 """Entanglement criteria as pure verdict functions on moment data.
 
 Every criterion here is a relaxation of the PPT test: it may only fire on
-NPT states.  Verdicts carry a signed margin (positive = detected), computed
-only when read.
+NPT states.  A Verdict is its decision and one signed margin (positive =
+detected), the distance to the decision boundary, computed only when
+read.
 
 Every verdict is certified except on float64 input.  Moments with exact
 dyadic numerators (the stabilizer models', under local and global noise,
@@ -65,31 +66,22 @@ MAX_PREC = 1 << 16
 
 class Verdict:
     """A verdict and its signed margin (positive = past the decision
-    boundary, float or mpf) with a witness, (margin, witness) = explain(),
-    computed on first read: a threshold search reads only `entangled`.
-    With exact=True the verdict is the exact sign of the margin, so a
-    rounded margin whose sign contradicts it reads 0; the witness keeps the
-    raw value.  exact=False reads the margin raw."""
+    boundary, float or mpf), computed by margin() on first read: a
+    threshold search reads only `entangled`.  With exact=True the verdict
+    is the exact sign of the margin, so a rounded margin whose sign
+    contradicts it reads 0; exact=False reads the margin raw."""
 
-    def __init__(self, entangled: bool, explain, exact: bool = True):
+    def __init__(self, entangled: bool, margin, exact: bool = True):
         self.entangled = entangled
-        self._explain = explain
+        self._margin = margin
         self._exact = exact
 
     @functools.cached_property
-    def _explained(self) -> tuple:
-        return self._explain()
-
-    @property
     def margin(self):
-        m = self._explained[0]
+        m = self._margin()
         if self._exact and (m > 0) != self.entangled:
             return type(m)(0)
         return m
-
-    @property
-    def witness(self):
-        return self._explained[1]
 
     @property
     def status(self) -> str:
@@ -245,19 +237,18 @@ def klm_ppt(p: MomentVector, k: int, l: int, m: int) -> Verdict:
     if not 1 <= k < l < m <= len(p):
         raise ValueError(f"need 1 <= k < l < m <= {len(p)}, got {(k, l, m)}")
 
-    def explain():
+    def margin():
         pk, pl, pm = p.p(k), p.p(l), p.p(m)
         with _arithmetic(p.digits) as one:
             x = one * (m - l) / (m - k)
-            return pl - pk ** x * pm ** (1 - x), {"triple": (k, l, m), "x": x}
+            return pl - pk ** x * pm ** (1 - x)
 
     if p.digits is not None:
         test = functools.partial(_klm_fires, triple=(k, l, m))
-        return Verdict(_certified(test, p)[0], explain)
+        return Verdict(_certified(test, p)[0], margin)
     if p.p(k) <= 0 or p.p(m) <= 0:
         raise ValueError("fractional powers need positive p_k and p_m")
-    margin, witness = explain()
-    return _positive(margin, witness=lambda _: witness)
+    return _positive(margin())
 
 
 def _klm_fires(p: MomentVector, triple: tuple):
@@ -283,25 +274,25 @@ def _klm_fires(p: MomentVector, triple: tuple):
     return True if beats(lo, hi) else None if beats(hi, lo) else False
 
 
-def hankel_margin(p: MomentVector, m: int) -> tuple:
-    """(margin, witness) of stieltjes(p, m): the margin is -lambda_min of
-    the Hankel matrix, at the precision of hankel_min_eigenvalue (an mpf
-    is negated exactly, not rounded to the caller's mp.prec).  Near a
-    threshold lambda_min sinks exponentially in the matrix size, so exact
-    and bounded moments are first taken to 6 m more digits.  It is exactly
-    0 where exact or mpf moments' integer Hankel is PSD and singular, as a
-    PPT state's is past the rank bound."""
+def hankel_margin(p: MomentVector, m: int):
+    """The margin of stieltjes(p, m): -lambda_min of the Hankel matrix,
+    at the precision of hankel_min_eigenvalue (an mpf is negated exactly,
+    not rounded to the caller's mp.prec).  Near a threshold lambda_min
+    sinks exponentially in the matrix size, so exact and bounded moments
+    are first taken to 6 m more digits.  It is exactly 0 where exact or
+    mpf moments' integer Hankel is PSD and singular, as a PPT state's is
+    past the rank bound."""
     if p.digits is not None and p.bounds is None:
         a, size = _exact(p)[0], _hankel_size(p, m)
         if _psd_nullity([a[i:i + size] for i in range(size)]):
-            return mpf(0), {"m": m, "min_eigenvalue": mpf(0)}
+            return mpf(0)
     if p.digits is not None and (p.exact or p.bounds) is not None:
         digits = p.digits + 6 * m
         p = (MomentVector(exact=p.exact, digits=digits) if p.bounds is None
              else MomentVector(bounds=p.refine(dps_to_prec(digits)).bounds,
                                digits=digits))
-    min_eig = hankel_min_eigenvalue(build_hankel(p, m), digits=p.digits)
-    return _negated(min_eig), {"m": m, "min_eigenvalue": min_eig}
+    return _negated(hankel_min_eigenvalue(build_hankel(p, m),
+                                          digits=p.digits))
 
 
 def stieltjes(p: MomentVector, m: int) -> Verdict:
@@ -321,7 +312,8 @@ def stieltjes(p: MomentVector, m: int) -> Verdict:
     serves, since equal or vanishing eigenvalues only lower the count.
     The models declare one as hankel_rank_bound (thresholds), and
     thresholds.evaluate decides such an order by the model's PPT verdict,
-    with this function's margin."""
+    with this function's margin, or 0 for a PPT state once s exceeds the
+    bound (H_s is then singular)."""
     _hankel_size(p, m)
     return Verdict(_certified(functools.partial(_hankel_fires, m=m), p)[0],
                    functools.partial(hankel_margin, p, m),
@@ -374,10 +366,8 @@ def descartes(p: MomentVector, m: int) -> Verdict:
         nums, s = _exact(p) if p.bounds is None else _grid(p)[:2]
         fs = _newton_numerators(nums)[1:m + 1]
         with _arithmetic(p.digits):
-            es = tuple(_round_once(Fraction(f, math.factorial(j) << s * j),
+            return max(_round_once(Fraction(-f, math.factorial(j) << s * j),
                                    p.digits) for j, f in enumerate(fs, 1))
-            return max(-e for e in es), {"elementary": es,
-                                         "worst_j": 1 + es.index(min(es))}
 
     return Verdict(_certified(functools.partial(_descartes_fires, m=m), p)[0],
                    rounded, exact=p.digits is not None)
@@ -500,19 +490,17 @@ def purity_criterion(global_purity, subsystem_purity) -> Verdict:
 
 def ppt_verdict(low) -> Verdict:
     """The PPT criterion on the least PT eigenvalue low: the margin is
-    -low, decided by _positive, and the witness is low as the margin reads
-    it (rounded once when exact)."""
-    return _positive(_negated(low),
-                     witness=lambda m: {"min_eigenvalue": _negated(m)})
+    -low, decided by _positive."""
+    return _positive(_negated(low))
 
 
-def _positive(gap, fires=True, witness=lambda margin: None) -> Verdict:
+def _positive(gap, fires=True) -> Verdict:
     """The one decision on a scalar gap (positive = detected), which fires
     only if fires.  A Fraction or an mpf is an exact binary number, decided
     as gap > 0; an Enclosure once its bounds agree (_certified); a float
     must exceed FLOAT_TOL.  An mpf or float gap is its own margin; else
     the margin is the exact gap, or the enclosure's midpoint, rounded once
-    to DEFAULT_DIGITS.  witness(margin) builds the witness when read."""
+    to DEFAULT_DIGITS, when read."""
     if isinstance(gap, Enclosure):
         hit, gap = _certified(lambda x: mpf_sign(x.lo) > 0 or (
             None if mpf_sign(x.hi) > 0 else False), gap)
@@ -523,11 +511,5 @@ def _positive(gap, fires=True, witness=lambda margin: None) -> Verdict:
     else:
         hit = gap > (FLOAT_TOL if isinstance(gap, float) else 0)
         margin = lambda: gap  # noqa: E731
-
-    def explain():
-        m = margin()
-        return m, witness(m)
-
-    exact = fires and not isinstance(gap, float)
-    return Verdict(fires and hit, explain, exact=exact)
-
+    return Verdict(fires and hit, margin,
+                   exact=fires and not isinstance(gap, float))

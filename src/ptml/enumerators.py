@@ -92,9 +92,6 @@ class CWTable:
     cplus: dict
     cminus: dict
 
-    def total(self) -> int:
-        return sum(self.cplus.values()) + sum(self.cminus.values())
-
     def difference_poly(self) -> list:
         """Coefficients of sum_w (Cplus_w - Cminus_w) z^w, degree n*k."""
         return [self.cplus.get(w, 0) - self.cminus.get(w, 0)

@@ -80,6 +80,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mpf
 from mpmath.libmp import (dps_to_prec, fone, mpf_add, mpf_mul, mpf_shift,
                           mpf_sub)
 
@@ -148,8 +149,8 @@ class CriterionSpec:
                 raise ValueError("stieltjes needs odd m")
         elif self.kind == "klm":
             t = self.triple
-            if t is None or len(t) != 3 or not t[0] < t[1] < t[2]:
-                raise ValueError("klm needs a triple k < l < m")
+            if t is None or len(t) != 3 or not 1 <= t[0] < t[1] < t[2]:
+                raise ValueError("klm needs a triple 1 <= k < l < m")
         elif self.kind not in ("ppt", "fidelity", "purity"):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
 
@@ -472,9 +473,9 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     ghz = name == "ghz" and noise == "local" and model is None
     if ghz and n > CHARACTER_QUBIT_CAP:
         return GHZModel(n, bip)
+    g = state_catalog(name, n)
     if bip is None:
         bip = Bipartition.balanced(n)
-    g = state_catalog(name, n)
     if model == "dense":
         return DenseModel(state_from_group(g), bip, group=g, name=name,
                           noise=noise)
@@ -499,13 +500,17 @@ def evaluate(spec: CriterionSpec, model, eps,
     eps up to order spec.max_order or beyond, spares a moment criterion its
     own model.moments call; the other criteria ignore it.  Stieltjes past
     the model's rank bound is the model's PPT verdict, and its Hankel
-    margin takes its own moments, only when read."""
+    margin takes its own moments, only when read.  Past the bound D a PPT
+    state's Hankel is PSD of rank at most D, below its size, so its margin
+    is exactly 0."""
     if spec.kind == "ppt":
         return model.ppt(eps)
     if spec.kind == "stieltjes" and not _moment_order(spec, model):
-        return criteria.Verdict(
-            model.ppt(eps).entangled,
-            lambda: criteria.hankel_margin(model.moments(eps, spec.m), spec.m))
+        entangled = model.ppt(eps).entangled
+        if not entangled and (spec.m + 1) // 2 > model.hankel_rank_bound:
+            return criteria.Verdict(False, lambda: mpf(0))
+        return criteria.Verdict(entangled, lambda: criteria.hankel_margin(
+            model.moments(eps, spec.m), spec.m))
     if spec.kind == "fidelity":
         return criteria.fidelity_criterion(model.fidelity(eps),
                                            model.bell_pairs)

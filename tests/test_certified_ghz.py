@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp, workdps, workprec
 from mpmath.libmp import dps_to_prec
 
-from ptml import criteria
+from ptml import criteria, thresholds
 from ptml.cli import main
 from ptml.criteria import build_hankel, hankel_min_eigenvalue
 from ptml.pauli import Bipartition
@@ -110,7 +110,11 @@ def test_the_default_cut_is_not_built_past_the_cap(monkeypatch, capsys):
     def refused(n):
         raise AssertionError(f"a {n}-qubit cut built")
 
+    def no_group(name, n):
+        raise AssertionError(f"a {n}-qubit {name} group built")
+
     monkeypatch.setattr(Bipartition, "balanced", staticmethod(refused))
+    monkeypatch.setattr(thresholds, "state_catalog", no_group)
     assert main(["criterion", "--name", "ppt", "--state", "ghz", "--n",
                  str(10 ** 8), "--noise", "local:0.0000004"]) == 0
     assert capsys.readouterr().out.startswith("Entangled")

@@ -497,11 +497,28 @@ def test_gleason_small_n(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("state,message", [
+    ("bell_pairs --n 3", "bell_pairs requires even n >= 2"),
+    ("ame6 --n 5", "ame6 requires n = 6"),
+    ("ghz --n 1", "ghz requires n >= 2"),
+])
+def test_a_bad_qubit_count_is_reported_before_the_cut(state, message,
+                                                      capsys):
+    # no cut can help here, so the default one is not asked for
+    code, _, err = run(capsys, "criterion", "--name", "ppt", "--state",
+                       *state.split())
+    assert (code, err.strip()) == (2, f"error: {message}")
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "criterion", "--name", "stieltjes:4",
                        "--state", "ghz", "--n", "2")
     assert code == 2
     assert err.strip() == "error: stieltjes needs odd m"
+    code, _, err = run(capsys, "threshold", "--criterion", "klm:0,1,2",
+                       "--state", "ghz", "--n", "4")
+    assert code == 2
+    assert err.strip() == "error: klm needs a triple 1 <= k < l < m"
     code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "3", "--k-max", "2")
     assert code == 2  # no default bipartition for odd n
     # the GHZ marginal purity needs both sides of the cut nonempty

@@ -1,5 +1,8 @@
 """Entanglement criteria on PT moment vectors, checked against oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from ptml.dense import (
     partial_transpose,
     pt_moments,
 )
+from ptml import criteria
 from ptml.spectra import MomentVector, Spectrum, distinct_count, merge_spectrum, moments_from_spectrum
 from ptml.criteria import (
     FLOAT_TOL,
@@ -53,7 +57,6 @@ def test_klm_bell_margin():
     v = klm_ppt(BELL, 1, 2, 3)
     assert v.entangled
     assert abs(v.margin - 0.5) < 1e-12
-    assert v.witness == {"triple": (1, 2, 3), "x": 0.5}
 
 
 def test_klm_interpolation_exponent():
@@ -62,7 +65,6 @@ def test_klm_interpolation_exponent():
     v = klm_ppt(p, 2, 3, 5)
     x = (5 - 3) / (5 - 2)
     assert abs(v.margin - (0.1 - 0.3 ** x * 0.02 ** (1 - x))) < 1e-14
-    assert v.witness["x"] == pytest.approx(x)
 
 
 def test_klm_maximally_mixed_margin_zero():
@@ -106,8 +108,7 @@ def test_stieltjes_min_eig_matches_numpy():
     v = stieltjes(pf, 7)
     h = np.array(build_hankel(pf, 7), dtype=float)
     want = min(np.linalg.eigvalsh(h))
-    assert abs(v.witness["min_eigenvalue"] - want) < 1e-10
-    assert v.margin == -v.witness["min_eigenvalue"]
+    assert abs(-v.margin - want) < 1e-10
 
 
 def test_stieltjes_threshold_scales_with_norm():
@@ -131,13 +132,23 @@ def _elementary_by_poly(lam) -> list:
     return [(-1) ** j * coeffs[j] for j in range(1, len(coeffs))]
 
 
+def _elementary_by_newton(p: MomentVector, m: int) -> list:
+    """e_1..e_m of p from descartes's Newton numerators, F_j / (j! 2^(s j)),
+    each rounded once to a float."""
+    nums, s = criteria._exact(p)
+    fs = criteria._newton_numerators(nums)[1:m + 1]
+    return [float(Fraction(f, math.factorial(j) << s * j))
+            for j, f in enumerate(fs, 1)]
+
+
 def test_newton_elementary_matches_numpy_poly():
     lam = RNG.uniform(-0.5, 1.0, size=6)
     lam /= abs(lam.sum())
     p = MomentVector(tuple(float(np.sum(lam ** k)) for k in range(1, 7)))
-    e = descartes(p, 6).witness["elementary"]
-    assert all(isinstance(x, float) for x in e)
+    e = _elementary_by_newton(p, 6)
     assert np.allclose(e, _elementary_by_poly(lam), atol=1e-10)
+    v = descartes(p, 6)
+    assert isinstance(v.margin, float) and v.margin == max(-x for x in e)
 
 
 def test_descartes_fires_iff_some_elementary_negative():
@@ -147,7 +158,7 @@ def test_descartes_fires_iff_some_elementary_negative():
         pf = MomentVector(tuple(float(p.p(k)) for k in range(1, 6)))
         e = _elementary_by_poly([lam for lam, _ in s.entries])
         v = descartes(pf, 5)
-        assert np.allclose(v.witness["elementary"], e, atol=1e-10)
+        assert np.allclose(_elementary_by_newton(pf, 5), e, atol=1e-10)
         worst = max(-ej for ej in e)
         assert abs(v.margin - worst) < 1e-12
         if worst > 1e-9:
@@ -175,9 +186,10 @@ def test_descartes_witness_identifies_worst_index():
     pf = MomentVector(tuple(float(p.p(k)) for k in range(1, 5)))
     v = descartes(pf, 4)
     assert v.entangled
-    e = v.witness["elementary"]
-    assert len(e) == 4
-    assert -e[v.witness["worst_j"] - 1] == pytest.approx(v.margin)
+    # e = (1, 0, -1/4, -1/16): the margin is -e_3
+    e = _elementary_by_newton(pf, 4)
+    assert e == pytest.approx([1, 0, -0.25, -0.0625], abs=1e-12)
+    assert v.margin == -min(e) == pytest.approx(0.25)
 
 
 def test_descartes_full_order_equals_ppt():
@@ -295,7 +307,6 @@ def test_ppt_verdict():
     npt = Spectrum(((0.5, 3), (-0.5, 1)))
     v = ppt_verdict(npt.min_eigenvalue())
     assert v.entangled and v.margin == pytest.approx(0.5)
-    assert v.witness["min_eigenvalue"] == pytest.approx(-0.5)
     ppt = Spectrum(((0.25, 4),))
     assert not ppt_verdict(ppt.min_eigenvalue()).entangled
 
@@ -354,16 +365,17 @@ def test_midpoint_klm_implies_stieltjes(s):
 def test_verdict_explains_once_and_only_when_read():
     calls = []
 
-    def explain():
+    def margin():
         calls.append(1)
-        return mpf(-1), {"min_eigenvalue": mpf(1)}
+        return mpf(-1)
 
-    v = Verdict(True, explain)
+    v = Verdict(True, margin)
     assert v.entangled and v.status == "Entangled" and calls == []
     # an exact verdict's contradicting rounded margin reads 0
-    assert v.margin == 0 and v.witness == {"min_eigenvalue": 1}
-    assert v.margin == 0 and v.witness["min_eigenvalue"] == 1
+    assert v.margin == 0 and v.margin == 0
     assert len(calls) == 1
-    raw = Verdict(True, explain, exact=False)
-    assert raw.margin == -1 and raw.witness == {"min_eigenvalue": 1}
+    raw = Verdict(True, margin, exact=False)
+    assert raw.margin == -1
     assert len(calls) == 2
+    assert {name for name in dir(v) if not name.startswith("_")} == {
+        "entangled", "margin", "status"}

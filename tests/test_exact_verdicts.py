@@ -3,6 +3,7 @@ checked against brute-force minors, the mpf route and the PPT verdict."""
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -181,7 +182,7 @@ def test_exact_verdicts_match_mpf_where_decisive(n, seed, eps):
             if _clears(approx.margin, tol):
                 assert exact.entangled == approx.entangled, ("klm", k, l, m)
             # the same rounded values, the same raw margin
-            assert exact._explained == approx._explained
+            assert exact._margin() == approx._margin()
 
 
 @pytest.mark.parametrize("name,n,eps", [("ame6", 6, 1.0), ("ghz", 5, 1.0),
@@ -227,29 +228,35 @@ def test_exact_threshold_needs_no_eigenvalues(monkeypatch):
         stieltjes(AME6_33.moments(0.3, 15), 15).margin
 
 
-def test_deferred_margin_is_computed_once(monkeypatch):
+def _record_eigenvalues(monkeypatch) -> list:
+    """The values criteria.hankel_min_eigenvalue returns from now on."""
     calls = []
     real = criteria.hankel_min_eigenvalue
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(criteria, "hankel_min_eigenvalue", counted)
+    return calls
+
+
+def test_deferred_margin_is_computed_once(monkeypatch):
+    calls = _record_eigenvalues(monkeypatch)
     v = stieltjes(AME6_33.moments(0.3, 15), 15)
     assert calls == []
     # negated exactly: a bare minus would round to mpmath's default precision
-    assert v.margin._mpf_ == mpf_neg(v.witness["min_eigenvalue"]._mpf_)
+    assert v.margin._mpf_ == mpf_neg(calls[0]._mpf_)
     assert v.margin > 0
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("model", [GHZModel(6), AME6_33],
                          ids=["ghz6-mpf", "ame6-exact"])
-def test_stieltjes_margin_keeps_the_eigenvalue_precision(model):
+def test_stieltjes_margin_keeps_the_eigenvalue_precision(model, monkeypatch):
+    calls = _record_eigenvalues(monkeypatch)
     v = evaluate(CriterionSpec.parse("stieltjes:5"), model, 0.3)
-    w = v.witness["min_eigenvalue"]
-    assert v.margin._mpf_ == mpf_neg(w._mpf_)
+    assert v.margin._mpf_ == mpf_neg(calls[0]._mpf_) and len(calls) == 1
     assert v.margin._mpf_[3] > 300  # digits + 10, not mpmath's 53 bits
 
 
@@ -302,12 +309,15 @@ def test_descartes_elementary_values_are_rounded_once(cut):
         eps = rng.randrange(1, 1 << 29) / (1 << 29)
         for m in (9, 20):
             p = model.moments(eps, m)
-            got = descartes(p, m).witness["elementary"]
+            nums, s = p.exact
+            got = [Fraction(f, math.factorial(j) << s * j) for j, f in
+                   enumerate(criteria._newton_numerators(nums)[1:m + 1], 1)]
+            assert got == _elementary_exactly(p, m), (eps, m)
             prec = dps_to_prec(p.digits)
-            want = tuple(mp.make_mpf(from_rational(e.numerator, e.denominator,
-                                                   prec, round_nearest))
-                         for e in _elementary_exactly(p, m))
-            assert got == want, (eps, m)
+            want = max(mp.make_mpf(from_rational(-e.numerator, e.denominator,
+                                                 prec, round_nearest))
+                       for e in got)
+            assert descartes(p, m).margin._mpf_ == want._mpf_, (eps, m)
 
 
 def test_criterion_cli_prints_the_mpf_margin(capsys):
@@ -326,12 +336,14 @@ def test_deferred_margin_never_contradicts_its_verdict(capsys):
     out, _ = capsys.readouterr()
     assert code == 1
     assert out.strip() == "Inconclusive margin=0"
-    v = stieltjes(AME6_33.moments(0.45, 15), 15)
-    assert v.margin == 0 and v.witness["min_eigenvalue"] == 0
-    # a rounded margin whose sign contradicts its verdict reads 0, and the
-    # witness keeps the raw value
-    v = criteria.Verdict(False, lambda: (mpf(2) ** -400, {"raw": 2 ** -400}))
-    assert v.margin == 0 and v.witness["raw"] > 0
+    p = AME6_33.moments(0.45, 15)
+    assert stieltjes(p, 15).margin == 0
+    assert criteria.hankel_margin(p, 15) == 0
+    # a rounded margin whose sign contradicts its verdict reads 0, and an
+    # inexact verdict reads the raw value
+    assert criteria.Verdict(False, lambda: mpf(2) ** -400).margin == 0
+    assert criteria.Verdict(False, lambda: mpf(2) ** -400,
+                            exact=False).margin == mpf(2) ** -400
 
 
 def test_ppt_verdict_is_exact_below_any_tolerance():
@@ -350,9 +362,7 @@ def test_ppt_verdict_is_exact_below_any_tolerance():
         below, above = star - mpf("1e-70"), star + mpf("1e-70")
     v = AME6_33.ppt(below)
     assert v.entangled
-    assert 0 < -v.witness["min_eigenvalue"] < mpf(10) ** -50
-    with workdps(DEFAULT_DIGITS):  # negation rounds to the working precision
-        assert v.margin == -v.witness["min_eigenvalue"]
+    assert 0 < v.margin < mpf(10) ** -50
     assert not AME6_33.ppt(above).entangled
     assert abs(star - thr) <= 1e-9
 
@@ -365,7 +375,6 @@ def test_ppt_verdict_decides_fraction_float_and_mpf_lows():
         assert v.margin._mpf_ == from_rational(
             -low.numerator, low.denominator, dps_to_prec(DEFAULT_DIGITS),
             round_nearest)
-        assert v.witness["min_eigenvalue"]._mpf_ == mpf_neg(v.margin._mpf_)
     for low in (Fraction(0), Fraction(1, 5)):
         v = ppt_verdict(low)
         assert not v.entangled and v._exact and v.margin <= 0
@@ -373,7 +382,6 @@ def test_ppt_verdict_decides_fraction_float_and_mpf_lows():
     v = ppt_verdict(-2 * FLOAT_TOL)
     assert v.entangled and not v._exact
     assert v.margin == 2e-10 and isinstance(v.margin, float)
-    assert v.witness["min_eigenvalue"] == -2e-10
     assert not ppt_verdict(-0.5e-10).entangled
     # an mpf low is the binary number it is, decided exactly at any size,
     # its margin negated exactly
@@ -383,7 +391,6 @@ def test_ppt_verdict_decides_fraction_float_and_mpf_lows():
         v = ppt_verdict(x)
         assert v.entangled and v._exact
         assert v.margin._mpf_ == mpf_neg(x._mpf_)
-        assert v.witness["min_eigenvalue"]._mpf_ == x._mpf_
     assert not ppt_verdict(mpf(0)).entangled
     assert not ppt_verdict(-low).entangled
 
@@ -518,7 +525,6 @@ def test_ppt_margin_is_the_exact_value_rounded_once():
         low = Fraction(min(a for a, _ in entries), 1 << s)
         v = AME6_33.ppt(eps)
         assert _rounded_once(v.margin, -low, DEFAULT_DIGITS), eps
-        assert _rounded_once(v.witness["min_eigenvalue"], low, DEFAULT_DIGITS)
 
 
 # Printed before the integer Horner pass; the lines may not move.

@@ -160,3 +160,19 @@ def test_criterion_prints_the_hankel_margin(capsys):
                  "--bip-size", "1", "--noise", "local:0.3"])
     assert code == 0
     assert capsys.readouterr().out == "Entangled margin=4.19672076229e-05\n"
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_a_ppt_hankel_past_the_rank_bound_has_margin_zero(n, capsys,
+                                                          monkeypatch):
+    # 13 x 13 Hankel matrices, past the bound [n/2] + 3 of GHZ: PSD and of
+    # rank at most the bound, so lambda_min is exactly 0, not mp.eigsy's
+    # -5e-222 (n = 16, bounds past the character cap) and no eigenvalue
+    # is computed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mp.eigsy past the rank bound")
+
+    monkeypatch.setattr(criteria, "hankel_min_eigenvalue", forbidden)
+    assert main(["criterion", "--name", "stieltjes:25", "--state", "ghz",
+                 "--n", str(n), "--noise", "local:0.55"]) == 1
+    assert capsys.readouterr().out == "Inconclusive margin=0\n"

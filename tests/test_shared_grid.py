@@ -57,7 +57,7 @@ class ScriptedPPT(GHZModel):
 
     def ppt(self, eps):
         hit = eps < 0.3 or 0.5 < eps < 0.7
-        return Verdict(hit, lambda: (1.0 if hit else -1.0, None), exact=False)
+        return Verdict(hit, lambda: 1.0 if hit else -1.0, exact=False)
 
 
 def test_battery_keeps_each_criterion_flags():

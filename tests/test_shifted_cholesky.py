@@ -97,8 +97,8 @@ def test_rounded_margin_is_raw_and_read_lazily(monkeypatch):
     real = criteria.hankel_min_eigenvalue
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(criteria, "hankel_min_eigenvalue", counted)
     # H_3 = diag(1, -1e-11): -lambda_min = 1e-11 sits under tau = 1e-10, so
@@ -106,8 +106,7 @@ def test_rounded_margin_is_raw_and_read_lazily(monkeypatch):
     v = stieltjes(MomentVector((1.0, 0.0, -1e-11)), 3)
     assert not v.entangled and calls == []
     assert v.margin == pytest.approx(1e-11, rel=1e-6)
-    assert v.witness == {"m": 3, "min_eigenvalue": -v.margin}
-    assert len(calls) == 1
+    assert v.margin == -calls[0] and len(calls) == 1
     v = stieltjes(GHZModel(12).moments(0.1, 7), 7)
     assert v.entangled and v.margin > 0
 

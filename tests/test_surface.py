@@ -1,7 +1,11 @@
 """Every public top-level function or class of the library is reached from
 library code, or is a named oracle of a fast path, or is part of the
-acceptance contract (tests/test_acceptance.py).  Anything else is dead
-surface: a second implementation that only tests keep alive."""
+acceptance contract (tests/test_acceptance.py).  Every member of a library
+class (method, property, class attribute or dataclass field; dunders
+aside) is read as an attribute by library code outside its own
+definition, or is named in ALLOWED_MEMBERS with a reason.  Anything else
+is dead surface: a second implementation, or a channel, that only tests
+keep alive."""
 
 import ast
 import pathlib
@@ -27,6 +31,9 @@ ALLOWED = {
     "spectra.ghz_local_spectrum": "oracle of spectra.ghz_local_moments",
     "spectra.ppt_threshold_ghz": "acceptance contract",
 }
+
+# (module, class, member): reason
+ALLOWED_MEMBERS = {}
 
 
 def _references(path: pathlib.Path, tree: ast.Module):
@@ -80,3 +87,45 @@ def test_allowlist_names_only_unreached_definitions():
     # an allowlisted name that library code now reaches, or that is gone,
     # must leave the list
     assert sorted(ALLOWED) == _unreached()
+
+
+def _member_names(node) -> list:
+    """The names a statement in a class body defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _unread_members() -> list:
+    """Members of library classes whose name no attribute load outside
+    their own definition reads."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    loads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for path, tree in zip(SOURCES, trees):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                own = {id(x) for x in ast.walk(node)}
+                for name in _member_names(node):
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                    if not any(x.attr == name and id(x) not in own
+                               for x in loads):
+                        unread.append((path.stem, cls.name, name))
+    return sorted(unread)
+
+
+def test_class_members_are_read_or_named():
+    assert [m for m in _unread_members() if m not in ALLOWED_MEMBERS] == []
+
+
+def test_member_allowlist_names_only_unread_members():
+    assert sorted(ALLOWED_MEMBERS) == _unread_members()

@@ -400,8 +400,7 @@ def test_ghz_closed_form_ppt_matches_spectrum_oracle():
             want = ppt_verdict(s.min_eigenvalue())
             assert got.entangled == want.entangled, (n, eps)
             if want.entangled:
-                assert abs(got.witness["min_eigenvalue"]
-                           - want.witness["min_eigenvalue"]) < 1e-40
+                assert abs(got.margin - want.margin) < 1e-40
 
 
 GHZ12_PINNED = {"descartes:7": 0.126052598469,
@@ -457,7 +456,7 @@ class FakeModel:
 
     def ppt(self, eps):
         hit = self._fire(eps)
-        return Verdict(hit, lambda: (1.0 if hit else -1.0, None), exact=False)
+        return Verdict(hit, lambda: 1.0 if hit else -1.0, exact=False)
 
     def describe(self):
         return "scripted"
@@ -493,10 +492,10 @@ def test_threshold_search_never_explains_a_verdict(monkeypatch):
     built, explained = [], []
     init = Verdict.__init__
 
-    def counting(self, entangled, explain, exact=True):
+    def counting(self, entangled, margin, exact=True):
         def counted():
             explained.append(1)
-            return explain()
+            return margin()
 
         built.append(1)
         init(self, entangled, counted, exact)
