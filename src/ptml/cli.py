@@ -79,8 +79,11 @@ class RunConfig:
 
 def _parse_bip(n: int, bip: str, bip_size: int) -> Bipartition:
     if bip:
-        qubits = frozenset(int(t) for t in bip.split(","))
-        return Bipartition(n, qubits)
+        qubits = [int(t) for t in bip.split(",")]
+        for i, q in enumerate(qubits):
+            if q in qubits[:i]:
+                raise ValueError(f"--bip repeats qubit {q}")
+        return Bipartition(n, frozenset(qubits))
     if bip_size is not None:
         if not 1 <= bip_size <= n - 1:
             raise ValueError("--bip-size must lie in 1..n-1")

@@ -15,7 +15,8 @@ Both tuple enumerations come in two routes that must agree exactly:
 a brute-force oracle (qwe_bruteforce, cw_bruteforce) and a character
 transform over the stabilizer group (character_polys + cw_fourier) that
 reduces the count to a sum of k-th powers of at most 2^n small polynomials,
-taken as packed big-int powers (each polynomial evaluated at z = 2^B).
+taken as packed big-int powers (each polynomial evaluated at z = 2^B), or,
+for a range of orders, as one power and successive products (_power_sums).
 Exact evaluation runs over ints: at a float or mpf eps, a binary number,
 1 - eps = a / 2^f, so Horner's rule (dyadic_numerator) gives an integer
 numerator over a power of two, and a Fraction is built only where one is
@@ -438,29 +439,53 @@ def _mirror_pairs(polys) -> tuple:
     return tuple(whole), tuple(paired)
 
 
-def _power_sum(polys, k: int, length: int, pairs=None) -> list:
-    """Coefficients z^0..z^(length-1) of sum_i mult_i P_i(z)^k for distinct
-    P_i, exactly: each P_i(2^B) is one int, powered and summed in C, and B
-    has a sign bit and a spare bit above sum_i mult_i ||P_i||_1^k, which
-    bounds every coefficient, so balanced base-2^B digits cannot carry.
+def _power_sums(polys, lo: int, hi: int) -> list:
+    """Coefficient rows of S_k(z) = sum_i mult_i P_i(z)^k for distinct P_i
+    and every order k = lo..hi, exactly; row k runs z^0..z^(k deg).
+
+    Each P_i is packed once, as the int x_i = P_i(2^B); mult_i x_i^lo is
+    taken once, and each further order is one more product by x_i, added
+    to that order's sum, so one power is alive at a time and each order is
+    unpacked once.
+
+    One digit width B serves the whole range.  B has a sign bit and a
+    spare bit above max(f(lo), f(hi)), where f(k) = sum_i mult_i a_i^k and
+    a_i = ||P_i||_1, so f(k) bounds every coefficient of S_k and balanced
+    base-2^B digits cannot carry.  f is log-convex in k: for
+    k = t lo + (1-t) hi with 0 <= t <= 1, Hoelder's inequality gives
+    f(k) = sum_i (mult_i a_i^lo)^t (mult_i a_i^hi)^(1-t)
+    <= f(lo)^t f(hi)^(1-t) <= max(f(lo), f(hi)), so the ends of the range
+    bound every order in between.
+
     P(z) and P(-z) of equal multiplicity (in a character set, all of them:
-    weight parity is a character) cost one power, as twice the even part;
-    pairs is _mirror_pairs(polys), when the caller has it already.
+    weight parity is a character) cost one power, as twice the even part.
     """
-    bits = sum(m * sum(map(abs, p)) ** k for p, m in polys).bit_length() + 2
+    bits = max(sum(m * sum(map(abs, p)) ** k for p, m in polys)
+               for k in (lo, hi)).bit_length() + 2
     width = max(len(p) for p, _ in polys)
     shifts = [w * bits for w in range(width)]
-    whole, paired = (sum(m * sum(map(operator.lshift, p, shifts)) ** k
-                         for p, m in part)
-                     for part in pairs or _mirror_pairs(polys))
-    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
-    for w in range(length):
-        a, b = ((whole + half) & mask) - half, ((paired + half) & mask) - half
-        whole, paired = (whole - a) >> bits, (paired - b) >> bits
-        out.append(a if w % 2 else a + 2 * b)
-    if whole or paired:
-        raise ValueError("packed power sum does not fit its digit width")
-    return out
+    sums = []  # S_lo..S_hi packed, for each part of _mirror_pairs
+    for part in _mirror_pairs(polys):
+        acc = [0] * (hi - lo + 1)
+        for p, m in part:
+            x = sum(map(operator.lshift, p, shifts))
+            y = m * x ** lo
+            acc[0] += y
+            for j in range(1, len(acc)):
+                y *= x
+                acc[j] += y
+        sums.append(acc)
+    half, mask, rows = 1 << (bits - 1), (1 << bits) - 1, []
+    for k, whole, paired in zip(range(lo, hi + 1), *sums):
+        row = []
+        for w in range((width - 1) * k + 1):
+            a, b = ((whole + half) & mask) - half, ((paired + half) & mask) - half
+            whole, paired = (whole - a) >> bits, (paired - b) >> bits
+            row.append(a if w % 2 else a + 2 * b)
+        if whole or paired:
+            raise ValueError("packed power sum does not fit its digit width")
+        rows.append(row)
+    return rows
 
 
 def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
@@ -482,7 +507,7 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     wmax = n * k
 
     def combine(charset):
-        tot = _power_sum(charset, k, wmax + 1)
+        tot = _power_sums(charset, k, k)[0]
         if any(c % size for c in tot):
             raise ValueError("character inversion is not integral; "
                              "group tables are inconsistent")
@@ -606,7 +631,7 @@ def ame_fixture_check() -> dict:
         fast = cw_fourier(g, bip, 3, chars)
         ssum = [64 * (fast.cplus.get(w, 0) + fast.cminus.get(w, 0))
                 for w in range(19)]
-        if ssum != _power_sum(_AME6_PLUS, 3, 19):
+        if ssum != _power_sums(_AME6_PLUS, 3, 3)[0]:
             failures.append(f"{s}|{6-s}: k=3 sum counts disagree with the "
                             "plus-set power formula")
         if s == 1:

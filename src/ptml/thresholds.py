@@ -97,8 +97,7 @@ from .dense import (
 )
 from .enumerators import (
     CHARACTER_QUBIT_CAP,
-    _mirror_pairs,
-    _power_sum,
+    _power_sums,
     _sorted_set,
     character_polys,
     dyadic_numerator,
@@ -184,12 +183,15 @@ class CriterionSpec:
             if arg:
                 raise ValueError(f"{name} takes no parameters")
             return CriterionSpec(name)
-        if name in ("stieltjes", "descartes"):
-            return CriterionSpec(name, m=int(arg))
-        if name == "klm":
-            parts = tuple(int(t) for t in arg.split(","))
-            return CriterionSpec(name, triple=parts)
-        raise ValueError(f"unknown criterion {text!r}")
+        if name not in ("stieltjes", "descartes", "klm"):
+            raise ValueError(f"unknown criterion {text!r}")
+        try:
+            orders = tuple(int(t) for t in arg.split(","))
+            m = None if name == "klm" else int(arg)
+        except ValueError:
+            raise ValueError(f"criterion {text!r}: its order must be an "
+                             "integer") from None
+        return CriterionSpec(name, m=m, triple=orders if m is None else None)
 
 
 def _cut_label(bip: Bipartition) -> str:
@@ -288,15 +290,10 @@ class StabilizerModel:
         self.polys = self._polys()
         self.hankel_rank_bound = len(self.polys)
         self._degree = len(self.polys[0][0]) - 1
-        self._power = functools.cache(lambda k: _power_sum(
-            self.polys, k, self._degree * k + 1, self._pairs))
+        self._table = ()  # power-sum rows of orders 1..len, rebuilt to grow
 
     def _polys(self) -> tuple:
         return character_polys(self.g, self.bip).minus_set
-
-    @functools.cached_property
-    def _pairs(self) -> tuple:  # found once, read for every k
-        return _mirror_pairs(self.polys)
 
     @functools.cached_property
     def sl(self):
@@ -318,8 +315,9 @@ class StabilizerModel:
 
     def moments(self, eps, m_max: int) -> MomentVector:
         a, f = dyadic_one_minus(eps)
-        nums = tuple(dyadic_numerator(self._power(k), a, f)
-                     for k in range(1, m_max + 1))
+        if m_max > len(self._table):
+            self._table = _power_sums(self.polys, 1, m_max)
+        nums = tuple(dyadic_numerator(row, a, f) for row in self._table[:m_max])
         return MomentVector(digits=DEFAULT_DIGITS,
                             exact=(nums, f * self._degree + self.g.n),
                             spectrum=functools.partial(self._pt_spectrum, eps))

@@ -529,6 +529,14 @@ def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "2",
                        "--noise", "local:1.5", "--k-max", "2")
     assert code == 2
+    # an order that is not an integer is reported with its label
+    for command, flag, label in (("criterion", "--name", "stieltjes:"),
+                                 ("criterion", "--name", "klm:1,2,x"),
+                                 ("threshold", "--criterion", "descartes:seven")):
+        code, _, err = run(capsys, command, flag, label, "--state", "ghz",
+                           "--n", "4")
+        assert (code, err.strip()) == (
+            2, f"error: criterion {label!r}: its order must be an integer")
 
 
 def test_full_cut_is_refused(capsys):
@@ -562,6 +570,14 @@ def test_bip_parsing(capsys):
     code, _, err = run(capsys, "moments", "--state", "ame6", "--n", "6",
                        "--bip", "0,1", "--k-max", "2")
     assert code == 2
+
+
+def test_a_repeated_bip_qubit_is_refused(capsys):
+    # {2, 2} would be read as the cut {2}
+    code, out, err = run(capsys, "criterion", "--name", "ppt", "--state",
+                         "ghz", "--n", "4", "--bip", "2,2", "--noise",
+                         "local:0.1")
+    assert (code, out, err.strip()) == (2, "", "error: --bip repeats qubit 2")
 
 
 def test_repeated_calls_in_one_process_behave_the_same(capsys):

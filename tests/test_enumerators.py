@@ -23,7 +23,7 @@ from ptml.dense import (
 )
 from ptml import enumerators
 from ptml.enumerators import (
-    _power_sum,
+    _power_sums,
     SLVector,
     ame_fixture_check,
     character_polys,
@@ -304,16 +304,16 @@ def poly_sets(draw):
     return list(polys.items())
 
 
-@given(poly_sets(), st.integers(1, 7))
+@given(poly_sets(), st.integers(1, 7), st.integers(0, 6))
 @settings(max_examples=300, deadline=None)
-def test_power_sum_matches_convolution(polys, k):
-    length = (max(len(p) for p, _ in polys) - 1) * k + 1
-    assert _power_sum(polys, k, length) == naive_power_sum(polys, k, length)
-
-
-def test_power_sum_rejects_short_length():
-    with pytest.raises(ValueError, match="digit width"):
-        _power_sum([((1, 2, 3), 1)], 2, 4)
+def test_power_sums_match_convolution_at_every_order(polys, lo, span):
+    hi = min(lo + span, 7)
+    width = max(len(p) for p, _ in polys)
+    rows = _power_sums(polys, lo, hi)
+    assert len(rows) == hi - lo + 1
+    for k, row in zip(range(lo, hi + 1), rows):
+        length = (width - 1) * k + 1
+        assert row == naive_power_sum(polys, k, length), k
 
 
 @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10 ** 6))

@@ -220,6 +220,27 @@ def test_ghz_closed_forms_match_enumerator_sums(n):
                 assert encloses(got.lo, got.hi, want), eps
 
 
+# the grid nodes i/64 and one 29-bit dyadic rate
+TABLE_RATES = [i / 64 for i in range(65)] + [0xABCDEF1 / (1 << 29)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StabilizerModel(random_group(8, 11), random_cut(8, 11)),
+    lambda: StabilizerModel(state_catalog("ame6", 6),
+                            Bipartition(6, frozenset({1}))),
+    # three levels, none the mirror of another: the unpaired sum alone
+    lambda: GlobalNoiseModel(state_catalog("ghz", 6),
+                             Bipartition(6, frozenset({1, 2}))),
+], ids=["random8", "ame6-1|5", "global-ghz6"])
+def test_a_rebuilt_power_sum_table_gives_the_same_moments(build):
+    # the first rate builds grown's table for orders 1..3, then for 1..9
+    grown, fresh = build(), build()
+    for eps in TABLE_RATES:
+        low, high = grown.moments(eps, 3).exact, grown.moments(eps, 9).exact
+        want = fresh.moments(eps, 9).exact
+        assert (low, high) == ((want[0][:3], want[1]), want), eps
+
+
 def test_ghz_vs_dense_model_thresholds():
     fast = GHZModel(4)
     slow = DenseModel(state_from_group(state_catalog("ghz", 4)), balanced(4),
