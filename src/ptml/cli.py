@@ -77,9 +77,16 @@ class RunConfig:
     out: str
 
 
+def _number(token: str, option: str, kind=int):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"{option}: bad {kind.__name__} {token.strip()!r}") from None
+
+
 def _parse_bip(n: int, bip: str, bip_size: int) -> Bipartition:
     if bip:
-        qubits = [int(t) for t in bip.split(",")]
+        qubits = [_number(t, "--bip") for t in bip.split(",")]
         for i, q in enumerate(qubits):
             if q in qubits[:i]:
                 raise ValueError(f"--bip repeats qubit {q}")
@@ -95,7 +102,7 @@ def _parse_noise(text: str) -> tuple:
     kind, _, raw = text.partition(":")
     if kind not in ("local", "global") or not raw:
         raise ValueError("noise must look like local:0.3 or global:0.3")
-    eps = float(raw)
+    eps = _number(raw, "--noise", float)
     if not 0 <= eps <= 1:
         raise ValueError("noise rate must lie in [0, 1]")
     return kind, eps
@@ -248,7 +255,7 @@ def cmd_threshold(args) -> int:
 # ------------------------------------------------------------------ sweep
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_int_list(text: str, option: str) -> list:
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -256,16 +263,16 @@ def _parse_int_list(text: str) -> list:
             continue
         if ":" in part:
             a, _, b = part.partition(":")
-            out.extend(range(int(a), int(b) + 1))
+            out.extend(range(_number(a, option), _number(b, option) + 1))
         else:
-            out.append(int(part))
+            out.append(_number(part, option))
     return out
 
 
 def cmd_sweep(args) -> int:
     tol = args.tol
     if args.preset == "fig1":
-        n_list = _parse_int_list(args.n_list)
+        n_list = _parse_int_list(args.n_list, "--n-list")
         if not n_list:
             raise ValueError("empty n list")
         crits = None
@@ -279,10 +286,10 @@ def cmd_sweep(args) -> int:
         rows = sweep_fig1(n_list, criteria=crits, tol=tol)
         columns = ("n", "criterion", "eps_max", "bracket", "flags")
     else:
-        m_range = _parse_int_list(args.m_range)
+        m_range = _parse_int_list(args.m_range, "--m-range")
         if not m_range:
             raise ValueError("empty m range")
-        cuts = tuple(_parse_int_list(args.cuts))
+        cuts = tuple(_parse_int_list(args.cuts, "--cuts"))
         if not cuts:
             raise ValueError("empty cut list")
         rows = sweep_fig2(m_range, cut_sizes=cuts, tol=tol)

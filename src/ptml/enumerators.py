@@ -15,16 +15,18 @@ Both tuple enumerations come in two routes that must agree exactly:
 a brute-force oracle (qwe_bruteforce, cw_bruteforce) and a character
 transform over the stabilizer group (character_polys + cw_fourier) that
 reduces the count to a sum of k-th powers of at most 2^n small polynomials,
-taken as packed big-int powers (each polynomial evaluated at z = 2^B), or,
-for a range of orders, as one power and successive products (_power_sums).
+each packed once as a big int, for a range of orders as one power and
+successive products (_power_sums).  A set closed under z -> -z, as every
+local-noise set is, has even power sums, taken in z^2 at half the width.
 Exact evaluation runs over ints: at a float or mpf eps, a binary number,
 1 - eps = a / 2^f, so Horner's rule (dyadic_numerator) gives an integer
 numerator over a power of two, and a Fraction is built only where one is
 returned (exact_decayed).  Stabilizer tables are evaluated this way and
 rounded once; the minus-set character polynomials give the PT spectrum,
 P_i(1-eps) / 2^n with multiplicity mult_i, and their k-th power sums alone
-give the PT moments, which is how thresholds.StabilizerModel takes them
-(the tables are its oracle).
+give the PT moments, under local noise by Horner's rule in (1-eps)^2,
+which is how thresholds.StabilizerModel takes them (the tables are its
+oracle).
 
 A stabilizer group is walked one way: _element_masks builds the x and z
 masks of all 2^n elements by XOR doubling in numpy, and the Shor-Laflamme
@@ -425,67 +427,59 @@ def character_polys(g: StabilizerGroup, bip: Bipartition) -> CharacterPolynomial
     return CharacterPolynomials(g.n, _character_set(wt, th, g.n), wt)
 
 
-def _mirror_pairs(polys) -> tuple:
-    """(whole, paired): one of each P(z), P(-z) of equal mult is paired."""
-    whole, paired, left = [], [], dict(polys)
-    for p, m in polys:
-        if left.pop(p, None) is None:
-            continue  # the mirror of an earlier polynomial
-        mirror = tuple(c if w % 2 == 0 else -c for w, c in enumerate(p))
-        if left.get(mirror) == m:
-            paired.append((p, left.pop(mirror)))
-        else:
-            whole.append((p, m))
-    return tuple(whole), tuple(paired)
+def _power_sums(polys, lo: int, hi: int) -> tuple:
+    """(s, rows): rows[k - lo][j] is the coefficient of z^(s j) in
+    S_k(z) = sum_i mult_i P_i(z)^k, for distinct P_i and every order
+    k = lo..hi, exactly; row k runs j = 0..floor(k deg / s).  s = 2 when
+    the set is closed under P(z) -> P(-z) at equal multiplicity (every
+    character set is: weight parity is a character), so S_k is even, else 1.
 
+    Each P_i is packed once, as the int x_i = P_i(2^(B/s)); mult_i
+    x_i^(lo-1) is taken once, and each order is one more product by x_i,
+    added to that order's sum, so one power is alive at a time and each
+    order is unpacked once.  The sum is S_k(2^(B/s)) = sum_j S_k[s j]
+    2^(B j), the odd part cancelling when s = 2 (Harvey, J. Symbolic
+    Comput. 44, 2009), so its base-2^B digits are the row (not each power's).
 
-def _power_sums(polys, lo: int, hi: int) -> list:
-    """Coefficient rows of S_k(z) = sum_i mult_i P_i(z)^k for distinct P_i
-    and every order k = lo..hi, exactly; row k runs z^0..z^(k deg).
-
-    Each P_i is packed once, as the int x_i = P_i(2^B); mult_i x_i^lo is
-    taken once, and each further order is one more product by x_i, added
-    to that order's sum, so one power is alive at a time and each order is
-    unpacked once.
-
-    One digit width B serves the whole range.  B has a sign bit and a
-    spare bit above max(f(lo), f(hi)), where f(k) = sum_i mult_i a_i^k and
-    a_i = ||P_i||_1, so f(k) bounds every coefficient of S_k and balanced
-    base-2^B digits cannot carry.  f is log-convex in k: for
-    k = t lo + (1-t) hi with 0 <= t <= 1, Hoelder's inequality gives
-    f(k) = sum_i (mult_i a_i^lo)^t (mult_i a_i^hi)^(1-t)
-    <= f(lo)^t f(hi)^(1-t) <= max(f(lo), f(hi)), so the ends of the range
-    bound every order in between.
-
-    P(z) and P(-z) of equal multiplicity (in a character set, all of them:
-    weight parity is a character) cost one power, as twice the even part.
+    One digit width B, even so that B/2 is whole, serves the whole range.
+    B has a sign bit and a spare bit above max(f(lo), f(hi)), where f(k)
+    = sum_i mult_i a_i^k and a_i = ||P_i||_1, so f(k) bounds every
+    coefficient of S_k, in z or in z^2, and balanced base-2^B digits
+    cannot carry.  f is log-convex in k: for k = t lo + (1-t) hi with
+    0 <= t <= 1, Hoelder's inequality gives f(k) = sum_i (mult_i a_i^lo)^t
+    (mult_i a_i^hi)^(1-t) <= f(lo)^t f(hi)^(1-t) <= max(f(lo), f(hi)), so
+    the ends of the range bound every order in between.
     """
+    width = max(len(p) for p, _ in polys)
+    signs = (1, -1) * width
+    # hold half the set (first odd coefficient > 0) and pair its mirrors off
+    up = {p: m for p, m in polys if next((c > 0 for c in p[1::2] if c), 0)}
+    s = 1 + (all(up.pop(tuple(map(operator.mul, p, signs)), 0) == m
+                 for p, m in polys if next((c < 0 for c in p[1::2] if c), 0))
+             and not up)
+    del up
     bits = max(sum(m * sum(map(abs, p)) ** k for p, m in polys)
                for k in (lo, hi)).bit_length() + 2
-    width = max(len(p) for p, _ in polys)
-    shifts = [w * bits for w in range(width)]
-    sums = []  # S_lo..S_hi packed, for each part of _mirror_pairs
-    for part in _mirror_pairs(polys):
-        acc = [0] * (hi - lo + 1)
-        for p, m in part:
-            x = sum(map(operator.lshift, p, shifts))
-            y = m * x ** lo
-            acc[0] += y
-            for j in range(1, len(acc)):
-                y *= x
-                acc[j] += y
-        sums.append(acc)
+    bits += bits & 1
+    shifts = [w * bits // s for w in range(width)]
+    sums = [0] * (hi - lo + 1)  # S_lo..S_hi packed
+    for p, m in polys:
+        x = sum(map(operator.lshift, p, shifts))
+        y = m * x ** (lo - 1)
+        for j in range(len(sums)):
+            y *= x
+            sums[j] += y
     half, mask, rows = 1 << (bits - 1), (1 << bits) - 1, []
-    for k, whole, paired in zip(range(lo, hi + 1), *sums):
+    for k, total in zip(range(lo, hi + 1), sums):
         row = []
-        for w in range((width - 1) * k + 1):
-            a, b = ((whole + half) & mask) - half, ((paired + half) & mask) - half
-            whole, paired = (whole - a) >> bits, (paired - b) >> bits
-            row.append(a if w % 2 else a + 2 * b)
-        if whole or paired:
+        for _ in range((width - 1) * k // s + 1):
+            c = ((total + half) & mask) - half
+            total = (total - c) >> bits
+            row.append(c)
+        if total:
             raise ValueError("packed power sum does not fit its digit width")
         rows.append(row)
-    return rows
+    return s, rows
 
 
 def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
@@ -504,26 +498,22 @@ def cw_fourier(g: StabilizerGroup, bip: Bipartition, k: int,
     if chars is None:
         chars = character_polys(g, bip)
     size = sum(m for _, m in chars.plus_set)
-    wmax = n * k
 
     def combine(charset):
-        tot = _power_sums(charset, k, k)[0]
+        s, (tot,) = _power_sums(charset, k, k)  # row index j is weight s j
         if any(c % size for c in tot):
             raise ValueError("character inversion is not integral; "
                              "group tables are inconsistent")
-        return [c // size for c in tot]
+        return {s * j: c // size for j, c in enumerate(tot)}
 
     spoly = combine(chars.plus_set)
     dpoly = combine(chars.minus_set)
-    cplus = {}
-    cminus = {}
-    for w in range(wmax + 1):
-        s, dd = spoly[w], dpoly[w]
-        if (s + dd) % 2:
-            raise ValueError("sum/difference parity mismatch in inversion")
+    cplus, cminus = {}, {}
+    for w in sorted(spoly.keys() | dpoly.keys()):
+        s, dd = spoly.get(w, 0), dpoly.get(w, 0)
+        if (s + dd) % 2 or s < abs(dd):
+            raise ValueError("inversion gives an odd or negative tuple count")
         cp, cm = (s + dd) // 2, (s - dd) // 2
-        if cp < 0 or cm < 0:
-            raise ValueError("negative tuple count in inversion")
         if cp:
             cplus[w] = cp
         if cm:
@@ -631,7 +621,8 @@ def ame_fixture_check() -> dict:
         fast = cw_fourier(g, bip, 3, chars)
         ssum = [64 * (fast.cplus.get(w, 0) + fast.cminus.get(w, 0))
                 for w in range(19)]
-        if ssum != _power_sums(_AME6_PLUS, 3, 3)[0]:
+        step, (row,) = _power_sums(_AME6_PLUS, 3, 3)
+        if ssum != [0 if w % step else row[w // step] for w in range(19)]:
             failures.append(f"{s}|{6-s}: k=3 sum counts disagree with the "
                             "plus-set power formula")
         if s == 1:

@@ -275,11 +275,11 @@ class StabilizerModel:
     enumerators sl of the state and _marginal of its reduction to A, here
     group elements counted by weight.  From them: PPT is the sign of
     min_i P_i(1-eps); the moments p_k = sum_i mu_i P_i(1-eps)^k / 2^(nk)
-    come from the power-sum polynomials by Horner's rule, as integer
-    numerators, so every criterion decides exactly; hankel_rank_bound =
-    len(polys); fidelity and the purities are sum_w a_w (1-eps)^w and
-    sum_w a_w (1-eps)^(2w), exact Fractions.  GlobalNoiseModel changes
-    only the data.
+    come from the power-sum polynomials by Horner's rule, in (1-eps)^2
+    under local noise, as integer numerators, so every criterion decides
+    exactly; hankel_rank_bound = len(polys); fidelity and the purities are
+    sum_w a_w (1-eps)^w and sum_w a_w (1-eps)^(2w), exact Fractions.
+    GlobalNoiseModel changes only the data.
     """
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None):
@@ -290,7 +290,7 @@ class StabilizerModel:
         self.polys = self._polys()
         self.hankel_rank_bound = len(self.polys)
         self._degree = len(self.polys[0][0]) - 1
-        self._table = ()  # power-sum rows of orders 1..len, rebuilt to grow
+        self._step, self._table = 1, ()  # S_1.. in z^s, rebuilt to grow
 
     def _polys(self) -> tuple:
         return character_polys(self.g, self.bip).minus_set
@@ -316,10 +316,12 @@ class StabilizerModel:
     def moments(self, eps, m_max: int) -> MomentVector:
         a, f = dyadic_one_minus(eps)
         if m_max > len(self._table):
-            self._table = _power_sums(self.polys, 1, m_max)
-        nums = tuple(dyadic_numerator(row, a, f) for row in self._table[:m_max])
+            self._step, self._table = _power_sums(self.polys, 1, m_max)
+        s, deg = self._step, self._degree
+        nums = tuple(dyadic_numerator(row, a**s, f * s) << f * (k * deg % s)
+                     for k, row in enumerate(self._table[:m_max], 1))
         return MomentVector(digits=DEFAULT_DIGITS,
-                            exact=(nums, f * self._degree + self.g.n),
+                            exact=(nums, f * deg + self.g.n),
                             spectrum=functools.partial(self._pt_spectrum, eps))
 
     def ppt(self, eps) -> criteria.Verdict:

@@ -537,6 +537,20 @@ def test_error_exit_codes(capsys):
                            "--n", "4")
         assert (code, err.strip()) == (
             2, f"error: criterion {label!r}: its order must be an integer")
+    # a malformed number is reported with its option and the bad token
+    for argv, want in (
+            (("criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
+              "--bip", "1,x"), "--bip: bad int 'x'"),
+            (("sweep", "--preset", "fig2", "--m-range", "3:x"),
+             "--m-range: bad int 'x'"),
+            (("sweep", "--preset", "fig2", "--cuts", "1,y"),
+             "--cuts: bad int 'y'"),
+            (("sweep", "--preset", "fig1", "--n-list", "2,z"),
+             "--n-list: bad int 'z'"),
+            (("moments", "--state", "ghz", "--n", "2", "--noise", "local:abc",
+              "--k-max", "2"), "--noise: bad float 'abc'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.strip()) == (2, "", f"error: {want}")
 
 
 def test_full_cut_is_refused(capsys):

@@ -1,5 +1,6 @@
 """Weight-enumerator machinery vs dense matrix oracles."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ from ptml.enumerators import (
 )
 from ptml.thresholds import (
     CriterionSpec,
+    GHZStabilizerModel,
+    GlobalNoiseModel,
     StabilizerModel,
     _check_cut,
     epsilon_max,
@@ -290,17 +293,29 @@ def naive_power_sum(polys, k, length):
     return out
 
 
+def mirror(p):
+    return tuple(c if w % 2 == 0 else -c for w, c in enumerate(p))
+
+
+def is_mirror_closed(polys):
+    mult = dict(polys)
+    return all(mult.get(mirror(p)) == m for p, m in polys)
+
+
 @st.composite
 def poly_sets(draw):
-    polys = draw(st.dictionaries(
-        st.lists(st.integers(-40, 40), min_size=1, max_size=6).map(tuple),
-        st.integers(1, 9), min_size=1, max_size=6))
+    coeffs = st.lists(st.integers(-40, 40), min_size=1, max_size=6)
+    if draw(st.booleans()):
+        # even polynomials, each its own mirror
+        coeffs = coeffs.map(lambda p: [0 if w % 2 else c
+                                       for w, c in enumerate(p)])
+    polys = draw(st.dictionaries(coeffs.map(tuple), st.integers(1, 9),
+                                 min_size=1, max_size=6))
     if draw(st.booleans()):
         # add every mirror P(-z) at the same multiplicity, as a character
         # set has them
         for p, m in list(polys.items()):
-            polys.setdefault(tuple(c if w % 2 == 0 else -c
-                                   for w, c in enumerate(p)), m)
+            polys.setdefault(mirror(p), m)
     return list(polys.items())
 
 
@@ -309,11 +324,92 @@ def poly_sets(draw):
 def test_power_sums_match_convolution_at_every_order(polys, lo, span):
     hi = min(lo + span, 7)
     width = max(len(p) for p, _ in polys)
-    rows = _power_sums(polys, lo, hi)
+    s, rows = _power_sums(polys, lo, hi)
+    assert s == (2 if is_mirror_closed(polys) else 1)
     assert len(rows) == hi - lo + 1
     for k, row in zip(range(lo, hi + 1), rows):
         length = (width - 1) * k + 1
-        assert row == naive_power_sum(polys, k, length), k
+        naive = naive_power_sum(polys, k, length)
+        assert row == naive[::s], k
+        assert not any(naive[1::2]) or s == 1, k
+
+
+# P(z) -> P(-z) multiplies each element's term by (-1)^wt(S), and weight
+# parity is a character, so it permutes the characters of a group
+
+
+def every_cut(n):
+    return [Bipartition(n, frozenset(a for a in range(1, n + 1)
+                                     if v >> (a - 1) & 1))
+            for v in range(1 << n)]
+
+
+def test_catalog_character_sets_are_mirror_closed():
+    for name, n in CATALOG:
+        g = state_catalog(name, n)
+        for bip in every_cut(n):
+            chars = character_polys(g, bip)
+            for charset in (chars.plus_set, chars.minus_set):
+                assert is_mirror_closed(charset), (name, n, bip)
+                assert _power_sums(charset, 1, 2)[0] == 2
+
+
+@given(st.integers(2, 8), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_random_character_sets_are_mirror_closed(n, seed):
+    chars = character_polys(random_group(n, seed), random_cut(n, seed))
+    assert is_mirror_closed(chars.minus_set)
+    assert is_mirror_closed(chars.plus_set)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_ghz_polynomials_are_mirror_closed(n):
+    g = state_catalog("ghz", n)
+    for cut in range(1, n):
+        polys = GHZStabilizerModel(
+            g, Bipartition(n, frozenset(range(1, cut + 1)))).polys
+        assert is_mirror_closed(polys), cut
+        # the band is even; at odd n the isolated pair E +- 2^(n-1) z^n
+        # are each other's mirrors
+        odd = [p for p, _ in polys if mirror(p) != p]
+        assert len(odd) == (2 if n % 2 else 0), cut
+
+
+def test_global_noise_levels_are_not_mirror_closed():
+    for name, n in CATALOG:
+        g = state_catalog(name, n)
+        for cut in range(1, n):
+            model = GlobalNoiseModel(
+                g, Bipartition(n, frozenset(range(1, cut + 1))))
+            assert not is_mirror_closed(model.polys), (name, n, cut)
+            assert _power_sums(model.polys, 1, 2)[0] == 1
+
+
+def _spectrum_models():
+    g11, cut11 = random_group(11, 4), random_cut(11, 4)
+    return [StabilizerModel(g11, cut11),
+            GHZStabilizerModel(state_catalog("ghz", 11),
+                               Bipartition(11, frozenset({1, 2, 3}))),
+            StabilizerModel(state_catalog("ame6", 6),
+                            Bipartition(6, frozenset({1}))),
+            GlobalNoiseModel(state_catalog("ghz", 5),
+                             Bipartition(5, frozenset({1, 2})))]
+
+
+def test_moment_numerators_are_the_spectrum_power_sums():
+    # under local noise the moments are Horner's rule in (1-eps)^2, shifted
+    # by f where k deg is odd (n = 11, odd k); global noise stays in 1-eps
+    rng = random.Random(29)
+    eps_list = [i / 64 for i in range(65)]
+    eps_list += [rng.randrange(1 << 29) / (1 << 29) for _ in range(12)]
+    for model, step in zip(_spectrum_models(), (2, 2, 2, 1)):
+        for eps in eps_list:
+            (nums, s), (entries, s2) = (model.moments(eps, 9).exact,
+                                        model._pt_spectrum(eps))
+            assert s == s2
+            want = [sum(mu * a**k for a, mu in entries) for k in range(1, 10)]
+            assert list(nums) == want, (model.describe(), eps)
+        assert model._step == step, model.describe()
 
 
 @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10 ** 6))
