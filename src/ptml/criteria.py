@@ -470,12 +470,12 @@ def stieltjes_witness(s: Spectrum, m: int) -> list:
 def fidelity_criterion(f, bell_pairs: int) -> Verdict:
     """Overlap above 1/2 with a pure stabilizer state holding bell_pairs
     Bell pairs across the cut; a separable state's overlap is at most
-    2^-bell_pairs, so with none the criterion certifies nothing.  f is a
-    Fraction, an mpf or an Enclosure, decided exactly (_positive), or a
-    float, judged as float64."""
+    2^-bell_pairs, so with none the bound is 1 and the criterion certifies
+    nothing.  f is a Fraction, an mpf or an Enclosure, decided exactly
+    (_positive), or a float, judged as float64."""
     if not isinstance(f, Enclosure) and not 0 <= f <= 1:
         raise ValueError("fidelity must lie in [0, 1]")
-    return _positive(_difference(f, Fraction(1, 2)), fires=bell_pairs >= 1)
+    return _positive(_difference(f, Fraction(1, 2 if bell_pairs else 1)))
 
 
 def purity_criterion(global_purity, subsystem_purity) -> Verdict:
@@ -494,13 +494,13 @@ def ppt_verdict(low) -> Verdict:
     return _positive(_negated(low))
 
 
-def _positive(gap, fires=True) -> Verdict:
-    """The one decision on a scalar gap (positive = detected), which fires
-    only if fires.  A Fraction or an mpf is an exact binary number, decided
-    as gap > 0; an Enclosure once its bounds agree (_certified); a float
-    must exceed FLOAT_TOL.  An mpf or float gap is its own margin; else
-    the margin is the exact gap, or the enclosure's midpoint, rounded once
-    to DEFAULT_DIGITS, when read."""
+def _positive(gap) -> Verdict:
+    """The one decision on a scalar gap (positive = detected).  A Fraction
+    or an mpf is an exact binary number, decided as gap > 0; an Enclosure
+    once its bounds agree (_certified); a float must exceed FLOAT_TOL.  An
+    mpf or float gap is its own margin; else the margin is the exact gap,
+    or the enclosure's midpoint, rounded once to DEFAULT_DIGITS, when
+    read."""
     if isinstance(gap, Enclosure):
         hit, gap = _certified(lambda x: mpf_sign(x.lo) > 0 or (
             None if mpf_sign(x.hi) > 0 else False), gap)
@@ -511,5 +511,4 @@ def _positive(gap, fires=True) -> Verdict:
     else:
         hit = gap > (FLOAT_TOL if isinstance(gap, float) else 0)
         margin = lambda: gap  # noqa: E731
-    return Verdict(fires and hit, margin,
-                   exact=fires and not isinstance(gap, float))
+    return Verdict(hit, margin, exact=not isinstance(gap, float))

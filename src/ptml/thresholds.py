@@ -1,16 +1,12 @@
 """Noise thresholds: the largest depolarizing rate a criterion detects.
 
-epsilon_max_battery scans a battery of criteria on one model over a grid of
-eps in [0, 1], and bisects each criterion's final Entangled -> Inconclusive
-crossing down to a requested bracket width.  At each grid point the model's
-moments are computed once, up to the highest order a criterion of the
-battery reads, and every criterion is judged on that one vector; bisection
-evaluates each criterion on its own.  epsilon_max is the battery of one
-criterion.  "Final" matters: some moment criteria (notably (m-2, m-1,
-m)-PPT on uneven cuts) switch off and back on before dying out, and the
-quantity of interest is the largest eps at which the criterion still
-fires.  A pre-scan that flips more than once is flagged; strict mode
-refuses it instead so the caller can inspect the grid by hand.
+epsilon_max_battery finds, for each criterion of a battery on one model,
+its final Entangled -> Inconclusive crossing from its verdicts at the grid
+nodes i/64 and a bisection down to a requested bracket width; epsilon_max
+is the battery of one criterion.  "Final" matters: some moment criteria
+(notably (m-2, m-1, m)-PPT on uneven cuts) switch off and back on before
+dying out, and the quantity of interest is the largest eps at which the
+criterion still fires.  A grid that flips more than once is flagged.
 
 Every eps a threshold evaluates is a short dyadic rational.  The
 GRID_POINTS = 65 grid nodes are i/64, and the midpoint of two dyadic floats
@@ -23,46 +19,24 @@ keep them short.
 
 Five state models share one protocol (describe, moments, ppt, fidelity,
 purities, bell_pairs, the Bell pairs the pure state holds across the cut,
-and hankel_rank_bound, see below), and make_model is the one dispatch from
-(state, noise, cut) to model:
-
-  StabilizerModel   local noise, any stabilizer state and cut (model
-                    "enumerator" for GHZ, as its oracle): exact moments,
-                    Schatten sums and verdicts for every criterion, from
-                    the minus-set character polynomials in 1 - eps.
-  GHZStabilizerModel local noise, GHZ on any cut up to
-                    CHARACTER_QUBIT_CAP qubits: the stabilizer model with
-                    its polynomials in closed form.
-  GHZModel          local noise, GHZ on any cut past the cap: PT moments,
-                    the least PT eigenvalue, fidelity and purities in
-                    closed form, enclosed by directed rounding at a cost
-                    independent of n, so every verdict is certified.
-  GlobalNoiseModel  global noise: the stabilizer model with one-step
-                    weights [S != I], whose polynomials are three linear
-                    levels fixed by n and the Bell pair count, exact at
-                    any n.
-  DenseModel        either noise, everything from the density matrix
-                    (model "dense").  The slow reference.
+hankel_rank_bound and separable_from), and make_model is the one dispatch
+from (state, noise, cut) to model.  The exact stabilizer models and the
+certified GHZModel declare both bounds; DenseModel, the float64 reference,
+whose verdicts carry a tolerance, declares neither (None).
 
 hankel_rank_bound is an upper bound D on the number of distinct nonzero PT
-eigenvalue functions of eps, or None.  With D such eigenvalues the order-m
-Hankel matrix, of size s = (m+1)/2, is V^T diag(mu_i lambda_i) V for a
-D x s Vandermonde matrix V of full row rank once s >= D, so stieltjes:m
-with (m+1)/2 >= D fires exactly when PPT does (criteria.stieltjes).  There
-evaluate takes the model's exact PPT verdict, with the Hankel margin
-computed only when read, and the battery reads no moments for it:
+eigenvalue functions of eps, so stieltjes:m with (m+1)/2 >= D fires exactly
+when PPT does (criteria.stieltjes), and evaluate takes the model's PPT
+verdict.  D counts the minus-set polynomials (4, 5 and 4 on the AME(6,2)
+cuts 1|5, 2|4 and 3|3; [n/2] + 3 on every GHZ cut, GHZModel's too), at
+most 3 under global noise: there stieltjes:5 is PPT for every stabilizer
+state, the paper's claim that p_1..p_5 suffice.
 
-  StabilizerModel   D = the number of minus-set character polynomials
-                    (4, 5 and 4 on the AME(6,2) cuts 1|5, 2|4 and 3|3;
-                    [n/2] + 3 on every GHZ cut, 2 at n = 2).
-  GlobalNoiseModel  D = the levels of nonzero multiplicity, 3 (2 when r = 0
-                    or 2r = n): stieltjes:5 is PPT for every globally
-                    depolarized stabilizer state, at any n and on any cut,
-                    the paper's claim that p_1..p_5 suffice.
-  GHZModel          [n/2] + 3 on every cut, as GHZStabilizerModel:
-                    the n + 1 band eigenvalues pair up as lambda_j =
-                    lambda_(n-j), plus the isolated pair.
-  DenseModel        None: the oracle takes no shortcut.
+separable_from is a noise rate from which the state is separable, 2/3
+under local noise (entanglement breaking, Horodecki, Shor and Ruskai, Rev.
+Math. Phys. 15, 629, 2003) and 1 under global noise.  With it, and with PPT
+(Horodecki et al., Rev. Mod. Phys. 81, 865, 2009) and fidelity monotone in
+eps, a threshold skips the verdicts theorems decide (epsilon_max_battery).
 
 sweep_fig1 and sweep_fig2 run the standard criterion batteries
 (fig1_criteria on the GHZ family vs n; fig2_criteria on AME(6,2) per cut
@@ -85,39 +59,16 @@ from mpmath.libmp import (dps_to_prec, fone, mpf_add, mpf_mul, mpf_shift,
                           mpf_sub)
 
 from . import criteria
-from .dense import (
-    _partial_trace_keep,
-    depolarize_global,
-    depolarize_local,
-    fidelity_pure,
-    nqubits,
-    pt_moments,
-    pt_spectrum,
-    state_from_group,
-)
-from .enumerators import (
-    CHARACTER_QUBIT_CAP,
-    _power_sums,
-    _sorted_set,
-    character_polys,
-    dyadic_numerator,
-    dyadic_one_minus,
-    exact_decayed,
-    marginal_enumerators,
-    one_step_enumerators,
-    sl_enumerators,
-)
+from .dense import (_partial_trace_keep, depolarize_global, depolarize_local,
+                    fidelity_pure, nqubits, pt_moments, pt_spectrum,
+                    state_from_group)
+from .enumerators import (CHARACTER_QUBIT_CAP, _power_sums, _sorted_set,
+                          character_polys, dyadic_numerator, dyadic_one_minus,
+                          exact_decayed, marginal_enumerators,
+                          one_step_enumerators, sl_enumerators)
 from .pauli import Bipartition, StabilizerGroup, bell_pair_rank, state_catalog
-from .spectra import (
-    DEFAULT_DIGITS,
-    Enclosure,
-    MomentVector,
-    _ghz_bases,
-    _ghz_forms,
-    _sum_of_powers,
-    enclose,
-    ghz_local_moments,
-)
+from .spectra import (DEFAULT_DIGITS, Enclosure, MomentVector, _ghz_bases,
+                      _ghz_forms, _sum_of_powers, enclose, ghz_local_moments)
 
 BRACKET_TOL = 1e-9
 GRID_POINTS = 65
@@ -221,7 +172,7 @@ class GHZModel:
     is certified (criteria._certified) and hankel_rank_bound, the [n/2] + 3
     distinct PT eigenvalues, is sound."""
 
-    bell_pairs = 1
+    bell_pairs, separable_from = 1, Fraction(2, 3)
     prec = dps_to_prec(DEFAULT_DIGITS)
 
     def __init__(self, n: int, bip: Bipartition = None):
@@ -281,6 +232,8 @@ class StabilizerModel:
     sum_w a_w (1-eps)^w and sum_w a_w (1-eps)^(2w), exact Fractions.
     GlobalNoiseModel changes only the data.
     """
+
+    separable_from = Fraction(2, 3)
 
     def __init__(self, g: StabilizerGroup, bip: Bipartition, name: str = None):
         self.g = g
@@ -388,6 +341,8 @@ class GlobalNoiseModel(StabilizerModel):
     (1, 2^(|A|-r) - 1) / 2^|A| for its marginal.
     """
 
+    separable_from = 1
+
     def _polys(self) -> tuple:
         n, r = self.g.n, self.bell_pairs
         levels = (((1, (1 << n - r) - 1), ((1 << 2 * r) + (1 << r)) >> 1),
@@ -411,7 +366,7 @@ class DenseModel:
     """Reference model: everything computed from the density matrix, under
     local or global depolarizing noise."""
 
-    hankel_rank_bound = None  # the oracle takes no shortcut
+    hankel_rank_bound = separable_from = None  # the oracle takes no shortcut
 
     def __init__(self, rho: np.ndarray, bip: Bipartition,
                  group: StabilizerGroup = None, name: str = None,
@@ -564,30 +519,64 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
     """Thresholds of a battery of criteria on one model, one
     ThresholdResult per spec.
 
-    A grid of GRID_POINTS nodes i/64 over [0, 1] locates every verdict
-    flip; the nodes are dyadic, so every eps evaluated, midpoints
-    included, has a short binary expansion and the exact models' integer
-    verdicts stay cheap (module docstring).  At each
-    grid point the model's moments are computed once, up to the highest
-    order the battery reads (stieltjes past the model's hankel_rank_bound
-    reads none), and every spec is judged on that one vector.  Bisection
-    then tightens each spec's final True -> False
-    crossing on its own, at its own order, until its bracket is below tol;
-    a tol below the float64 spacing at the crossing is refused there, with
-    the narrowest bracket available.  With strict=True a grid whose verdict flips more than once is an error
-    (the grid is embedded in the message for inspection) instead of being
-    resolved by the final-crossing rule.
+    Each spec's verdicts at the GRID_POINTS nodes i/64 form its row, whose
+    last True -> False flip is bisected on its own, at its own order, until
+    its bracket is below tol (_final_crossing); a tol below the float64
+    spacing at the crossing is refused there, with the narrowest bracket
+    available.  With strict=True a row that flips more than once is an
+    error (the row is embedded in the message) instead of being resolved
+    by the final-crossing rule.
+
+    A row skips the verdicts that theorems decide.  A model with
+    separable_from s not None has exact or certified verdicts, the true
+    ones, so these hold for them:
+      (a) No sound criterion fires at eps >= s.  Under local noise
+          s = 2/3: a one-qubit depolarizing channel with 1 - eps <= 1/3 is
+          entanglement breaking (Horodecki, Shor and Ruskai, Rev. Math.
+          Phys. 15, 629, 2003), so rho(eps) is separable.  Under global
+          noise s = 1.
+      (b) PPT is monotone.  With 1 - d = (1 - e2) / (1 - e1), noise at e2
+          is noise at e1 followed by noise at d, which acts on each qubit
+          alone, so is local for the A|B cut, and local operations keep
+          PPT states PPT (Horodecki et al., Rev. Mod. Phys. 81, 865,
+          2009).  Under global noise lambda_min(eps) = (1 - eps)
+          lambda_min(0) + eps / 2^n grows, as lambda_min(0) <= 2^-n.
+      (c) Fidelity is monotone: F(eps) = 2^-n sum_(S in G) (1 - eps)^wt(S)
+          has nonnegative terms; under global noise F(eps) =
+          (1 - eps)(1 - 2^-n) + 2^-n.
+    So ppt, fidelity and stieltjes past the rank bound (decided by PPT)
+    find their last firing node by binary search: node 0, the eps = 1
+    guard and at most 6 probes below the first node at or past s.  Every
+    other spec is judged at the nodes below s and at eps = 1, on one
+    moment vector per node up to the highest order they read, and reads
+    False at the rest.  The rows equal a scan of every node.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
-    specs = tuple(specs)
-    grid = [i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
-    top = max((_moment_order(spec, model) for spec in specs), default=0)
-    hits = [[] for _ in specs]
-    for eps in grid:
-        p = model.moments(eps, top) if top else None
-        for spec, row in zip(specs, hits):
-            row.append(evaluate(spec, model, eps, p).entangled)
+    specs, last, cut = tuple(specs), GRID_POINTS - 1, model.separable_from
+    grid = [i / last for i in range(GRID_POINTS)]
+    stop = last if cut is None else math.ceil(last * cut)
+    hits, scanned = [[False] * GRID_POINTS for _ in specs], []
+
+    def fires(spec, i, p=None):
+        return evaluate(spec, model, grid[i], p).entangled
+
+    for spec, row in zip(specs, hits):
+        # every spec but the monotone ones of (b) and (c) is scanned
+        if cut is None or spec.kind == "purity" or _moment_order(spec, model):
+            scanned.append((spec, row))
+            continue
+        lo, hi = ((last, last) if fires(spec, last) else
+                  (0, stop) if fires(spec, 0) else (-1, 0))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fires(spec, mid) else (lo, mid)
+        row[:lo + 1] = [True] * (lo + 1)
+    top = max((_moment_order(spec, model) for spec, _ in scanned), default=0)
+    for i in (*range(stop), last):
+        p = model.moments(grid[i], top) if top else None
+        for spec, row in scanned:
+            row[i] = fires(spec, i, p)
     return [_final_crossing(spec, model, grid, row, tol, strict)
             for spec, row in zip(specs, hits)]
 

@@ -90,12 +90,13 @@ def test_threshold_noise_rates_are_short_dyadics(name, monkeypatch):
         asked.clear()
         model.seen.clear()
         r = epsilon_max(spec, model)
-        calls = GRID_POINTS + r.iterations
-        assert len(asked) == calls
+        # grid nodes (those a theorem decides are skipped), then one
+        # verdict per bisection step
+        assert len(asked) <= GRID_POINTS + r.iterations
         # one vector per verdict, or none when the model's PPT verdict
         # decides (stieltjes past the rank bound)
         reads = thresholds._moment_order(spec, model)
-        assert len(model.seen) == (calls if reads else 0)
+        assert len(model.seen) == (len(asked) if reads else 0)
         for eps in asked + model.seen:
             assert dyadic_one_minus(eps)[1] <= GRID_BITS + r.iterations
         if not r.never_fired:

@@ -502,8 +502,10 @@ def test_exact_fidelity_and_purity_verdicts(n, seed, eps):
     f = _decayed_exactly(model.sl, eps, 1)
     v = evaluate(CriterionSpec("fidelity"), model, eps)
     assert v.entangled == (model.bell_pairs >= 1 and f > Fraction(1, 2))
-    # the margin is the exact gap rounded once, with no Bell pair too
-    assert _rounded_once(v.margin, f - Fraction(1, 2), DEFAULT_DIGITS)
+    # the margin is the exact gap to the bound used, rounded once: 1/2, or
+    # 1 with no Bell pair across the cut
+    bound = Fraction(1, 2) if model.bell_pairs else 1
+    assert _rounded_once(v.margin, f - bound, DEFAULT_DIGITS)
     # the marginal's enumerators count the group elements inside side A
     a_mask, size = model.bip.a_mask, len(model.bip.a_set)
     inside = [0] * (size + 1)
@@ -527,14 +529,15 @@ def test_ppt_margin_is_the_exact_value_rounded_once():
         assert _rounded_once(v.margin, -low, DEFAULT_DIGITS), eps
 
 
-# Printed before the integer Horner pass; the lines may not move.
+# Printed before the integer Horner pass; the lines may not move, except
+# that with no Bell pair across the cut fidelity is measured against 1.
 @pytest.mark.parametrize("argv,code,line", [
     ("fidelity --state ghz --n 8 --bip 1,2,3,5,6,7,8 --noise local:0.111",
      0, "Entangled margin=0.0117216569125"),
     ("fidelity --state ghz --n 5 --bip 3,5 --noise local:0.045",
      0, "Entangled margin=0.343404471896"),
     ("fidelity --state bell_pairs --n 4 --noise local:0.1",
-     1, "Inconclusive margin=0.23530625"),
+     1, "Inconclusive margin=-0.26469375"),
     ("fidelity --state bell_pairs --n 6 --bip 3 --noise local:0.297",
      1, "Inconclusive margin=-0.26091383336"),
     ("fidelity --state ghz --n 11 --bip 1,2,3 --noise local:0.2",
@@ -544,7 +547,7 @@ def test_ppt_margin_is_the_exact_value_rounded_once():
     ("fidelity --state ame6 --n 6 --bip 4 --noise global:0.069",
      0, "Entangled margin=0.432078125"),
     ("fidelity --state zero --n 2 --noise global:0.2",
-     1, "Inconclusive margin=0.35"),
+     1, "Inconclusive margin=-0.15"),
     ("purity --state ame6 --n 6 --bip 1,2,3,4,5 --noise local:0.05",
      0, "Entangled margin=0.291840438238"),
     ("purity --state ghz --n 10 --bip 1,2,3,4,5,6,7,8,9 --noise local:0.01",

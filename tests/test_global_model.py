@@ -66,7 +66,9 @@ def test_global_fidelity_and_purity_verdicts_are_exact(n, seed, eps):
     assert model.purities(eps) == (glob, sub)
     v = evaluate(CriterionSpec("fidelity"), model, eps)
     assert v.entangled == (r >= 1 and fidelity > Fraction(1, 2))
-    assert _rounded_once(v.margin, fidelity - Fraction(1, 2), DEFAULT_DIGITS)
+    # the gap to the bound used: 1/2, or 1 with no Bell pair across the cut
+    bound = Fraction(1, 2) if r else 1
+    assert _rounded_once(v.margin, fidelity - bound, DEFAULT_DIGITS)
     v = evaluate(CriterionSpec("purity"), model, eps)
     assert v.entangled == (glob > sub)
     assert _rounded_once(v.margin, glob - sub, DEFAULT_DIGITS)

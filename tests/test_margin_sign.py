@@ -1,9 +1,9 @@
 """A verdict's margin is 0 or has its verdict's sign (positive =
 Entangled), on every analytic model and route, at dyadic noise rates like
-the ones a threshold search evaluates.  Only a criterion that cannot fire
-(fidelity with no Bell pair across the cut) and float64 input (the dense
-oracle) read their margins raw: the test skips the first and builds no
-dense model."""
+the ones a threshold search evaluates.  Fidelity with no Bell pair across
+the cut is measured against the bound 1 it then uses, so its margin is
+never positive.  Only float64 input (the dense oracle) reads its margins
+raw: the test builds no dense model."""
 
 import functools
 
@@ -53,8 +53,6 @@ def test_every_margin_is_zero_or_has_its_verdicts_sign(key, eps):
     model = _model(*key)
     p = model.moments(eps, 29)
     for spec in SPECS:
-        if spec.kind == "fidelity" and not model.bell_pairs:
-            continue  # a criterion that cannot fire reads its margin raw
         v = evaluate(spec, model, eps, p)
         assert v.margin == 0 or (v.margin > 0) == v.entangled, (
             model.describe(), spec.label, eps, v.margin)

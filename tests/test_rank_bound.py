@@ -17,10 +17,9 @@ from ptml import criteria
 from ptml.cli import main
 from ptml.criteria import is_psd_exact
 from ptml.pauli import Bipartition
-from ptml.thresholds import (GRID_POINTS, CriterionSpec, GHZModel,
-                             GlobalNoiseModel, StabilizerModel, epsilon_max,
-                             epsilon_max_battery, evaluate, fig2_criteria,
-                             make_model)
+from ptml.thresholds import (CriterionSpec, GHZModel, GlobalNoiseModel,
+                             StabilizerModel, epsilon_max, epsilon_max_battery,
+                             evaluate, fig2_criteria, make_model)
 from stabilizers import random_cut, random_group
 
 
@@ -95,6 +94,7 @@ class RecordingPPT:
 
     def __init__(self, model):
         self._model = model
+        self.separable_from = model.separable_from
         self.seen = []
 
     def ppt(self, eps):
@@ -119,7 +119,7 @@ def test_shortcut_equals_integer_hankel_elimination(n, seed, global_noise,
     choices = [st.floats(0, 1)]
     if not root.never_fired:
         # the bisection midpoints, and rates within 1e-6 of the PPT root
-        choices += [st.sampled_from(recorder.seen[GRID_POINTS:]),
+        choices += [st.sampled_from(recorder.seen[-root.iterations:]),
                     st.floats(max(0.0, root.eps_max - 1e-6),
                               min(1.0, root.eps_max + 1e-6))]
     eps = data.draw(st.one_of(*choices), label="eps")

@@ -470,7 +470,10 @@ def test_result_flags_empty_when_clean():
 
 
 class FakeModel:
-    """Scripted verdicts for exercising the bisection edge cases."""
+    """Scripted verdicts for exercising the bisection edge cases: no
+    depolarized state's, so no theorem may skip a node."""
+
+    separable_from = None
 
     def __init__(self, fire):
         self._fire = fire
