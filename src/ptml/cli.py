@@ -255,43 +255,49 @@ def cmd_threshold(args) -> int:
 # ------------------------------------------------------------------ sweep
 
 
+# each sweep preset's own options and their defaults; the other preset
+# refuses them
+_SWEEP_OPTIONS = {"fig1": {"--n-list": "2,4,6,8,10,12", "--criteria": None},
+                  "fig2": {"--m-range": "3:30", "--cuts": "1,2,3"}}
+
+
 def _parse_int_list(text: str, option: str) -> list:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            a, _, b = part.partition(":")
-            out.extend(range(_number(a, option), _number(b, option) + 1))
-        else:
-            out.append(_number(part, option))
+    for part in filter(None, map(str.strip, text.split(","))):
+        a, colon, b = part.partition(":")
+        out.extend(range(_number(a, option),
+                         _number(b if colon else a, option) + 1))
+    if not out:
+        raise ValueError(f"{option}: empty list")
     return out
 
 
 def cmd_sweep(args) -> int:
     tol = args.tol
+    for preset, options in _SWEEP_OPTIONS.items():
+        for option, default in options.items():
+            dest = option[2:].replace("-", "_")
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif preset != args.preset:
+                raise ValueError(f"{option} applies to --preset {preset} only")
     if args.preset == "fig1":
         n_list = _parse_int_list(args.n_list, "--n-list")
-        if not n_list:
-            raise ValueError("empty n list")
         crits = None
         if args.criteria is not None:
             # a comma followed by a digit continues a klm:k,l,m triple
             labels = [t for t in re.split(r",(?!\s*\d)", args.criteria)
                       if t.strip()]
             if not labels:
-                raise ValueError("empty criteria list")
+                raise ValueError("--criteria: empty list")
             crits = tuple(CriterionSpec.parse(t) for t in labels)
         rows = sweep_fig1(n_list, criteria=crits, tol=tol)
         columns = ("n", "criterion", "eps_max", "bracket", "flags")
     else:
         m_range = _parse_int_list(args.m_range, "--m-range")
-        if not m_range:
-            raise ValueError("empty m range")
         cuts = tuple(_parse_int_list(args.cuts, "--cuts"))
-        if not cuts:
-            raise ValueError("empty cut list")
+        if not all(1 <= s <= 5 for s in cuts):
+            raise ValueError("--cuts: the cut needs 1 <= |A| <= 5 qubits")
         rows = sweep_fig2(m_range, cut_sizes=cuts, tol=tol)
         columns = ("cut", "criterion", "m", "eps_max", "bracket", "flags")
     _emit_table(columns, rows, args.format, args.out)
@@ -430,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="threshold tables (figures)")
     sub.add_argument("--preset", required=True, choices=("fig1", "fig2"))
-    sub.add_argument("--n-list", default="2,4,6,8,10,12",
-                     help="even fig1 qubit numbers, e.g. 2,4,6 or 14,20")
-    sub.add_argument("--criteria", default=None,
-                     help="fig1 criterion labels, comma separated")
-    sub.add_argument("--m-range", default="3:30",
-                     help="fig2 moment orders, e.g. 3:30 or 3,5,7")
-    sub.add_argument("--cuts", default="1,2,3",
-                     help="fig2 bipartition sizes")
+    sub.add_argument("--n-list", help="even fig1 qubit numbers, e.g. 2,4,6 "
+                                       "or 14,20 (default 2,4,6,8,10,12)")
+    sub.add_argument("--criteria", help="fig1 criterion labels, comma "
+                                         "separated (default: the fig1 battery)")
+    sub.add_argument("--m-range", help="fig2 moment orders, e.g. 3:30 or "
+                                        "3,5,7 (default 3:30)")
+    sub.add_argument("--cuts", help="fig2 bipartition sizes, |A| of 6 "
+                                     "qubits (default 1,2,3)")
     sub.add_argument("--tol", type=float, default=BRACKET_TOL)
     _add_output_opts(sub)
     sub.set_defaults(fn=cmd_sweep)

@@ -12,7 +12,8 @@ p_k = A_k / 2^(s k)) are decided exactly on the integers, and so is an
 mpf moment vector or scalar handed in directly, as the binary number it
 is.  Moments known by bounds (GHZ past the cap, thresholds.GHZModel:
 MomentVector.bounds, lo_k <= p_k <= hi_k) and scalar Enclosures (its
-least PT eigenvalue, fidelity and purities) are decided by the same
+least PT eigenvalue, fidelity and purities), each closed form evaluated
+once in mpmath's interval arithmetic, are decided by the same
 kernels with a radius: a verdict fires when every value within the
 bounds fires, does not when none does, and is otherwise taken again at
 twice the precision by _certified, the one place precision rises, which

@@ -11,11 +11,11 @@ per moment (ghz_local_moments), so GHZModel, the GHZ model past the
 character cap, never builds the n + 3 entry spectrum; ghz_local_spectrum
 with moments_from_spectrum is its oracle.  Every term of that closed
 form, as of the least eigenvalue, fidelity and purities, is a product of
-powers of exact binary numbers, so evaluating it once with every
-operation rounded down and once rounded up (mpmath.libmp's directed
-rounding) encloses it: MomentVector.bounds and Enclosure carry such
-bounds with a refine(prec) that bounds them again at another precision,
-and the criteria decide on them (criteria._certified).  Up to the cap GHZ is a
+powers of exact binary numbers, so evaluating it once in mpmath's
+interval arithmetic (mpmath.libmp.libmpi, every bound rounded outward)
+encloses it: MomentVector.bounds and Enclosure carry such bounds with a
+refine(prec) that bounds them again at another precision, and the
+criteria decide on them (criteria._certified).  Up to the cap GHZ is a
 stabilizer model (thresholds.GHZStabilizerModel) whose polynomials are this
 spectrum in closed form, exact at any binary eps.
 moments_from_spectrum sums exactly: every entry is a binary number with an
@@ -39,11 +39,11 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, fzero,
-                          from_man_exp, mpf_add, mpf_mul,
-                          mpf_le, mpf_neg, mpf_pow_int, mpf_shift,
-                          mpf_sub, round_ceiling, round_floor, round_nearest,
-                          to_float)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, fzero,
+                          from_man_exp, mpf_add, mpf_le, mpf_mul, mpf_shift,
+                          round_nearest, to_float)
+from mpmath.libmp.libmpi import (mpi_add, mpi_mul, mpi_neg, mpi_one,
+                                 mpi_pow_int, mpi_shift, mpi_sub)
 
 
 DEFAULT_DIGITS = 60
@@ -186,7 +186,7 @@ def ghz_local_moments(n: int, eps, m_max: int,
     moves only d = (uv)^s (u^(n-2s) + v^(n-2s)) / 2, s = min(a, n - a);
     the band sum is the same on every cut.  Every term is a product of
     powers of the exact binary numbers u, v and 1 - e, so _ghz_forms
-    rounds every operation down for lo and up for hi.  The values are the
+    encloses it in one interval evaluation.  The values are the
     midpoints rounded once to digits.  Only the isolated eigenvalue d - g
     can be negative, so the Schatten sum is ptilde_k = p_k + 2 (g - d)^k
     for odd k when g > d, else p_k, formed from the values for display.
@@ -195,66 +195,62 @@ def ghz_local_moments(n: int, eps, m_max: int,
         raise ValueError("m_max must be at least 1")
     a = n // 2 if a is None else a
     prec = dps_to_prec(digits) if prec is None else prec
-    lo, hi = (_ghz_forms(n, a, eps, m_max, prec, rnd)
-              for rnd in (round_floor, round_ceiling))
+    low, *forms = _ghz_forms(n, a, eps, m_max, prec)
 
     def schatten():  # g - d > 0 exactly when the least eigenvalue is < 0
         with workdps(digits):
-            gap = max(-mp.make_mpf(lo[0]), 0)
+            gap = max(-mp.make_mpf(low[0]), 0)
             return tuple(x + 2 * gap ** k if k % 2 else x
                          for k, x in enumerate(p.values, 1))
 
-    p = MomentVector(digits=digits, bounds=(lo[1:], hi[1:]), prec=prec,
+    p = MomentVector(digits=digits, bounds=tuple(zip(*forms)), prec=prec,
                      schatten=schatten, refine=functools.partial(
                          ghz_local_moments, n, eps, m_max, digits, a))
     return p
 
 
-def _ghz_forms(n: int, a: int, eps, m_max: int, prec: int, rnd) -> list:
+def _ghz_forms(n: int, a: int, eps, m_max: int, prec: int) -> list:
     """The least PT eigenvalue min(d - g, lambda_[n/2]) of
     ghz_local_spectrum (lambda_[n/2] is d on the cut of [n/2] qubits) and
-    p_1..p_m_max of ghz_local_moments, binary numbers (libmp tuples)
-    rounded toward rnd at prec bits.  Every term is a product of powers of
-    the exact u, v and 1 - eps (_ghz_bases), so rounding every step down
-    (round_floor) bounds each value below and rounding up (round_ceiling)
-    above; the g subtracted from d is rounded the other way."""
+    p_1..p_m_max of ghz_local_moments, each an interval (lo, hi) of binary
+    numbers (libmp tuples) at prec bits.  Every term is a product of powers
+    of the exact u, v and 1 - eps (_ghz_bases), so one evaluation in
+    mpmath's interval arithmetic (libmpi), which rounds every bound
+    outward, encloses each value."""
     if n < 2 or not 0 <= a <= n:
         raise ValueError(f"GHZ needs n >= 2 and a cut size in 0..{n}")
     u, v, q = _ghz_bases(eps)
     uv = mpf_mul(u, v)
 
-    def power(x, k):
-        return mpf_pow_int(x, k, prec, rnd)
+    def power(x, k):  # x^k for an exact binary number x
+        return mpi_pow_int((x, x), k, prec)
 
-    def times(x, y):
-        return mpf_mul(x, y, prec, rnd)
+    times = functools.partial(mpi_mul, prec=prec)
 
     def pair(s):  # (uv)^s (u^(n-2s) + v^(n-2s)) / 2 with s = min(s, n-s)
         s = min(s, n - s)
-        return times(power(uv, s),
-                     _sum_of_powers((u, v), n - 2 * s, 1, prec, rnd))
+        return times(power(uv, s), _sum_of_powers((u, v), n - 2 * s, 1, prec))
 
-    d, g = pair(a), _sum_of_powers((q,), n, 1, prec, rnd)
-    other = round_floor if rnd == round_ceiling else round_ceiling
-    low = mpf_sub(d, _sum_of_powers((q,), n, 1, prec, other), prec, rnd)
+    d, g = pair(a), _sum_of_powers((q,), n, 1, prec)
     band = d if min(a, n - a) == n // 2 else pair(n // 2)
     w = [power(mpf_add(_exact_power(u, j), _exact_power(v, j)), n)
          for j in range(m_max + 1)]
     # P = (uv)^n, which is d^2 on the balanced cut
     big = times(d, d) if 2 * a == n else power(uv, n)
-    pw, dp, gp = [fone], [fone], [fone]
+    pw, dp, gp = [mpi_one], [mpi_one], [mpi_one]
     for i in range(m_max):
         if i < m_max // 2:
             pw.append(times(pw[-1], big))
         dp.append(times(dp[-1], d))
         gp.append(times(gp[-1], g))
-    out = [low if mpf_le(low, band) else band]
-    for k in range(1, m_max + 1):  # exact products, sums rounded toward rnd
+    out = [tuple(x if mpf_le(x, y) else y  # the least, bound by bound
+                 for x, y in zip(mpi_sub(d, g, prec), band))]
+    for k in range(1, m_max + 1):  # exact products, summed outward
         terms = [_product(pw[t], w[k - 2 * t], math.comb(k, t) << (2 * t != k))
                  for t in range(k // 2 + 1)]
         terms += [_product(dp[k - i], gp[i], math.comb(k, i) << k + 1)
                   for i in range(2, k + 1, 2)]
-        out.append(mpf_shift(_total(terms, prec, rnd), -k))
+        out.append(mpi_shift(_total(terms, prec), -k))
     return out
 
 
@@ -267,21 +263,26 @@ def _ghz_bases(eps) -> tuple:
             from_man_exp((1 << f) - q, -f - 1), from_man_exp(q, -f))
 
 
-def _sum_of_powers(xs, k: int, shift: int, prec: int, rnd) -> tuple:
-    """(sum_x x^k) / 2^shift over nonnegative binary numbers (libmp tuples),
-    every step rounded toward rnd at prec bits."""
-    return mpf_shift(_total([mpf_pow_int(x, k, prec, rnd) for x in xs], prec,
-                            rnd), -shift)
+def _sum_of_powers(xs, k: int, shift: int, prec: int) -> tuple:
+    """(sum_x x^k) / 2^shift over nonnegative exact binary numbers (libmp
+    tuples), an interval at prec bits."""
+    return mpi_shift(_total([mpi_pow_int((x, x), k, prec) for x in xs], prec),
+                     -shift)
 
 
-def _total(xs, prec: int, rnd) -> tuple:
-    return functools.reduce(lambda x, y: mpf_add(x, y, prec, rnd), xs)
+def _total(xs, prec: int) -> tuple:
+    """The sum of intervals xs of nonnegative binary numbers at prec bits,
+    its bounds normalized (odd mantissas, which the raw _product terms and
+    libmpi's sums of them need not have)."""
+    return tuple(from_man_exp(x[1], x[2]) for x in
+                 functools.reduce(lambda x, y: mpi_add(x, y, prec), xs))
 
 
 def _product(x: tuple, y: tuple, c: int) -> tuple:
-    """x y c exactly, for nonnegative binary numbers x, y and integer c."""
-    man = x[1] * y[1] * c
-    return (0, man, x[2] + y[2], man.bit_length()) if man else fzero
+    """x y c exactly, bound by bound, for intervals x, y of nonnegative
+    binary numbers and an integer c; _total normalizes the bounds."""
+    return tuple((0, m, a[2] + b[2], m.bit_length()) if (m := a[1] * b[1] * c)
+                 else fzero for a, b in zip(x, y))
 
 
 def _exact_power(x: tuple, e: int) -> tuple:
@@ -294,21 +295,21 @@ def _exact_power(x: tuple, e: int) -> tuple:
 class Enclosure:
     """A real number known to lie in [lo, hi], exact binary numbers
     (libmp tuples) bounded at prec bits; refine(prec) encloses it again at
-    another precision.  Negation and differences round outward."""
+    another precision.  Negation and differences are libmpi's, rounded
+    outward."""
 
     def __init__(self, lo: tuple, hi: tuple, prec: int, refine):
         self.lo, self.hi, self.prec, self.refine = lo, hi, prec, refine
 
     def __neg__(self):
-        return Enclosure(mpf_neg(self.hi), mpf_neg(self.lo), self.prec,
+        return Enclosure(*mpi_neg((self.lo, self.hi)), self.prec,
                          lambda prec: -self.refine(prec))
 
     def __sub__(self, y):
         """self - y for an Enclosure or a binary number y."""
         if not isinstance(y, Enclosure):
             y = Enclosure(_binary(y), _binary(y), self.prec, lambda prec: y)
-        return Enclosure(mpf_sub(self.lo, y.hi, self.prec, round_floor),
-                         mpf_sub(self.hi, y.lo, self.prec, round_ceiling),
+        return Enclosure(*mpi_sub((self.lo, self.hi), (y.lo, y.hi), self.prec),
                          self.prec,
                          lambda prec: self.refine(prec) - y.refine(prec))
 
@@ -317,11 +318,9 @@ class Enclosure:
 
 
 def enclose(value, prec: int) -> Enclosure:
-    """The Enclosure of value(prec, rnd), a binary number computed with
-    every operation rounded toward rnd, so that round_floor gives a lower
-    bound and round_ceiling an upper one (see _ghz_forms)."""
-    return Enclosure(value(prec, round_floor), value(prec, round_ceiling),
-                     prec, functools.partial(enclose, value))
+    """The Enclosure of value(prec), an interval (lo, hi) computed once in
+    mpmath's interval arithmetic at prec bits (see _ghz_forms)."""
+    return Enclosure(*value(prec), prec, functools.partial(enclose, value))
 
 
 def dyadic_one_minus(eps) -> tuple:

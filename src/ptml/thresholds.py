@@ -168,7 +168,8 @@ class GHZModel:
     the character cap, beyond the reach of the character transform that
     checks GHZStabilizerModel.  Its moments come as bounds and its PPT
     eigenvalue, fidelity and purities as Enclosures at prec bits
-    (DEFAULT_DIGITS' bits), every one refined on demand, so every verdict
+    (DEFAULT_DIGITS' bits), each from one evaluation of its closed form in
+    mpmath's interval arithmetic and refined on demand, so every verdict
     is certified (criteria._certified) and hankel_rank_bound, the [n/2] + 3
     distinct PT eigenvalues, is sound."""
 
@@ -192,15 +193,14 @@ class GHZModel:
         # Every other PT eigenvalue is a sum of nonnegative terms, so the
         # least one is d - g or the least band eigenvalue lambda_[n/2].
         return criteria.ppt_verdict(enclose(
-            lambda prec, rnd: _ghz_forms(self.n, self.a, eps, 0, prec, rnd)[0],
+            lambda prec: _ghz_forms(self.n, self.a, eps, 0, prec)[0],
             self.prec))
 
     def fidelity(self, eps) -> Enclosure:
         # sum_i a_i (1-eps)^i = (u^n + v^n + (1-eps)^n) / 2: even-weight
         # Z-type binomials plus 2^(n-1) X-type elements of full weight
-        u, v, q = _ghz_bases(eps)
-        return enclose(functools.partial(_sum_of_powers, (u, v, q), self.n, 1),
-                       self.prec)
+        return enclose(functools.partial(_sum_of_powers, _ghz_bases(eps),
+                                         self.n, 1), self.prec)
 
     def purities(self, eps) -> tuple:
         # Global and |A|-qubit marginal purity in closed form, r = (1-eps)^2:

@@ -3,6 +3,7 @@ its bounds hold the exact values, its verdicts equal the exact stabilizer
 model's wherever both reach, an exactly representable eps decides with no
 escalation, and a verdict does not depend on the caller's precision."""
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps, workprec
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, fone, from_man_exp, mpf_cmp
 
-from ptml import criteria, thresholds
+from ptml import criteria, spectra, thresholds
 from ptml.cli import main
 from ptml.criteria import build_hankel, hankel_min_eigenvalue
 from ptml.pauli import Bipartition
-from ptml.spectra import ghz_local_spectrum, moments_from_spectrum
+from ptml.spectra import (_ghz_forms, enclose, ghz_local_spectrum,
+                          moments_from_spectrum)
 from ptml.thresholds import (CriterionSpec, GHZModel, GHZStabilizerModel,
                              epsilon_max, evaluate, make_model)
 from stabilizers import encloses
@@ -79,6 +81,62 @@ def test_bounds_hold_the_exact_numerators(n, cut, eps):
     for got, want in zip((f, glob, sub), (exact.fidelity(eps),
                                           *exact.purities(eps))):
         assert encloses(got.lo, got.hi, want)
+
+
+def _normalized(x):
+    sign, man, exp, _ = x
+    return from_man_exp(-man if sign else man, exp)
+
+
+@pytest.mark.parametrize("n, a", [(15, 4), (16, 8), (20, 3), (20, None),
+                                  (180, None), (10 ** 8, None)])
+def test_every_bound_is_normalized(n, a):
+    # a one-term sum used to return its raw exact product: p_1 came out as
+    # (0, 2, -1, 2), which mpf_cmp ranks above fone
+    model = GHZModel(n, a and Bipartition(n, frozenset(range(1, a + 1))))
+    for eps in (0.0, 0.1, 0.25, 0.75, 1.0):
+        p, f, (glob, sub) = (model.moments(eps, 9), model.fidelity(eps),
+                             model.purities(eps))
+        for prec in (model.prec, 406, 812):
+            p, f, glob, sub = (x.refine(prec) for x in (p, f, glob, sub))
+            lo, hi = p.bounds
+            assert mpf_cmp(lo[0], fone) == mpf_cmp(hi[0], fone) == 0
+            bounds = [*lo, *hi, f.lo, f.hi, glob.lo, glob.hi, sub.lo, sub.hi,
+                      *_ghz_forms(n, model.a, eps, 0, prec)[0]]
+            assert all(_normalized(x) == x for x in bounds), (eps, prec)
+
+
+def test_enclose_evaluates_its_closed_form_once_per_precision():
+    calls = []
+
+    def one(*args):
+        calls.append(args[0])
+        return fone, fone
+
+    enclose(one, 10).refine(20).refine(40)
+    assert calls == [10, 20, 40]
+
+
+@pytest.mark.parametrize("label, eps", [("ppt", 0.540303),
+                                        ("fidelity", 0.047232),
+                                        ("purity", 0.037663)])
+def test_each_model_closed_form_is_evaluated_once_per_precision(
+        label, eps, monkeypatch):
+    # eps lies within 1e-6 of the criterion's threshold at n = 20, so from 4
+    # bits the verdict escalates to 32; each closed form the model hands to
+    # enclose (two for purity) is evaluated once at each precision
+    calls = collections.defaultdict(list)
+
+    def counting(value, prec):
+        def counted(*args):
+            calls[value].append(args[0])
+            return value(*args)
+        return spectra.enclose(counted, prec)
+
+    monkeypatch.setattr(thresholds, "enclose", counting)
+    monkeypatch.setattr(GHZModel, "prec", 4)
+    evaluate(CriterionSpec(label), GHZModel(20), eps)
+    assert list(calls.values()) == [[4, 8, 16, 32]] * (1 + (label == "purity"))
 
 
 # Printed with a 1e-50 tolerance: 3.5110861063e-07 at 60 digits and

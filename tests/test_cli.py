@@ -622,3 +622,44 @@ def test_repeated_calls_in_one_process_behave_the_same(capsys):
     assert [code for code, _, _ in first] == [0, 2, 2, 2, 0, 0, 2]
     assert "invalid choice: 'fig9'" in first[2][2]
     assert "--name" in first[3][2]
+
+
+def test_sweep_refuses_the_other_presets_options(capsys):
+    for argv, want in (
+            (("--preset", "fig2", "--m-range", "3", "--cuts", "1",
+              "--criteria", "ppt"), "--criteria applies to --preset fig1"),
+            (("--preset", "fig2", "--n-list", "4"),
+             "--n-list applies to --preset fig1"),
+            (("--preset", "fig1", "--cuts", "2", "--m-range", "9"),
+             "--m-range applies to --preset fig2"),
+            (("--preset", "fig1", "--n-list", "2", "--cuts", "1,2,3"),
+             "--cuts applies to --preset fig2"),
+            # a cut outside 1..5 is reported with its option
+            (("--preset", "fig2", "--m-range", "3", "--cuts", "0"),
+             "--cuts: the cut needs 1 <= |A| <= 5 qubits"),
+            (("--preset", "fig2", "--m-range", "3", "--cuts", "1,6"),
+             "--cuts: the cut needs 1 <= |A| <= 5 qubits"),
+            (("--preset", "fig2", "--cuts", " , "), "--cuts: empty list"),
+            (("--preset", "fig1", "--criteria", " , "),
+             "--criteria: empty list")):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {want}"), (argv, err)
+
+
+def test_sweep_defaults_apply_when_an_option_is_absent(capsys):
+    # fig2's default cuts 1,2,3 and fig1's default n list, each beside the
+    # other option given explicitly
+    code, out, _ = run(capsys, "sweep", "--preset", "fig2", "--m-range", "3")
+    assert code == 0
+    assert {r["cut"] for r in parse_csv(out)} == {"1|5", "2|4", "3|3"}
+    code, out, _ = run(capsys, "sweep", "--preset", "fig1", "--criteria",
+                       "ppt")
+    assert code == 0
+    assert [r["n"] for r in parse_csv(out)] == ["2", "4", "6", "8", "10", "12"]
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("default 2,4,6,8,10,12", "default 3:30",
+                    "default 1,2,3"):
+        assert default in text
