@@ -85,7 +85,9 @@ def _number(token: str, option: str, kind=int):
 
 
 def _parse_bip(n: int, bip: str, bip_size: int) -> Bipartition:
-    if bip:
+    if bip is not None and bip_size is not None:
+        raise ValueError("--bip and --bip-size exclude each other")
+    if bip is not None:
         qubits = [_number(t, "--bip") for t in bip.split(",")]
         for i, q in enumerate(qubits):
             if q in qubits[:i]:
@@ -175,6 +177,8 @@ def _emit(text: str, out: str):
     if not out:
         sys.stdout.write(text)
         return
+    if os.path.isdir(out):
+        raise ValueError(f"--out: {out} is a directory")
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ptml-")
     try:
@@ -400,7 +404,9 @@ def _add_state_opts(sub, noise=True, required=True):
 
 def _add_output_opts(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--out", default=None,
+                     help="write the table to this file; a name ending in "
+                          ".json writes JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:

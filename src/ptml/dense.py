@@ -8,6 +8,9 @@ fast paths (modules spectra, enumerators) are validated against.
 A dense operator is a plain numpy array of shape (2^n, 2^n); qubit a
 corresponds to bit a-1 of the computational-basis index (qubit 1 = least
 significant bit), consistent with the mask convention in module pauli.
+Reshaped to (2,) * 2n, one axis per index bit, qubit a's row bit is axis
+n-a and its column bit axis 2n-a; partial transposes, partial traces and
+the local channel are axis operations on that view.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ def nqubits(rho: np.ndarray) -> int:
     if rho.shape != (1 << n, 1 << n):
         raise ValueError(f"not a square matrix of size 2^n: {rho.shape}")
     return n
+
+
+def _qubit_axes(rho: np.ndarray) -> tuple:
+    """rho viewed with one axis per index bit (module docstring), and n."""
+    n = nqubits(rho)
+    return rho.reshape((2,) * (2 * n)), n
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -70,26 +79,19 @@ def maximally_mixed(n: int) -> np.ndarray:
 
 
 def depolarize_local(rho: np.ndarray, eps: float) -> np.ndarray:
-    """Apply the single-qubit depolarizing channel to every qubit."""
+    """Apply the single-qubit depolarizing channel to every qubit:
+    rho -> (1-eps) rho + eps 1_a/2 (x) Tr_a[rho], for a = 1..n in turn."""
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
-    n = nqubits(rho)
-    out = rho.astype(complex)
+    out, n = _qubit_axes(rho.astype(complex))
     for a in range(1, n + 1):
-        out = (1 - eps) * out + eps * _trace_out_embed(out, a)
-    return out
-
-
-def _trace_out_embed(rho: np.ndarray, a: int) -> np.ndarray:
-    """Replace qubit a by the unnormalized identity: 1_a (x) Tr_a[rho]."""
-    dim = rho.shape[0]
-    bit = 1 << (a - 1)
-    idx = np.arange(dim)
-    rows = idx[:, None]
-    cols = idx[None, :]
-    same = ((rows ^ cols) & bit) == 0
-    summed = rho[rows & ~bit, cols & ~bit] + rho[rows | bit, cols | bit]
-    return 0.5 * summed * same
+        row, col = n - a, 2 * n - a
+        shape = [1] * (2 * n)  # the 2 x 2 identity on axes row and col
+        shape[row] = shape[col] = 2
+        mixed = np.expand_dims(0.5 * np.trace(out, axis1=row, axis2=col),
+                               (row, col))
+        out = (1 - eps) * out + eps * (mixed * np.eye(2).reshape(shape))
+    return out.reshape(rho.shape)
 
 
 def depolarize_local_via_weights(rho: np.ndarray, eps: float) -> np.ndarray:
@@ -120,15 +122,22 @@ def depolarize_global(rho: np.ndarray, eps: float) -> np.ndarray:
 
 def partial_transpose(rho: np.ndarray, bip: Bipartition) -> np.ndarray:
     """Transpose the A-side indices: <a,b|rho^G|a',b'> = <a',b|rho|a,b'>."""
-    n = nqubits(rho)
-    a_mask = bip.check(n).a_mask
-    dim = 1 << n
-    idx = np.arange(dim)
-    rows = idx[:, None]
-    cols = idx[None, :]
-    src_rows = (rows & ~a_mask) | (cols & a_mask)
-    src_cols = (cols & ~a_mask) | (rows & a_mask)
-    return rho[src_rows, src_cols]
+    t, n = _qubit_axes(rho)
+    for a in bip.check(n).a_set:
+        t = t.swapaxes(n - a, 2 * n - a)
+    return t.copy().reshape(rho.shape)  # a copy on the empty cut too
+
+
+def reduced_state(rho: np.ndarray, bip: Bipartition) -> np.ndarray:
+    """Tr_B[rho], a complex 2^|A| x 2^|A| array in the same bit order."""
+    t, n = _qubit_axes(rho)
+    a_set = bip.check(n).a_set
+    kept = [i for i in range(n) if n - i in a_set]  # the A row axes
+    # a B column axis repeats its row axis's label, so einsum traces the pair
+    cols = [n + i if i in kept else i for i in range(n)]
+    traced = np.einsum(t, list(range(n)) + cols, kept + [n + i for i in kept])
+    dim = 1 << len(kept)
+    return np.array(traced, dtype=complex).reshape(dim, dim)  # never a view
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -169,25 +178,5 @@ def schmidt_rank(rho_pure: np.ndarray, bip: Bipartition) -> int:
 
     Counts eigenvalues of the reduced state on A above 1e-9.
     """
-    n = nqubits(rho_pure)
-    reduced = _partial_trace_keep(rho_pure, bip.a_mask, n)
-    lams = hermitian_eigenvalues(reduced)
+    lams = hermitian_eigenvalues(reduced_state(rho_pure, bip))
     return int(sum(1 for lam in lams if lam > 1e-9))
-
-
-def _partial_trace_keep(rho: np.ndarray, keep_mask: int, n: int) -> np.ndarray:
-    keep_bits = [a for a in range(n) if (keep_mask >> a) & 1]
-    drop_bits = [a for a in range(n) if not (keep_mask >> a) & 1]
-    dk = 1 << len(keep_bits)
-    dd = 1 << len(drop_bits)
-    out = np.zeros((dk, dd, dk, dd), dtype=complex)
-    dim = 1 << n
-    idx = np.arange(dim)
-    keep_idx = np.zeros(dim, dtype=np.int64)
-    drop_idx = np.zeros(dim, dtype=np.int64)
-    for pos, a in enumerate(keep_bits):
-        keep_idx |= ((idx >> a) & 1) << pos
-    for pos, a in enumerate(drop_bits):
-        drop_idx |= ((idx >> a) & 1) << pos
-    out[keep_idx[:, None], drop_idx[:, None], keep_idx[None, :], drop_idx[None, :]] = rho
-    return np.einsum("ikjk->ij", out)

@@ -59,8 +59,8 @@ from mpmath.libmp import (dps_to_prec, fone, mpf_add, mpf_mul, mpf_shift,
                           mpf_sub)
 
 from . import criteria
-from .dense import (_partial_trace_keep, depolarize_global, depolarize_local,
-                    fidelity_pure, nqubits, pt_moments, pt_spectrum,
+from .dense import (depolarize_global, depolarize_local, fidelity_pure,
+                    nqubits, pt_moments, pt_spectrum, reduced_state,
                     state_from_group)
 from .enumerators import (CHARACTER_QUBIT_CAP, _power_sums, _sorted_set,
                           character_polys, dyadic_numerator, dyadic_one_minus,
@@ -400,7 +400,7 @@ class DenseModel:
 
     def purities(self, eps):
         noisy = self._noisy(eps)
-        marg = _partial_trace_keep(noisy, self.bip.a_mask, self.n)
+        marg = reduced_state(noisy, self.bip)
         glob = float(np.trace(noisy @ noisy).real)
         sub = float(np.trace(marg @ marg).real)
         return glob, sub

@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through main()."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from mpmath import mpf, workdps
 from mpmath.libmp import to_rational
 
+from ptml import cli, enumerators
 from ptml.cli import _fmt_cell, _twelve_digits, main
 from ptml.spectra import ppt_threshold_ghz
 
@@ -417,7 +419,7 @@ def test_sweep_empty_criteria_is_error(capsys):
     assert err.startswith("error:")
 
 
-def test_json_format(capsys):
+def test_json_format(capsys, tmp_path):
     code, out, _ = run(capsys, "moments", "--state", "ghz", "--n", "2",
                        "--k-max", "2", "--format", "json")
     assert code == 0
@@ -426,6 +428,11 @@ def test_json_format(capsys):
     assert doc["columns"] == ["k", "p_k", "ptilde_k"]
     assert doc["rows"][0] == ["1", "1", "2"]
     assert doc["rows"][1] == ["2", "1", "1"]
+    # an --out name ending in .json writes JSON whatever --format says
+    target = tmp_path / "moments.json"
+    assert run(capsys, "moments", "--state", "ghz", "--n", "2", "--k-max",
+               "2", "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
 
 
 def test_out_file_written_atomically(capsys, tmp_path):
@@ -438,30 +445,60 @@ def test_out_file_written_atomically(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["moments.csv"]
 
 
-def test_out_into_missing_directory_fails_cleanly(capsys, tmp_path):
+def test_out_into_missing_directory_fails_cleanly(capsys, tmp_path,
+                                                  monkeypatch):
     target = tmp_path / "nodir" / "x.csv"
     code, _, err = run(capsys, "moments", "--state", "ghz", "--n", "2",
                        "--k-max", "2", "--out", str(target))
     assert code == 2
     assert err.startswith("error:")
     assert not target.exists()
+    # an existing directory is refused before anything is written
+    argv = ("moments", "--state", "ghz", "--n", "2", "--k-max", "2", "--out")
+    assert run(capsys, *argv, str(tmp_path)) == (
+        2, "", f"error: --out: {tmp_path} is a directory\n")
+    assert os.listdir(tmp_path) == []
+
+    # a rename that fails removes its temp file
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(capsys, *argv, str(tmp_path / "x.csv")) == (
+        2, "", "error: rename refused\n")
+    assert os.listdir(tmp_path) == []
 
 
-def test_enumerators_both_agreement(capsys):
-    code, out, _ = run(capsys, "enumerators", "--state", "ghz", "--n", "2",
-                       "--bip-size", "1", "--k", "3", "--method", "both")
+def test_enumerators_both_agreement(capsys, monkeypatch):
+    argv = ("enumerators", "--state", "ghz", "--n", "2", "--bip-size", "1",
+            "--k", "3", "--method", "both")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "difference polynomial: 1 + 9z^4 - 6z^6" in out
     assert "agreement: true" in out
     rows = parse_csv(out.split("difference polynomial")[0])
     assert {r["w"]: (r["c_plus"], r["c_minus"]) for r in rows} == {
         "0": ("1", "0"), "4": ("9", "0"), "6": ("0", "6")}
+    # tables that disagree are an error, reported after both are printed
+    brute = cli.cw_bruteforce
+    monkeypatch.setattr(cli, "cw_bruteforce", lambda *a: dataclasses.replace(
+        brute(*a), cminus={6: 5}))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "counting and transform tables disagree\n")
+    assert out.endswith("agreement: false\n")
 
 
-def test_enumerators_fixtures(capsys):
+def test_enumerators_fixtures(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerators", "--fixtures")
     assert code == 0
     assert all(ln.startswith("PASS") for ln in out.strip().splitlines())
+    # a fixture that no longer matches fails its cut and exits 1
+    dropped, *kept = enumerators._AME6_MINUS[2]
+    monkeypatch.setitem(enumerators._AME6_MINUS, 2, tuple(kept))
+    code, out, err = run(capsys, "enumerators", "--fixtures")
+    assert code == 1
+    assert out.splitlines() == ["PASS 0|6", "PASS 1|5", "FAIL 2|4",
+                                "PASS 3|3"]
+    assert err == f"  minus 2|4: unexpected {dropped}\n"
 
 
 def test_enumerators_requires_state_without_fixtures(capsys):
@@ -548,7 +585,24 @@ def test_error_exit_codes(capsys):
             (("sweep", "--preset", "fig1", "--n-list", "2,z"),
              "--n-list: bad int 'z'"),
             (("moments", "--state", "ghz", "--n", "2", "--noise", "local:abc",
-              "--k-max", "2"), "--noise: bad float 'abc'")):
+              "--k-max", "2"), "--noise: bad float 'abc'"),
+            # an empty cut list, and a cut given twice
+            (("criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
+              "--bip", ""), "--bip: bad int ''"),
+            (("criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
+              "--bip", "1", "--bip-size", "3"),
+             "--bip and --bip-size exclude each other"),
+            (("criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
+              "--bip-size", "0"), "--bip-size must lie in 1..n-1"),
+            (("criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
+              "--noise", "local"), "noise must look like local:0.3 or "
+                                   "global:0.3"),
+            (("criterion", "--name", "ppt", "--state", "ghz"),
+             "--n is required for this state"),
+            (("moments", "--state", "ghz", "--n", "2", "--k-max", "0"),
+             "--k-max must be at least 1"),
+            (("enumerators", "--state", "ghz", "--n", "2", "--k", "0"),
+             "need k >= 1")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.strip()) == (2, "", f"error: {want}")
 
@@ -575,7 +629,7 @@ def test_the_environment_sets_no_precision(capsys, monkeypatch):
 
 
 def test_bip_parsing(capsys):
-    # explicit list beats size shorthand; both beat the balanced default
+    # the list and the size shorthand name the same cut
     a = run(capsys, "moments", "--state", "ame6", "--n", "6", "--bip", "1,2",
             "--k-max", "3")
     b = run(capsys, "moments", "--state", "ame6", "--n", "6", "--bip-size", "2",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_int
 
 from ptml.pauli import Bipartition
 from ptml.dense import (
@@ -86,6 +87,13 @@ def test_klm_rejects_bad_input():
         klm_ppt(MomentVector((-1.0, 0.5, 0.2)), 1, 2, 3)
     with pytest.raises(ValueError):
         klm_ppt(MomentVector((1.0, 0.5, 0.0)), 1, 2, 3)
+    # p_k <= 0 on exact numerators, and an upper bound of p_k at 0
+    positive = "fractional powers need positive p_k and p_m"
+    with pytest.raises(ValueError, match=positive):
+        klm_ppt(MomentVector(exact=((-1, 2, 3), 1), digits=30), 1, 2, 3)
+    lo, hi = ([from_int(v) for v in vs] for vs in ((-1, 1, 1), (0, 2, 2)))
+    with pytest.raises(ValueError, match=positive):
+        klm_ppt(MomentVector(bounds=(lo, hi), prec=53, digits=15), 1, 2, 3)
 
 
 def test_stieltjes_m3_equals_determinant_sign():
@@ -123,6 +131,13 @@ def test_stieltjes_threshold_scales_with_norm():
 def test_stieltjes_rejects_even_order():
     with pytest.raises(ValueError):
         stieltjes(BELL, 4)
+
+
+def test_orders_past_the_moment_vector_are_refused():
+    with pytest.raises(ValueError, match="need moments up to p_5, got 4"):
+        stieltjes(BELL, 5)
+    with pytest.raises(ValueError, match="need 1 <= m <= 4"):
+        descartes(BELL, 5)
 
 
 def _elementary_by_poly(lam) -> list:

@@ -17,6 +17,7 @@ from ptml.dense import (
     partial_transpose,
     pauli_matrix,
     pt_moments,
+    reduced_state,
     schmidt_rank,
     state_from_group,
 )
@@ -218,6 +219,44 @@ def test_schmidt_rank_counts_reduced_eigenvalues():
     psi[0] = 1.0
     rho = np.outer(psi, psi.conj())
     assert schmidt_rank(rho, Bipartition(2, frozenset({1}))) == 1
+
+
+def test_reduced_state_sums_the_b_diagonal():
+    # <i|Tr_B rho|j> = sum_k <i,k|rho|j,k>, the bits of each side packed in
+    # ascending qubit order
+    rho = random_state(4)
+    for a_set in ({1}, {2, 4}, {1, 3, 4}):
+        a, b = sorted(a_set), sorted(set(range(1, 5)) - a_set)
+
+        def index(i, k):
+            return (sum((i >> p & 1) << (q - 1) for p, q in enumerate(a))
+                    | sum((k >> p & 1) << (q - 1) for p, q in enumerate(b)))
+        want = np.array([[sum(rho[index(i, k), index(j, k)]
+                              for k in range(1 << len(b)))
+                          for j in range(1 << len(a))]
+                         for i in range(1 << len(a))])
+        got = reduced_state(rho, Bipartition(4, frozenset(a_set)))
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("a_set", [set(), {2}, {1, 3}, {1, 2, 3}])
+def test_results_never_share_memory_with_the_input(a_set):
+    # the axis views of an empty or full cut are the input itself unless
+    # copied; a real input keeps its dtype only under partial transposition
+    rho = random_state(3)
+    bip = Bipartition(3, frozenset(a_set))
+    for x in (rho, rho.real.copy()):
+        pt, red, noisy = (partial_transpose(x, bip), reduced_state(x, bip),
+                          depolarize_local(x, 0.0))
+        assert not any(np.shares_memory(out, x) for out in (pt, red, noisy))
+        assert (pt.dtype, red.dtype, noisy.dtype) == (x.dtype, complex, complex)
+    if not a_set:
+        assert np.array_equal(partial_transpose(rho, bip), rho)
+        assert np.allclose(reduced_state(rho, bip), [[np.trace(rho)]],
+                           rtol=0, atol=1e-15)
+    if len(a_set) == 3:
+        assert np.array_equal(reduced_state(rho, bip), rho)
 
 
 def test_hermitian_eigenvalues_matches_numpy():

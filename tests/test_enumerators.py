@@ -14,12 +14,12 @@ from mpmath.libmp import to_rational
 from ptml.pauli import (Bipartition, PauliString, StabilizerGroup, bell_pair_rank,
                         enumerate_group, from_label, state_catalog, theta, weight)
 from ptml.dense import (
-    _partial_trace_keep,
     depolarize_local,
     fidelity_pure,
     partial_transpose,
     pauli_matrix,
     pt_moments,
+    reduced_state,
     state_from_group,
 )
 from ptml import enumerators
@@ -137,7 +137,7 @@ def test_stab_subsystem_purity_vs_dense_per_cut():
         bip = Bipartition(4, frozenset(a_set))
         for eps in (0.0, 0.3, 0.8):
             noisy = depolarize_local(rho, eps)
-            red = _partial_trace_keep(noisy, bip.a_mask, 4)
+            red = reduced_state(noisy, bip)
             want = np.trace(red @ red).real
             got = exact_decayed(marginal_enumerators(g, bip).values, eps, power=2)
             assert abs(float(got) - want) < 1e-12

@@ -126,6 +126,10 @@ def test_moment_vector_validation():
         mv.p(0)
     with pytest.raises(ValueError):
         mv.ptilde(2)  # no Schatten data attached
+    with pytest.raises(ValueError, match="moment order 3 outside 1..2"):
+        MomentVector((1.0, 0.5), schatten=(1.0, 0.5)).ptilde(3)
+    with pytest.raises(ValueError, match="needs values, numerators or bounds"):
+        MomentVector()
 
 
 def test_spectrum_drops_zero_multiplicity_and_validates():

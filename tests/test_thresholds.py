@@ -67,6 +67,10 @@ def test_criterion_spec_validation():
         CriterionSpec.parse("klm:3")
     with pytest.raises(ValueError):
         CriterionSpec.parse("mystery")
+    with pytest.raises(ValueError, match="unknown criterion kind 'foo'"):
+        CriterionSpec("foo")
+    with pytest.raises(ValueError, match="ppt takes no parameters"):
+        CriterionSpec.parse("ppt:3")
 
 
 def test_max_order():
@@ -387,6 +391,11 @@ def test_dominance_violation_raises_runtime_error():
     rows = [{"n": 4, "criterion": "stieltjes:3", "eps_max": 0.1},
             {"n": 4, "criterion": "klm:1,2,3", "eps_max": 0.2}]
     with pytest.raises(RuntimeError, match="stieltjes:3"):
+        _check_dominance(rows, "n", 1e-9)
+    # descartes past stieltjes at the same order is only reported
+    rows = [{"n": 4, "criterion": "stieltjes:3", "eps_max": 0.1},
+            {"n": 4, "criterion": "descartes:3", "eps_max": 0.2}]
+    with pytest.warns(UserWarning, match="descartes:3 threshold 0.2 exceeds"):
         _check_dominance(rows, "n", 1e-9)
 
 
