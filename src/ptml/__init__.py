@@ -10,6 +10,8 @@ The package is organized in layers:
   gleason      exact MacWilliams-type transforms and enumerator recovery
   thresholds   noise-threshold solvers and sweep drivers
   cli          command-line front end
+
+A process imports dense, gleason and numpy only when it first runs them.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ one dispatch from state, noise and cut; no setting chooses a precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -40,13 +39,6 @@ from .enumerators import (
     ame_fixture_check,
     cw_bruteforce,
     cw_fourier,
-)
-from .gleason import (
-    macwilliams,
-    pure_kernel_basis,
-    reconstruct_enumerators,
-    ttilde,
-    type2_kernel_basis,
 )
 from .pauli import Bipartition, state_catalog
 from .thresholds import (
@@ -118,7 +110,7 @@ def _config(args) -> RunConfig:
         raise ValueError("--n is required for this state")
     bip = _parse_bip(n, getattr(args, "bip", None),
                      getattr(args, "bip_size", None))
-    kind, eps = _parse_noise(getattr(args, "noise", None) or "local:0")
+    kind, eps = _parse_noise(getattr(args, "noise", "local:0"))
     return RunConfig(args.state, n, bip, kind, eps,
                      getattr(args, "format", "csv"),
                      getattr(args, "out", None))
@@ -165,6 +157,7 @@ def _render(columns, rows, fmt: str) -> str:
         payload = {"schema": 1, "columns": list(columns),
                    "rows": [[_fmt_cell(r[c]) for c in columns] for r in rows]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    import csv
     buf = io.StringIO()
     buf.write("# schema=1\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -174,9 +167,11 @@ def _render(columns, rows, fmt: str) -> str:
 
 
 def _emit(text: str, out: str):
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
+    if not out:
+        raise ValueError("--out: empty file name")
     if os.path.isdir(out):
         raise ValueError(f"--out: {out} is a directory")
     directory = os.path.dirname(os.path.abspath(out))
@@ -358,6 +353,8 @@ def cmd_enumerators(args) -> int:
 
 
 def cmd_gleason(args) -> int:
+    from .gleason import (macwilliams, pure_kernel_basis,
+                          reconstruct_enumerators, ttilde, type2_kernel_basis)
     n = args.n
     checks = []
     m = macwilliams(n)

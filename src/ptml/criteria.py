@@ -51,7 +51,6 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp, mpf, workdps
 from mpmath.libmp import (dps_to_prec, from_rational,
                           mpf_cmp, mpf_mul, mpf_shift, mpf_sign, round_ceiling,
@@ -195,6 +194,7 @@ def hankel_min_eigenvalue(h: tuple, digits=None):
     """Smallest eigenvalue of the Hankel matrix, at the input's precision:
     np.linalg.eigvalsh for float input, mp.eigsy at digits + 10 for mpf."""
     if digits is None:
+        import numpy as np
         return float(np.linalg.eigvalsh(np.array(h, dtype=float))[0])
     with workdps(digits + 10):
         return mp.eigsy(mp.matrix(h), eigvals_only=True)[0]

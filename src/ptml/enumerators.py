@@ -33,7 +33,10 @@ masks of all 2^n elements by XOR doubling in numpy, and the Shor-Laflamme
 counts (by weight), the marginal counts (elements supported inside A,
 Fattal et al., quant-ph/0406168) and the character tables are popcounts
 and bincounts of those masks.  pauli.enumerate_group, which multiplies
-PauliStrings with their signs, is the oracle.
+PauliStrings with their signs, is the oracle.  numpy is imported by the
+functions that walk, transform or count over arrays, so the closed-form
+sets of GHZ and of global noise, _power_sums and the Horner steps run
+without it.
 """
 
 from __future__ import annotations
@@ -44,12 +47,15 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .pauli import Bipartition, StabilizerGroup, state_catalog
 from .spectra import dyadic_one_minus, round_dyadic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRUTEFORCE_BUDGET = 1 << 26
 BRUTEFORCE_BLOCK = 1 << 14
@@ -122,6 +128,7 @@ class CharacterPolynomials:
 
 def _wht(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of 2)."""
+    import numpy as np
     a = np.array(a, copy=True)
     m = a.shape[-1]
     lead = a.shape[:-1]
@@ -141,6 +148,7 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     Gathers the generalized diagonals rho[s, s^x]; a Walsh transform over s
     then yields all z at once, and i^|x&z| restores the Y factors.
     """
+    import numpy as np
     d = rho.shape[0]
     n = d.bit_length() - 1
     if d != 1 << n or rho.shape != (d, d):
@@ -164,6 +172,7 @@ def sl_enumerators(state) -> SLVector:
     4^n Pauli coefficients are summed in float64 (n <= SL_DENSE_CAP), the
     oracle of the count.
     """
+    import numpy as np
     if isinstance(state, StabilizerGroup):
         n = state.n
         if n > SL_STABILIZER_CAP:
@@ -201,6 +210,7 @@ def marginal_enumerators(g: StabilizerGroup, bip: Bipartition) -> SLVector:
     stabilizer state: 2^-|A| times the count of elements supported inside
     A, by weight.  exact_decayed(values, eps, power=2) of them is the
     depolarized marginal's purity."""
+    import numpy as np
     s = len(bip.check(g.n).a_set)
     x, z = _element_masks(g)
     supp = x | z
@@ -233,15 +243,6 @@ def exact_decayed(values, eps, power: int = 1) -> Fraction:
 # PT-moment enumerators, general-state route
 
 
-def _phase_tables(n: int):
-    d = 1 << n
-    idx = np.arange(d * d, dtype=np.int64)
-    popn = np.array([v.bit_count() for v in range(d)], dtype=np.int64)
-    x = idx & (d - 1)
-    z = idx >> n
-    return idx, popn, x, z
-
-
 def qwe_bruteforce(rho: np.ndarray, bip: Bipartition, k: int,
                    budget: int = BRUTEFORCE_BUDGET) -> QWETable:
     """Exhaustive PT-moment enumerators over all Pauli k-tuples.
@@ -250,6 +251,7 @@ def qwe_bruteforce(rho: np.ndarray, bip: Bipartition, k: int,
     a trace, so the last tuple slot is forced and the scan runs over
     4^{n(k-1)} prefixes with the final slot vectorized.
     """
+    import numpy as np
     d = rho.shape[0]
     n = d.bit_length() - 1
     bip.check(n)
@@ -261,7 +263,9 @@ def qwe_bruteforce(rho: np.ndarray, bip: Bipartition, k: int,
         return QWETable(n, 1, bip, {(1, 1 + 0j, 0): 1.0})
 
     wmax = n * k
-    idx, popn, xm, zm = _phase_tables(n)
+    idx = np.arange(d * d, dtype=np.int64)
+    popn = np.array([v.bit_count() for v in range(d)], dtype=np.int64)
+    xm, zm = idx & (d - 1), idx >> n
     wt = popn[xm | zm]
     th = 1 - 2 * (popn[xm & zm & bip.a_mask] & 1)
     pxz = popn[xm & zm]
@@ -325,6 +329,7 @@ def _element_masks(g: StabilizerGroup) -> tuple:
     """x and z masks of every group element, in enumerate_group's order,
     by XOR doubling: the elements with generator i are the earlier ones
     times g_i."""
+    import numpy as np
     x = z = np.zeros(1, dtype=np.int64)
     for p in g.generators:
         x, z = np.append(x, x ^ p.x_mask), np.append(z, z ^ p.z_mask)
@@ -334,6 +339,7 @@ def _element_masks(g: StabilizerGroup) -> tuple:
 def _element_tables(g: StabilizerGroup, bip: Bipartition):
     """Weight and PT sign of every group element, in enumerate_group's
     order, as popcounts of the element masks."""
+    import numpy as np
     x, z = _element_masks(g)
     y = np.bitwise_count(x & z & bip.a_mask).astype(np.int64) & 1
     return np.bitwise_count(x | z).astype(np.int64), 1 - 2 * y
@@ -351,6 +357,7 @@ def cw_bruteforce(g: StabilizerGroup, bip: Bipartition, k: int,
     sums gives both.  The last two free slots run as numpy blocks of at
     most BRUTEFORCE_BLOCK tuples per prefix, so memory stays flat.
     """
+    import numpy as np
     n = g.n
     bip.check(n)
     if k < 1:
@@ -398,6 +405,7 @@ def cw_bruteforce(g: StabilizerGroup, bip: Bipartition, k: int,
 def _character_set(wt: np.ndarray, signs, n: int) -> tuple:
     """(coeffs, multiplicity) of sum_S chi_v(S) signs(S) z^wt(S) over the
     characters v, sorted by descending coefficients."""
+    import numpy as np
     size = len(wt)
     table = np.zeros((n + 1, size), dtype=np.int64)
     table[wt, np.arange(size)] = signs
@@ -407,9 +415,11 @@ def _character_set(wt: np.ndarray, signs, n: int) -> tuple:
 
 def _sorted_set(polys: collections.Counter) -> tuple:
     """(coeffs, multiplicity) of the polynomials of nonzero count, sorted by
-    descending coefficients."""
+    descending coefficients: the tuples in reverse order, which is the
+    ascending order of their negations because all tuples of a set have one
+    length (n + 1 in the character sets and the closed-form GHZ set)."""
     return tuple(sorted(((p, m) for p, m in polys.items() if m),
-                        key=lambda kv: tuple(-c for c in kv[0])))
+                        reverse=True))
 
 
 def character_polys(g: StabilizerGroup, bip: Bipartition) -> CharacterPolynomials:
@@ -452,13 +462,10 @@ def _power_sums(polys, lo: int, hi: int) -> tuple:
     """
     width = max(len(p) for p, _ in polys)
     signs = (1, -1) * width
-    # hold half the set (first odd coefficient > 0) and pair its mirrors off
-    up = {p: m for p, m in polys if next((c > 0 for c in p[1::2] if c), 0)}
-    s = 1 + (all(up.pop(tuple(map(operator.mul, p, signs)), 0) == m
-                 for p, m in polys if next((c < 0 for c in p[1::2] if c), 0))
-             and not up)
-    del up
-    bits = max(sum(m * sum(map(abs, p)) ** k for p, m in polys)
+    s = 1 + (dict(polys) == {tuple(map(operator.mul, p, signs)): m
+                             for p, m in polys})
+    norms = [(sum(map(abs, p)), m) for p, m in polys]
+    bits = max(sum(m * a ** k for a, m in norms)
                for k in (lo, hi)).bit_length() + 2
     bits += bits & 1
     shifts = [w * bits // s for w in range(width)]

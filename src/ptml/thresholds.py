@@ -53,15 +53,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mpf
 from mpmath.libmp import (dps_to_prec, fone, mpf_add, mpf_mul, mpf_shift,
                           mpf_sub)
 
 from . import criteria
-from .dense import (depolarize_global, depolarize_local, fidelity_pure,
-                    nqubits, pt_moments, pt_spectrum, reduced_state,
-                    state_from_group)
 from .enumerators import (CHARACTER_QUBIT_CAP, _power_sums, _sorted_set,
                           character_polys, dyadic_numerator, dyadic_one_minus,
                           exact_decayed, marginal_enumerators,
@@ -363,14 +359,14 @@ class GlobalNoiseModel(StabilizerModel):
 
 
 class DenseModel:
-    """Reference model: everything computed from the density matrix, under
-    local or global depolarizing noise."""
+    """Reference model: everything computed from the density matrix (a
+    numpy array), under local or global depolarizing noise."""
 
     hankel_rank_bound = separable_from = None  # the oracle takes no shortcut
 
-    def __init__(self, rho: np.ndarray, bip: Bipartition,
-                 group: StabilizerGroup = None, name: str = None,
-                 noise: str = "local"):
+    def __init__(self, rho, bip: Bipartition, group: StabilizerGroup = None,
+                 name: str = None, noise: str = "local"):
+        from .dense import depolarize_global, depolarize_local, nqubits
         self.rho = rho
         self.n = nqubits(rho)
         self.bip = _check_cut(bip, self.n)
@@ -383,27 +379,29 @@ class DenseModel:
     def describe(self) -> str:
         return f"{self.name} n={self.n} cut={_cut_label(self.bip)}"
 
-    def _noisy(self, eps) -> np.ndarray:
+    def _noisy(self, eps):
         return self._channel(self.rho, float(eps))
 
     def moments(self, eps, m_max: int) -> MomentVector:
+        from .dense import pt_moments
         return pt_moments(self._noisy(eps), self.bip, m_max)
 
     def ppt(self, eps) -> criteria.Verdict:
+        from .dense import pt_spectrum
         s = pt_spectrum(self._noisy(eps), self.bip)
         return criteria.ppt_verdict(s.min_eigenvalue())
 
     def fidelity(self, eps):
+        from .dense import fidelity_pure
         if self.group is None:
             raise ValueError("fidelity needs the target stabilizer group")
         return fidelity_pure(self._noisy(eps), self.group)
 
     def purities(self, eps):
+        from .dense import reduced_state
         noisy = self._noisy(eps)
         marg = reduced_state(noisy, self.bip)
-        glob = float(np.trace(noisy @ noisy).real)
-        sub = float(np.trace(marg @ marg).real)
-        return glob, sub
+        return tuple(float((m @ m).trace().real) for m in (noisy, marg))
 
 
 def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
@@ -432,6 +430,7 @@ def make_model(name: str, n: int, bip: Bipartition = None, model: str = None,
     if bip is None:
         bip = Bipartition.balanced(n)
     if model == "dense":
+        from .dense import state_from_group
         return DenseModel(state_from_group(g), bip, group=g, name=name,
                           noise=noise)
     cls = (GlobalNoiseModel if noise == "global"
@@ -550,6 +549,14 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
     other spec is judged at the nodes below s and at eps = 1, on one
     moment vector per node up to the highest order they read, and reads
     False at the rest.  The rows equal a scan of every node.
+
+    The model keeps its grid nodes' moment vectors, at most GRID_POINTS of
+    them, for every later battery on it: a kept vector serves a node
+    unless the battery reads a higher order, which computes the node's
+    vector again at that order and keeps it instead.  So thresholds on one
+    model, one call per criterion or one battery, compute each grid vector
+    once per order they raise it to, and the kept vectors are released
+    with the model.  Bisection midpoints take their own vectors, not kept.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
@@ -573,8 +580,13 @@ def epsilon_max_battery(specs, model, tol: float = BRACKET_TOL,
             lo, hi = (mid, hi) if fires(spec, mid) else (lo, mid)
         row[:lo + 1] = [True] * (lo + 1)
     top = max((_moment_order(spec, model) for spec, _ in scanned), default=0)
+    # node -> vector, kept on the model itself: a vector may refer to its
+    # model, so a table keyed by weak references would keep models alive
+    kept = vars(model).setdefault("_grid_moments", {})
     for i in (*range(stop), last):
-        p = model.moments(grid[i], top) if top else None
+        p = kept.get(i)
+        if top and (p is None or len(p) < top):
+            p = kept[i] = model.moments(grid[i], top)
         for spec, row in scanned:
             row[i] = fires(spec, i, p)
     return [_final_crossing(spec, model, grid, row, tol, strict)

@@ -597,6 +597,13 @@ def test_error_exit_codes(capsys):
             (("criterion", "--name", "ppt", "--state", "ghz", "--n", "4",
               "--noise", "local"), "noise must look like local:0.3 or "
                                    "global:0.3"),
+            # an empty noise is no noise model, not the noiseless one
+            (("criterion", "--name", "ppt", "--state", "ghz", "--n", "2",
+              "--noise", ""), "noise must look like local:0.3 or "
+                              "global:0.3"),
+            # an empty file name is refused, not read as standard output
+            (("moments", "--state", "ghz", "--n", "2", "--k-max", "2",
+              "--out", ""), "--out: empty file name"),
             (("criterion", "--name", "ppt", "--state", "ghz"),
              "--n is required for this state"),
             (("moments", "--state", "ghz", "--n", "2", "--k-max", "0"),

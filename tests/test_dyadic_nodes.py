@@ -86,22 +86,49 @@ def test_threshold_noise_rates_are_short_dyadics(name, monkeypatch):
         return evaluate(spec, model, eps, p)
 
     monkeypatch.setattr(thresholds, "evaluate", recording_evaluate)
+    covered = 0  # the order of the grid vectors the model keeps
     for spec in specs:
         asked.clear()
         model.seen.clear()
         r = epsilon_max(spec, model)
         # grid nodes (those a theorem decides are skipped), then one
         # verdict per bisection step
-        assert len(asked) <= GRID_POINTS + r.iterations
-        # one vector per verdict, or none when the model's PPT verdict
-        # decides (stieltjes past the rank bound)
+        grid_verdicts = len(asked) - r.iterations
+        assert grid_verdicts <= GRID_POINTS
+        # one vector per bisection step, plus one per grid verdict when
+        # the spec reads a higher order than the kept vectors hold; none
+        # when the model's PPT verdict decides (stieltjes past the rank
+        # bound)
         reads = thresholds._moment_order(spec, model)
-        assert len(model.seen) == (len(asked) if reads else 0)
+        grid_reads = grid_verdicts if reads > covered else 0
+        assert len(model.seen) == (grid_reads + r.iterations if reads else 0)
+        covered = max(covered, reads)
         for eps in asked + model.seen:
             assert dyadic_one_minus(eps)[1] <= GRID_BITS + r.iterations
         if not r.never_fired:
             # a grid cell of 2^-6 halved r.iterations times, then halved
             assert r.bracket == 2.0 ** -(GRID_BITS + r.iterations + 1)
+
+
+def test_a_covered_order_reads_no_grid_vector():
+    model = RecordingMoments(_ame6(1))
+    epsilon_max(CriterionSpec.parse("descartes:9"), model)
+    grid = {i / (GRID_POINTS - 1) for i in range(GRID_POINTS)}
+    for label in ("klm:1,2,3", "stieltjes:3", "klm:7,8,9"):
+        model.seen.clear()
+        r = epsilon_max(CriterionSpec.parse(label), model)
+        # its bisection steps only, none of them on the grid
+        assert len(model.seen) == r.iterations > 0
+        assert not grid & set(model.seen)
+
+
+def test_a_higher_order_reads_every_grid_node_again():
+    model = RecordingMoments(_ame6(2))
+    low = epsilon_max(CriterionSpec.parse("klm:1,2,3"), model)
+    grid_nodes = len(model.seen) - low.iterations
+    model.seen.clear()
+    high = epsilon_max(CriterionSpec.parse("descartes:9"), model)
+    assert len(model.seen) == grid_nodes + high.iterations
 
 
 def _spec(kind, m):
