@@ -28,7 +28,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from decimal import MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -54,19 +53,6 @@ from .thresholds import (
 EXIT_ENTANGLED = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options shared by the state-taking subcommands."""
-
-    name: str
-    n: int
-    bip: Bipartition  # None: the balanced cut
-    noise_kind: str  # "local" or "global"
-    eps: float
-    fmt: str
-    out: str
 
 
 def _number(token: str, option: str, kind=int):
@@ -102,18 +88,13 @@ def _parse_noise(text: str) -> tuple:
     return kind, eps
 
 
-def _config(args) -> RunConfig:
-    n = args.n
-    if args.state == "ame6":
-        n = 6 if n is None else n
+def _state(args) -> tuple:
+    """(n, cut) of a state-taking subcommand: n is 6 for ame6 unless
+    given, and the cut None for the balanced one."""
+    n = 6 if args.n is None and args.state == "ame6" else args.n
     if n is None:
         raise ValueError("--n is required for this state")
-    bip = _parse_bip(n, getattr(args, "bip", None),
-                     getattr(args, "bip_size", None))
-    kind, eps = _parse_noise(getattr(args, "noise", "local:0"))
-    return RunConfig(args.state, n, bip, kind, eps,
-                     getattr(args, "format", "csv"),
-                     getattr(args, "out", None))
+    return n, _parse_bip(n, args.bip, args.bip_size)
 
 
 # no least exponent: a margin far below 1e-999999 keeps its digits
@@ -166,14 +147,18 @@ def _render(columns, rows, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _check_out(out: str):
+    """Refuse an --out that names no file, before any model is built."""
+    if out == "":
+        raise ValueError("--out: empty file name")
+    if out and os.path.isdir(out):
+        raise ValueError(f"--out: {out} is a directory")
+
+
 def _emit(text: str, out: str):
     if out is None:
         sys.stdout.write(text)
         return
-    if not out:
-        raise ValueError("--out: empty file name")
-    if os.path.isdir(out):
-        raise ValueError(f"--out: {out} is a directory")
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ptml-")
     try:
@@ -214,14 +199,15 @@ def _poly_str(coeffs) -> str:
 
 
 def cmd_moments(args) -> int:
-    cfg = _config(args)
+    _check_out(args.out)
+    n, bip = _state(args)
+    kind, eps = _parse_noise(args.noise)
     if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    p = make_model(cfg.name, cfg.n, cfg.bip,
-                   noise=cfg.noise_kind).moments(cfg.eps, args.k_max)
+    p = make_model(args.state, n, bip, noise=kind).moments(eps, args.k_max)
     rows = [{"k": k, "p_k": p.p(k), "ptilde_k": p.ptilde(k)}
             for k in range(1, args.k_max + 1)]
-    _emit_table(("k", "p_k", "ptilde_k"), rows, cfg.fmt, cfg.out)
+    _emit_table(("k", "p_k", "ptilde_k"), rows, args.format, args.out)
     return 0
 
 
@@ -229,10 +215,10 @@ def cmd_moments(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    cfg = _config(args)
+    n, bip = _state(args)
+    kind, eps = _parse_noise(args.noise)
     spec = CriterionSpec.parse(args.name)
-    v = evaluate(spec, make_model(cfg.name, cfg.n, cfg.bip,
-                                  noise=cfg.noise_kind), cfg.eps)
+    v = evaluate(spec, make_model(args.state, n, bip, noise=kind), eps)
     print(f"{v.status} margin={_fmt_cell(v.margin)}")
     return EXIT_ENTANGLED if v.entangled else EXIT_INCONCLUSIVE
 
@@ -241,9 +227,9 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    cfg = _config(args)
+    n, bip = _state(args)
     spec = CriterionSpec.parse(args.criterion)
-    model = make_model(cfg.name, cfg.n, cfg.bip, model=args.model)
+    model = make_model(args.state, n, bip, model=args.model)
     r = epsilon_max(spec, model, tol=args.tol, strict=args.strict)
     print(f"eps_max={r.eps_max:.12g} bracket={r.bracket:.3g} "
           f"iterations={r.iterations} flags={r.flags or '-'} "
@@ -272,7 +258,7 @@ def _parse_int_list(text: str, option: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    tol = args.tol
+    _check_out(args.out)
     for preset, options in _SWEEP_OPTIONS.items():
         for option, default in options.items():
             dest = option[2:].replace("-", "_")
@@ -290,14 +276,14 @@ def cmd_sweep(args) -> int:
             if not labels:
                 raise ValueError("--criteria: empty list")
             crits = tuple(CriterionSpec.parse(t) for t in labels)
-        rows = sweep_fig1(n_list, criteria=crits, tol=tol)
+        rows = sweep_fig1(n_list, criteria=crits, tol=args.tol)
         columns = ("n", "criterion", "eps_max", "bracket", "flags")
     else:
         m_range = _parse_int_list(args.m_range, "--m-range")
         cuts = tuple(_parse_int_list(args.cuts, "--cuts"))
         if not all(1 <= s <= 5 for s in cuts):
             raise ValueError("--cuts: the cut needs 1 <= |A| <= 5 qubits")
-        rows = sweep_fig2(m_range, cut_sizes=cuts, tol=tol)
+        rows = sweep_fig2(m_range, cut_sizes=cuts, tol=args.tol)
         columns = ("cut", "criterion", "m", "eps_max", "bracket", "flags")
     _emit_table(columns, rows, args.format, args.out)
     return 0
@@ -318,9 +304,10 @@ def cmd_enumerators(args) -> int:
         return 0
     if not args.state:
         raise ValueError("--state is required unless --fixtures is given")
-    cfg = _config(args)
-    g = state_catalog(cfg.name, cfg.n)
-    bip = cfg.bip or Bipartition.balanced(cfg.n)
+    _check_out(args.out)
+    n, bip = _state(args)
+    g = state_catalog(args.state, n)
+    bip = bip or Bipartition.balanced(n)
     tables = {}
     if args.method in ("fourier", "both"):
         tables["fourier"] = cw_fourier(g, bip, args.k)
@@ -339,7 +326,7 @@ def cmd_enumerators(args) -> int:
     weights = sorted(set(table.cplus) | set(table.cminus))
     rows = [{"w": w, "c_plus": table.cplus.get(w, 0),
              "c_minus": table.cminus.get(w, 0)} for w in weights]
-    _emit_table(("w", "c_plus", "c_minus"), rows, cfg.fmt, cfg.out)
+    _emit_table(("w", "c_plus", "c_minus"), rows, args.format, args.out)
     print(f"difference polynomial: {_poly_str(table.difference_poly())}")
     if agreement is not None:
         print(f"agreement: {_fmt_cell(agreement)}")

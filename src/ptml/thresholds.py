@@ -97,8 +97,16 @@ class CriterionSpec:
             t = self.triple
             if t is None or len(t) != 3 or not 1 <= t[0] < t[1] < t[2]:
                 raise ValueError("klm needs a triple 1 <= k < l < m")
+            # a tuple, so that specs hash and de-duplicate
+            object.__setattr__(self, "triple", tuple(t))
         elif self.kind not in ("ppt", "fidelity", "purity"):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
+        # a parameter the kind ignores would make two specs of one label
+        # compare unequal
+        if self.m is not None and self.kind not in ("stieltjes", "descartes"):
+            raise ValueError(f"{self.kind} takes no moment order m")
+        if self.triple is not None and self.kind != "klm":
+            raise ValueError(f"{self.kind} takes no triple")
 
     @property
     def max_order(self) -> int:
@@ -657,14 +665,6 @@ def fig2_criteria(m_list) -> tuple:
     return tuple(specs)
 
 
-def _finish_rows(rows: list, lead: str, tol: float) -> list:
-    """Dominance-checked rows in canonical order: the lead column, then
-    criterion kind and order."""
-    _check_dominance(rows, lead, tol)
-    rows = sorted(rows, key=lambda r: (r[lead], r["_key"]))
-    return [{k: v for k, v in r.items() if k != "_key"} for r in rows]
-
-
 def _check_dominance(rows: list, group: str, tol: float):
     """Hankel positivity implies every 2x2 minor, so stieltjes(m) must
     detect at least as far as any klm triple of max order m.  The
@@ -672,45 +672,55 @@ def _check_dominance(rows: list, group: str, tol: float):
     observation, so a violation is reported, not raised.
     """
     slack = 10 * tol
-    best = {}
-    for r in rows:
-        spec = CriterionSpec.parse(r["criterion"])
-        best[(r[group], spec.kind, spec.max_order)] = r["eps_max"]
-    for (g, kind, m), eps in best.items():
-        st = best.get((g, "stieltjes", m))
-        if st is None:
-            continue
-        if kind == "klm" and not st >= eps - slack:
+    rows = [(r[group], CriterionSpec.parse(r["criterion"]), r["eps_max"])
+            for r in rows]
+    hankel = {(g, spec.m): eps for g, spec, eps in rows
+              if spec.kind == "stieltjes"}
+    for g, spec, eps in rows:
+        m = spec.max_order
+        st = hankel.get((g, m), math.inf)  # no stieltjes row: nothing to check
+        if spec.kind == "klm" and not st >= eps - slack:
             raise RuntimeError(
                 f"stieltjes:{m} threshold {st} fell below the klm threshold "
                 f"{eps} at {g}; the Hankel minor argument forbids this")
-        if kind == "descartes" and eps > st + slack:
+        if spec.kind == "descartes" and eps > st + slack:
             warnings.warn(
                 f"descartes:{m} threshold {eps} exceeds stieltjes:{m} "
                 f"at {g}; the usual empirical ordering is reversed")
 
 
+def _sweep(lead: str, models: dict, specs, tol: float, extra=None) -> list:
+    """One epsilon_max_battery per lead value; models maps each value to a
+    function building its model, called just before its battery.  Each
+    value and each spec runs once.  Returns dominance-checked rows in
+    canonical order: the lead value, then criterion kind and order, with
+    extra(spec)'s columns after the criterion."""
+    specs = sorted(dict.fromkeys(specs), key=CriterionSpec.sort_key)
+    rows = []
+    for value in sorted(models):
+        results = epsilon_max_battery(specs, models[value](), tol=tol)
+        rows += [{lead: value, "criterion": r.criterion,
+                  **(extra(spec) if extra else {}), "eps_max": r.eps_max,
+                  "bracket": r.bracket, "flags": r.flags}
+                 for spec, r in zip(specs, results)]
+    _check_dominance(rows, lead, tol)
+    return rows
+
+
 def sweep_fig1(n_list, criteria=None, tol: float = BRACKET_TOL) -> list:
     """Threshold vs qubit number for the depolarized GHZ family.
 
-    Each n runs on its balanced cut, so every n must be even.  Returns
-    rows {n, criterion, eps_max, bracket, flags} in canonical order (n,
-    then criterion kind and order).
+    Each n runs on its balanced cut, so every n must be even and at least
+    2.  Returns rows {n, criterion, eps_max, bracket, flags} in canonical
+    order (n, then criterion kind and order).
     """
-    odd = sorted(n for n in set(n_list) if n % 2)
-    if odd:
+    bad = sorted(n for n in set(n_list) if n % 2 or n < 2)
+    if bad:
         raise ValueError(f"fig1 runs GHZ on its balanced cut n/2|n/2, which "
-                         f"n={odd[0]} does not have; pass even n only")
-    if criteria is None:
-        criteria = fig1_criteria()
-    rows = []
-    for n in sorted(set(n_list)):
-        results = epsilon_max_battery(criteria, make_model("ghz", n), tol=tol)
-        for spec, r in zip(criteria, results):
-            rows.append({"n": n, "criterion": r.criterion,
-                         "eps_max": r.eps_max, "bracket": r.bracket,
-                         "flags": r.flags, "_key": spec.sort_key()})
-    return _finish_rows(rows, "n", tol)
+                         f"n={bad[0]} does not have; pass even n >= 2 only")
+    models = {n: functools.partial(make_model, "ghz", n) for n in n_list}
+    return _sweep("n", models,
+                  fig1_criteria() if criteria is None else criteria, tol)
 
 
 def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3),
@@ -727,14 +737,8 @@ def sweep_fig2(m_range=None, cut_sizes=(1, 2, 3),
     m_list = sorted(set(m_range))
     if m_list and not 3 <= m_list[0] <= m_list[-1] <= 30:
         raise ValueError("moment orders must lie in 3..30")
-    specs, rows = fig2_criteria(m_list), []
-    for s in cut_sizes:
-        model = make_model("ame6", 6,
-                           Bipartition(6, frozenset(range(1, s + 1))))
-        cut = f"{s}|{6 - s}"
-        for spec, r in zip(specs, epsilon_max_battery(specs, model, tol=tol)):
-            rows.append({"cut": cut, "criterion": r.criterion,
-                         "m": spec.max_order or "",
-                         "eps_max": r.eps_max, "bracket": r.bracket,
-                         "flags": r.flags, "_key": spec.sort_key()})
-    return _finish_rows(rows, "cut", tol)
+    models = {f"{s}|{6 - s}": functools.partial(
+        make_model, "ame6", 6, Bipartition(6, frozenset(range(1, s + 1))))
+        for s in cut_sizes}
+    return _sweep("cut", models, fig2_criteria(m_list), tol,
+                  lambda spec: {"m": spec.max_order or ""})

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mpf, workdps
 from mpmath.libmp import to_rational
 
-from ptml import cli, enumerators
+from ptml import cli, enumerators, thresholds
 from ptml.cli import _fmt_cell, _twelve_digits, main
 from ptml.spectra import ppt_threshold_ghz
 
@@ -394,6 +394,18 @@ def test_sweep_fig1_matches_the_golden_table(capsys, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_sweep_runs_each_cut_and_criterion_once(capsys):
+    code, out, _ = run(capsys, "sweep", "--preset", "fig2", "--m-range",
+                       "3:3", "--cuts", "1,1")
+    assert code == 0
+    assert len(parse_csv(out)) == 6
+    # PPT and ppt, p3ppt and klm:1,2,3 name one criterion each
+    code, out, _ = run(capsys, "sweep", "--preset", "fig1", "--n-list", "2",
+                       "--criteria", "ppt,PPT,p3ppt,klm:1,2,3")
+    assert code == 0
+    assert [r["criterion"] for r in parse_csv(out)] == ["klm:1,2,3", "ppt"]
+
+
 def test_sweep_fig1_refuses_odd_n_up_front(capsys):
     code, out, err = run(capsys, "sweep", "--preset", "fig1",
                          "--n-list", "2:12")
@@ -433,6 +445,22 @@ def test_json_format(capsys, tmp_path):
     assert run(capsys, "moments", "--state", "ghz", "--n", "2", "--k-max",
                "2", "--out", str(target)) == (0, "", "")
     assert target.read_text() == out
+
+
+def test_out_is_refused_before_any_model_is_built(capsys, tmp_path,
+                                                 monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(thresholds, "epsilon_max_battery", refuse)
+    monkeypatch.setattr(cli, "make_model", refuse)
+    monkeypatch.setattr(cli, "state_catalog", refuse)
+    for argv in (("sweep", "--preset", "fig2"),
+                 ("moments", "--state", "ghz", "--n", "2", "--k-max", "2"),
+                 ("enumerators", "--state", "ghz", "--n", "2")):
+        assert run(capsys, *argv, "--out", str(tmp_path)) == (
+            2, "", f"error: --out: {tmp_path} is a directory\n"), argv
+        assert run(capsys, *argv, "--out", "") == (
+            2, "", "error: --out: empty file name\n"), argv
 
 
 def test_out_file_written_atomically(capsys, tmp_path):
@@ -609,7 +637,11 @@ def test_error_exit_codes(capsys):
             (("moments", "--state", "ghz", "--n", "2", "--k-max", "0"),
              "--k-max must be at least 1"),
             (("enumerators", "--state", "ghz", "--n", "2", "--k", "0"),
-             "need k >= 1")):
+             "need k >= 1"),
+            # fig1 names its rule, not the catalog's, for n below 2
+            (("sweep", "--preset", "fig1", "--n-list", "0"),
+             "fig1 runs GHZ on its balanced cut n/2|n/2, which n=0 does "
+             "not have; pass even n >= 2 only")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.strip()) == (2, "", f"error: {want}")
 

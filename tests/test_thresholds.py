@@ -71,6 +71,18 @@ def test_criterion_spec_validation():
         CriterionSpec("foo")
     with pytest.raises(ValueError, match="ppt takes no parameters"):
         CriterionSpec.parse("ppt:3")
+    # a parameter the kind ignores is refused, so specs of one label are
+    # equal
+    for kwargs, want in (({"kind": "ppt", "m": 3},
+                          "ppt takes no moment order"),
+                         ({"kind": "klm", "m": 9, "triple": (1, 2, 3)},
+                          "klm takes no moment order"),
+                         ({"kind": "stieltjes", "m": 3, "triple": (1, 2, 3)},
+                          "stieltjes takes no triple"),
+                         ({"kind": "fidelity", "triple": (1, 2, 3)},
+                          "fidelity takes no triple")):
+        with pytest.raises(ValueError, match=want):
+            CriterionSpec(**kwargs)
 
 
 def test_max_order():
@@ -399,6 +411,16 @@ def test_dominance_violation_raises_runtime_error():
         _check_dominance(rows, "n", 1e-9)
 
 
+def test_dominance_checks_every_triple_of_an_order():
+    # a violating triple is caught whatever row follows it
+    rows = [{"n": 4, "criterion": "stieltjes:7", "eps_max": 0.1},
+            {"n": 4, "criterion": "klm:5,6,7", "eps_max": 0.2},
+            {"n": 4, "criterion": "klm:3,6,7", "eps_max": 0.05}]
+    for order in (rows, rows[::-1]):
+        with pytest.raises(RuntimeError, match="klm threshold 0.2 at 4"):
+            _check_dominance(order, "n", 1e-9)
+
+
 def test_dense_model_fidelity_needs_group():
     rho = state_from_group(state_catalog("ghz", 4))
     model = DenseModel(rho, balanced(4))
@@ -582,6 +604,18 @@ def test_sweep_fig1_rows():
 def test_sweep_fig1_determinism():
     crits = (CriterionSpec("ppt"), CriterionSpec("stieltjes", m=3))
     assert sweep_fig1((2,), criteria=crits) == sweep_fig1((2,), criteria=crits)
+
+
+def test_sweeps_run_each_cut_and_criterion_once():
+    assert (sweep_fig2(m_range=[3], cut_sizes=(1, 1))
+            == sweep_fig2(m_range=[3], cut_sizes=(1,)))
+    ppt = CriterionSpec("ppt")
+    assert len(sweep_fig1((2,), criteria=(ppt, ppt))) == 1
+    # a triple given as a list names the same criterion as the tuple
+    p3 = (CriterionSpec("klm", triple=[1, 2, 3]),
+          CriterionSpec("klm", triple=(1, 2, 3)))
+    assert p3[0] == p3[1]
+    assert len(sweep_fig1((2,), criteria=p3)) == 1
 
 
 def test_sweep_fig2_row_gating():
